@@ -191,10 +191,14 @@ def cut_interface(p: Projection) -> tuple:
 # the three estimators
 
 
-def _defect_diagnostics(entries: np.ndarray, window, config: IndexConfig) -> dict:
-    eye = np.eye(window.dimension)
-    d_right = eye - entries.conj().T @ entries
-    d_left = eye - entries @ entries.conj().T
+def _defects(entries: np.ndarray) -> tuple:
+    """1 - T*T and 1 - TT*, built once per index call and shared by the
+    defect diagnostics and the trace formula."""
+    eye = np.eye(entries.shape[0])
+    return eye - entries.conj().T @ entries, eye - entries @ entries.conj().T
+
+
+def _defect_diagnostics(d_right, d_left, window, config: IndexConfig) -> dict:
     inside = interior_mask(window, config.buffer)
     mass = np.abs(np.diag(d_right)) + np.abs(np.diag(d_left))
     total = float(mass.sum())
@@ -299,14 +303,24 @@ def _kernel_index(
     return IndexResult(value, "kernel_count", diagnostics)
 
 
-def _trace_index(entries: np.ndarray, window, config: IndexConfig) -> IndexResult:
-    eye = np.eye(window.dimension)
-    d_right = eye - entries.conj().T @ entries
-    d_left = eye - entries @ entries.conj().T
+def _power_diagonal(d: np.ndarray, m: int) -> np.ndarray:
+    """Real diagonal of D^m, with the power taken on D's nonzero support.
+
+    A site whose row and column of D vanish stays decoupled in every
+    power, so D^m is (D_SS)^m on the support S and exactly zero elsewhere.
+    """
+    support = np.flatnonzero(np.any(d, axis=0) | np.any(d, axis=1))
+    out = np.zeros(d.shape[0])
+    block = np.linalg.matrix_power(d[np.ix_(support, support)], m)
+    out[support] = np.diag(block).real
+    return out
+
+
+def _trace_index(d_right, d_left, window, config: IndexConfig) -> IndexResult:
     m = config.trace_power
     inside = interior_mask(window, config.buffer)
-    tr_right = float(np.diag(np.linalg.matrix_power(d_right, m))[inside].real.sum())
-    tr_left = float(np.diag(np.linalg.matrix_power(d_left, m))[inside].real.sum())
+    tr_right = float(_power_diagonal(d_right, m)[inside].sum())
+    tr_left = float(_power_diagonal(d_left, m)[inside].sum())
     raw = tr_right - tr_left
     value = int(round(raw))
     residual = abs(raw - value)
@@ -343,7 +357,8 @@ def fredholm_index(
     if not isinstance(window, TruncationWindow):
         raise PreconditionError("index estimation needs a plain truncation window")
     entries = t.entries
-    base_diag = _defect_diagnostics(entries, window, config)
+    d_right, d_left = _defects(entries)
+    base_diag = _defect_diagnostics(d_right, d_left, window, config)
     cut_sites = tuple(config.cut_sites)
 
     if method == "partial_permutation":
@@ -351,13 +366,13 @@ def fredholm_index(
     elif method == "kernel_count":
         result = _kernel_index(entries, window, cut_sites, config)
     elif method == "trace_formula":
-        result = _trace_index(entries, window, config)
+        result = _trace_index(d_right, d_left, window, config)
     elif method == "auto":
         if _pp_admits(entries):
             result = _pp_index(entries, window, cut_sites, config)
         else:
             result = _kernel_index(entries, window, cut_sites, config)
-        check = _trace_index(entries, window, config)
+        check = _trace_index(d_right, d_left, window, config)
         if check.value != result.value:
             raise MethodDisagreementError(
                 f"{result.method} gives {result.value} but trace_formula "
@@ -391,31 +406,38 @@ def projection_index(
         raise PreconditionError("projection and base live on different windows")
     # the open-boundary shift is unitary-like in the only sense available
     # at finite scale: its isometry defect is confined to the window edge
-    dim = p.window.dimension
-    eye = np.eye(dim)
     be = base.entries
+    d_right, d_left = _defects(be)
     inside = interior_mask(p.window, config.buffer)
     ix = np.ix_(inside, inside)
-    defect = max(
-        spectral_norm((eye - be.conj().T @ be)[ix]),
-        spectral_norm((eye - be @ be.conj().T)[ix]),
-    )
+    defect = max(spectral_norm(d_right[ix]), spectral_norm(d_left[ix]))
     if defect > 1e-6:
         raise PreconditionError(
             f"base operator is not unitary-like away from the edge: "
             f"interior defect {defect:.3e}"
         )
-    if not config.cut_sites:
-        mask = p.diagonal_mask()
-        if mask is not None:
+    mask = p.diagonal_mask()
+    if mask is None:
+        pe = p.entries
+        compressed = pe @ be @ pe + (np.eye(p.window.dimension) - pe)
+        commutator = spectral_norm(pe @ be - be @ pe)
+    else:
+        if not config.cut_sites:
             config = dataclasses.replace(config, cut_sites=cut_interface(p))
-    pe = p.entries
-    compressed = pe @ be @ pe + (eye - pe)
-    t = Operator(p.window, compressed)
-    result = fredholm_index(t, method, config)
+        on, off = np.flatnonzero(mask), np.flatnonzero(~mask)
+        compressed = np.zeros_like(be)
+        compressed[np.ix_(on, on)] = be[np.ix_(on, on)]
+        compressed[off, off] = 1.0
+        # PB - BP keeps only the two blocks between P and P⊥ (with
+        # opposite signs), so its singular values are theirs together
+        commutator = max(
+            spectral_norm(be[np.ix_(on, off)]), spectral_norm(be[np.ix_(off, on)])
+        )
+    result = fredholm_index(Operator(p.window, compressed), method, config)
     result.diagnostics["base_interior_defect"] = defect
-    result.diagnostics["base_unitarity_defect"] = base.unitarity_defect()
-    result.diagnostics["commutator_norm"] = spectral_norm(pe @ be - be @ pe)
+    # 1 - B*B is Hermitian, so its norm is max |lambda - 1| over B*B
+    result.diagnostics["base_unitarity_defect"] = spectral_norm(d_right)
+    result.diagnostics["commutator_norm"] = commutator
     return result
 
 

@@ -19,7 +19,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import PreconditionError, RepresentationError, WindowExhaustedError
+from .errors import (
+    PreconditionError,
+    RepresentationError,
+    StageError,
+    WindowExhaustedError,
+)
 from .geometry import (
     ORIGIN,
     Arc,
@@ -297,7 +302,11 @@ def cone_split(a: Operator, j: Arc, eps: float) -> ConeSplit:
     k = 1
     while remaining:
         if k > 200:
-            raise RuntimeError("cone_split failed to exhaust the window")
+            raise StageError(
+                "cone-split",
+                f"{len(remaining)} complement sites still uncaptured after "
+                f"{k - 1} widening stages",
+            )
         hood = widen_arc(j, k)
         shell = [
             idx
@@ -310,7 +319,8 @@ def cone_split(a: Operator, j: Arc, eps: float) -> ConeSplit:
             for idx in shell[:m]:
                 if j_cols.size and np.any(a.entries[idx, j_cols]):
                     good.append(idx)
-            remaining = [idx for idx in remaining if idx not in set(shell)]
+            shell_set = set(shell)
+            remaining = [idx for idx in remaining if idx not in shell_set]
         k += 1
     bad_idx = sorted(
         set(_open_complement_indices(w, j)) - set(good)

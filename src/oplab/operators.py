@@ -64,11 +64,6 @@ class Operator:
     def diagonal(cls, window: Window, diag: np.ndarray, **tags: str) -> "Operator":
         return cls(window, np.diag(np.asarray(diag, dtype=np.complex128)), tags)
 
-    def with_tags(self, **tags: str) -> "Operator":
-        merged = dict(self.tags)
-        merged.update(tags)
-        return Operator(self.window, self.entries, merged)
-
     # -- algebra ------------------------------------------------------------
 
     def _check_window(self, other: "Operator") -> None:
@@ -108,9 +103,7 @@ class Operator:
 
     def unitarity_defect(self) -> float:
         """|| A*A - 1 ||, computed from the eigenvalues of A*A."""
-        gram = self.entries.conj().T @ self.entries
-        eigs = np.linalg.eigvalsh((gram + gram.conj().T) / 2.0)
-        return float(np.max(np.abs(eigs - 1.0))) if eigs.size else 0.0
+        return unitarity_defect(self.entries)
 
     def is_diagonal(self) -> bool:
         off = self.entries - np.diag(np.diag(self.entries))
@@ -118,34 +111,76 @@ class Operator:
 
 
 def spectral_norm(entries: np.ndarray) -> float:
-    """Largest singular value of a dense block; empty blocks have norm 0."""
-    if entries.size == 0:
+    """Largest singular value of a dense block, taken on its nonzero block.
+
+    All-zero rows and columns carry no singular value, so they are
+    dropped before the SVD.  The result is the exact norm of the whole
+    block, not a bound; empty and all-zero blocks have norm 0.
+    """
+    rows = np.flatnonzero(np.any(entries, axis=1))
+    if rows.size == 0:
         return 0.0
-    if not np.any(entries):
-        return 0.0
+    cols = np.flatnonzero(np.any(entries, axis=0))
+    if rows.size < entries.shape[0] or cols.size < entries.shape[1]:
+        entries = entries[np.ix_(rows, cols)]
     return float(np.linalg.norm(entries, 2))
+
+
+def unitarity_defect(entries: np.ndarray) -> float:
+    """|| A*A - 1 || of a square block, from the eigenvalues of A*A."""
+    gram = entries.conj().T @ entries
+    eigs = np.linalg.eigvalsh((gram + gram.conj().T) / 2.0)
+    return float(np.max(np.abs(eigs - 1.0))) if eigs.size else 0.0
 
 
 # ---------------------------------------------------------------------------
 # projections
 
 
+def _diagonal_mask_of(a: np.ndarray) -> np.ndarray | None:
+    """Boolean site mask when ``a`` is an exact 0/1 diagonal, else None."""
+    diag = np.diag(a)
+    if np.any(a - np.diag(diag)) or np.any(diag.imag):
+        return None
+    if not np.all((diag.real == 0.0) | (diag.real == 1.0)):
+        return None
+    return diag.real == 1.0
+
+
 @dataclass(frozen=True)
 class Projection:
-    """An orthogonal projection, optionally backed by a diagonal region."""
+    """An orthogonal projection, optionally backed by a diagonal region.
+
+    ``mask`` is the single source of truth for diagonal structure: the
+    0/1 site mask when the projection is an exact 0/1 diagonal, else
+    None.  ``from_region`` stores the mask it builds, ``perp`` carries
+    the complement, and any other construction derives it once here.
+    Code that can work on index blocks instead of dense products reads
+    it through :meth:`diagonal_mask`.
+    """
 
     operator: Operator
     region: Region | None = None
+    mask: np.ndarray | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        mask = self.mask
+        if mask is None:
+            mask = _diagonal_mask_of(self.operator.entries)
+        if mask is not None:
+            mask = np.array(mask, dtype=bool)
+            mask.setflags(write=False)
+        object.__setattr__(self, "mask", mask)
 
     @classmethod
     def from_region(cls, region: Region, window: Window) -> "Projection":
         """Exact 0/1 diagonal projection onto the region's window sites."""
         if isinstance(window, AmplifiedWindow):
             raise RepresentationError("region projections live on plain windows")
-        diag = np.zeros(window.dimension, dtype=np.complex128)
+        mask = np.zeros(window.dimension, dtype=bool)
         for site in region_sites(region, window):
-            diag[window.index_of(site)] = 1.0
-        return cls(Operator.diagonal(window, diag), region)
+            mask[window.index_of(site)] = True
+        return cls(Operator.diagonal(window, mask), region, mask)
 
     @classmethod
     def from_operator(
@@ -174,19 +209,12 @@ class Projection:
 
     def perp(self) -> "Projection":
         region = None if self.region is None else self.region.complement()
-        return Projection(Operator.identity(self.window) - self.operator, region)
+        mask = None if self.mask is None else ~self.mask
+        return Projection(Operator.identity(self.window) - self.operator, region, mask)
 
     def diagonal_mask(self) -> np.ndarray | None:
         """Boolean site mask when the projection is an exact 0/1 diagonal."""
-        a = self.operator.entries
-        diag = np.diag(a).real
-        if np.any(a - np.diag(np.diag(a))):
-            return None
-        if not np.all((diag == 0.0) | (diag == 1.0)):
-            return None
-        if np.any(np.diag(a).imag):
-            return None
-        return diag == 1.0
+        return self.mask
 
     def sites(self) -> tuple:
         if self.region is None:
@@ -195,10 +223,6 @@ class Projection:
 
     def trace(self) -> float:
         return float(np.trace(self.entries).real)
-
-
-def projection_from_region(region: Region, window: Window) -> Projection:
-    return Projection.from_region(region, window)
 
 
 # ---------------------------------------------------------------------------

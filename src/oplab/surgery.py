@@ -37,7 +37,7 @@ from .geometry import (
     site_sort_key,
 )
 from .locality import CentersPlan, annulus_confine, cone_split
-from .operators import Operator, Projection, spectral_norm
+from .operators import Operator, Projection, spectral_norm, unitarity_defect
 from .windows import AmplifiedWindow, TruncationWindow
 
 __all__ = [
@@ -70,20 +70,36 @@ class ProjectionPair:
 
     @classmethod
     def for_operator(cls, p: Projection, q: Projection, a: Operator) -> "ProjectionPair":
-        bound = spectral_norm(p.entries @ a.entries @ q.entries)
-        return cls(p, q, bound)
+        return cls(p, q, _masked_norm(p, q, a.entries))
+
+
+def _block_of(p: Projection, q: Projection) -> tuple | None:
+    """Row and column index arrays of the block P M Q keeps when both
+    projections are 0/1 diagonals; None for general projections."""
+    pm = p.diagonal_mask()
+    qm = q.diagonal_mask()
+    if pm is None or qm is None:
+        return None
+    return np.ix_(np.flatnonzero(pm), np.flatnonzero(qm))
 
 
 def _masked_product(pair: ProjectionPair, m: np.ndarray) -> np.ndarray:
     """P M Q, using index masks when both projections are 0/1 diagonals."""
-    pm = pair.p.diagonal_mask()
-    qm = pair.q.diagonal_mask()
-    if pm is not None and qm is not None:
+    block = _block_of(pair.p, pair.q)
+    if block is not None:
         out = np.zeros_like(m)
-        block = np.ix_(np.flatnonzero(pm), np.flatnonzero(qm))
         out[block] = m[block]
         return out
     return pair.p.entries @ m @ pair.q.entries
+
+
+def _masked_norm(p: Projection, q: Projection, m: np.ndarray) -> float:
+    """‖P M Q‖, taken on the index block when both projections are 0/1
+    diagonals (the rest of P M Q is structurally zero)."""
+    block = _block_of(p, q)
+    if block is None:
+        return spectral_norm(p.entries @ m @ q.entries)
+    return spectral_norm(m[block])
 
 
 def deletion_series(a: Operator, pairs: Sequence[ProjectionPair], eps: float) -> Operator:
@@ -102,7 +118,7 @@ def deletion_series(a: Operator, pairs: Sequence[ProjectionPair], eps: float) ->
     norms = []
     for k, pair in enumerate(pairs, start=1):
         budget = eps / 2.0 ** (2 * k - 1)
-        norm_k = spectral_norm(_masked_product(pair, a.entries))
+        norm_k = _masked_norm(pair.p, pair.q, a.entries)
         if norm_k > budget + TOL_RESIDUAL:
             raise PreconditionError(
                 f"pair {k}: masked block norm {norm_k:.3e} exceeds budget "
@@ -121,23 +137,21 @@ def deletion_series(a: Operator, pairs: Sequence[ProjectionPair], eps: float) ->
             "deletion-series",
             f"series norm {series_norm:.3e} exceeds its cap {series_cap:.3e}",
         )
-
-    b = a.entries - s
-    if spectral_norm(s) > eps + TOL_RESIDUAL:
+    if series_norm > eps + TOL_RESIDUAL:
         raise StageError(
             "deletion-series", f"total perturbation {series_norm:.3e} exceeds eps {eps:.3e}"
         )
-    b = np.array(b)
+
+    b = a.entries - s
     for k, pair in enumerate(pairs, start=1):
-        residual = spectral_norm(_masked_product(pair, b))
+        residual = _masked_norm(pair.p, pair.q, b)
         if residual > TOL_RESIDUAL:
             raise StageError(
                 "deletion-series", f"pair {k}: residual block norm {residual:.3e}"
             )
-        pm = pair.p.diagonal_mask()
-        qm = pair.q.diagonal_mask()
-        if pm is not None and qm is not None:
-            b[np.ix_(np.flatnonzero(pm), np.flatnonzero(qm))] = 0.0
+        block = _block_of(pair.p, pair.q)
+        if block is not None:
+            b[block] = 0.0
     return Operator(a.window, b, dict(a.tags, name="deleted"))
 
 
@@ -260,6 +274,7 @@ def corrective_unitary(b: Operator, plan: CentersPlan) -> Operator:
         raise PreconditionError("plan has no ranges; run localized_centers first")
     d = w.dimension
     v = np.eye(d, dtype=np.complex128)
+    union: list = []
     for k, (center, y) in enumerate(zip(plan.centers, plan.ranges)):
         col = b.entries[:, w.index_of(center)]
         norm = float(np.linalg.norm(col))
@@ -275,11 +290,14 @@ def corrective_unitary(b: Operator, plan: CentersPlan) -> Operator:
         target = y_idx.index(w.index_of(center))
         block = _block_rotation(len(y_idx), local, target)
         v[np.ix_(y_idx, y_idx)] = block
-    out = Operator(w, v, {"name": "corrective"})
-    defect = out.unitarity_defect()
+        union.extend(y_idx)
+    # V is exactly the identity outside the union of the ranges, so
+    # V*V - 1 vanishes there and its norm is that of the union block
+    union = sorted(union)
+    defect = unitarity_defect(v[np.ix_(union, union)])
     if defect > TOL_BLOCK_FORM:
         raise StageError("corrective-unitary", f"unitarity defect {defect:.3e}")
-    return out
+    return Operator(w, v, {"name": "corrective"})
 
 
 # ---------------------------------------------------------------------------

@@ -100,10 +100,6 @@ class TruncationWindow:
         """Sort a site collection into canonical enumeration order."""
         return tuple(sorted(sites, key=site_sort_key))
 
-    def indices(self, sites: Iterable[Site]):
-        """Sorted basis indices of a site collection (canonical order)."""
-        return [self._index[s] for s in self.order(sites)]
-
     def radius_text(self) -> str:
         r = self.radius
         return str(r.numerator) if r.denominator == 1 else f"{r.numerator}/{r.denominator}"

@@ -1,0 +1,212 @@
+"""Nonzero-block fast paths pinned to their dense references.
+
+Norms, masked products and index defects skip structural zeros; each
+test here recomputes the same quantity over the full window with plain
+numpy (or through the dense fallback) and requires agreement.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from oplab.geometry import Ball, Explicit
+from oplab.index import (
+    DEFAULT_INDEX_CONFIG,
+    fredholm_index,
+    index_k_projection,
+    interior_mask,
+    projection_index,
+)
+from oplab.operators import Operator, Projection, spectral_norm
+from oplab.surgery import ProjectionPair, deletion_series
+from oplab.windows import TruncationWindow
+
+
+def sparse_complex(rng, rows, cols, density):
+    values = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    return np.where(rng.random((rows, cols)) < density, values, 0.0)
+
+
+def dense_norm(m):
+    return float(np.linalg.norm(m, 2)) if m.size else 0.0
+
+
+# ---------------------------------------------------------------------------
+# operators
+
+
+@given(
+    rows=st.integers(0, 12),
+    cols=st.integers(0, 12),
+    density=st.sampled_from([0.0, 0.05, 0.3, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(rows=0, cols=5, density=1.0, seed=0)
+@example(rows=6, cols=6, density=0.0, seed=0)
+@example(rows=7, cols=3, density=1.0, seed=1)
+def test_spectral_norm_matches_dense_norm(rows, cols, density, seed):
+    m = sparse_complex(np.random.default_rng(seed), rows, cols, density)
+    assert abs(spectral_norm(m) - dense_norm(m)) <= 1e-12 * max(1.0, dense_norm(m))
+
+
+@given(
+    rows=st.integers(1, 10),
+    cols=st.integers(1, 10),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_spectral_norm_of_a_single_entry(rows, cols, seed):
+    rng = np.random.default_rng(seed)
+    m = np.zeros((rows, cols), dtype=np.complex128)
+    value = complex(rng.standard_normal(), rng.standard_normal())
+    m[rng.integers(rows), rng.integers(cols)] = value
+    assert abs(spectral_norm(m) - abs(value)) <= 1e-15 * max(1.0, abs(value))
+    assert abs(spectral_norm(m) - dense_norm(m)) <= 1e-12 * max(1.0, abs(value))
+
+
+def scanned_mask(entries):
+    """Full scan of a d x d matrix: the 0/1 diagonal, or None."""
+    diag = np.diag(entries)
+    if np.any(entries - np.diag(diag)) or not np.all((diag == 0) | (diag == 1)):
+        return None
+    return diag == 1
+
+
+@given(
+    radius=st.integers(1, 5),
+    density=st.sampled_from([0.0, 0.2, 0.7, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_region_projection_mask_matches_a_full_scan(radius, density, seed):
+    w = TruncationWindow.plane(radius)
+    rng = np.random.default_rng(seed)
+    sites = frozenset(s for s in w.sites if rng.random() < density)
+    p = Projection.from_region(Explicit(sites), w)
+    mask = p.diagonal_mask()
+    assert np.array_equal(mask, scanned_mask(p.entries))
+    assert {w.sites[i] for i in np.flatnonzero(mask)} == sites
+    perp = p.perp()
+    assert np.array_equal(perp.diagonal_mask(), ~mask)
+    assert np.array_equal(perp.diagonal_mask(), scanned_mask(perp.entries))
+    rebuilt = Projection.from_operator(Operator(w, p.entries))
+    assert np.array_equal(rebuilt.diagonal_mask(), mask)
+
+
+def test_stored_mask_is_read_only():
+    w = TruncationWindow.plane(2)
+    mask = Projection.from_region(Ball(2), w).diagonal_mask()
+    with pytest.raises(ValueError):
+        mask[0] = not mask[0]
+
+
+# ---------------------------------------------------------------------------
+# surgery
+
+
+class DenseProjection(Projection):
+    """The same projection with its mask hidden: surgery takes the dense
+    products, which serve as the reference route."""
+
+    def diagonal_mask(self):
+        return None
+
+
+def dense_only(pair):
+    p, q = DenseProjection(pair.p.operator), DenseProjection(pair.q.operator)
+    return ProjectionPair(p, q, pair.bound)
+
+
+@given(
+    radius=st.integers(2, 4),
+    n_pairs=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_deletion_series_block_route_matches_dense_route(radius, n_pairs, seed):
+    w = TruncationWindow.plane(radius)
+    rng = np.random.default_rng(seed)
+    a = Operator(w, sparse_complex(rng, w.dimension, w.dimension, 0.5))
+    # disjoint row sets keep the cut blocks disjoint, so every bound the
+    # series checks holds by construction
+    owner = rng.integers(0, n_pairs + 1, size=w.dimension)
+    region_pairs, operator_pairs, scale = [], [], 0.0
+    for k in range(1, n_pairs + 1):
+        rows = Explicit(frozenset(s for i, s in enumerate(w.sites) if owner[i] == k))
+        cols = Explicit(frozenset(s for s in w.sites if rng.random() < 0.5))
+        p, q = Projection.from_region(rows, w), Projection.from_region(cols, w)
+        region_pairs.append(ProjectionPair.for_operator(p, q, a))
+        p_op = Projection.from_operator(Operator(w, p.entries))
+        q_op = Projection.from_operator(Operator(w, q.entries))
+        operator_pairs.append(ProjectionPair.for_operator(p_op, q_op, a))
+        scale = max(scale, 2.0 ** (2 * k - 1) * region_pairs[-1].bound)
+    eps = 2.0 * scale + 1e-3
+
+    b = deletion_series(a, region_pairs, eps)
+    assert np.array_equal(deletion_series(a, operator_pairs, eps).entries, b.entries)
+    for region, oracle in zip(region_pairs, map(dense_only, region_pairs)):
+        pe, qe = oracle.p.entries, oracle.q.entries
+        assert oracle.p.diagonal_mask() is None
+        assert abs(region.bound - dense_norm(pe @ a.entries @ qe)) <= 1e-12
+    dense = deletion_series(a, [dense_only(pair) for pair in region_pairs], eps)
+    assert np.max(np.abs(dense.entries - b.entries)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# index
+
+
+def dense_compression(p, base):
+    pe = p.entries
+    return pe @ base.entries @ pe + (np.eye(p.window.dimension) - pe)
+
+
+def full_window_traces(t, window):
+    """Interior traces of (1 - T*T)^m and (1 - TT*)^m over the whole
+    window: the dense reference for the trace formula."""
+    inside = interior_mask(window, DEFAULT_INDEX_CONFIG.buffer)
+    eye = np.eye(window.dimension)
+    out = []
+    for d in (eye - t.conj().T @ t, eye - t @ t.conj().T):
+        power = np.linalg.matrix_power(d, DEFAULT_INDEX_CONFIG.trace_power)
+        out.append(float(np.diag(power)[inside].real.sum()))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("k", range(-3, 4))
+def test_index_defects_on_support_match_full_window(k):
+    w = TruncationWindow.line(64)
+    base, p = index_k_projection(k, w)
+    t = dense_compression(p, base)
+    right, left = full_window_traces(t, w)
+    result = fredholm_index(Operator(w, t), "trace_formula")
+    assert result.value == k
+    assert abs(result.diagnostics["trace_right"] - right) <= 1e-9
+    assert abs(result.diagnostics["trace_left"] - left) <= 1e-9
+
+    be = base.entries
+    pe = p.entries
+    via_mask = projection_index(p, base, "trace_formula")
+    assert via_mask.value == k
+    assert abs(via_mask.diagnostics["trace_raw"] - (right - left)) <= 1e-9
+    commutator = dense_norm(pe @ be - be @ pe)
+    assert abs(via_mask.diagnostics["commutator_norm"] - commutator) <= 1e-12
+    gram = be.conj().T @ be
+    unitarity = float(np.max(np.abs(np.linalg.eigvalsh(gram) - 1.0)))
+    assert abs(via_mask.diagnostics["base_unitarity_defect"] - unitarity) <= 1e-12
+
+
+@given(
+    radius=st.integers(1, 8),
+    density=st.sampled_from([0.0, 0.1, 0.4, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_trace_formula_support_power_matches_matrix_power(radius, density, seed):
+    # T is the identity plus a small sparse perturbation, so 1 - T*T is
+    # supported on the perturbed rows and columns, and its interior trace
+    # stays near the integer 0
+    w = TruncationWindow.line(radius)
+    d = w.dimension
+    t = np.eye(d) + 0.05 * sparse_complex(np.random.default_rng(seed), d, d, density)
+    right, left = full_window_traces(t, w)
+    result = fredholm_index(Operator(w, t), "trace_formula")
+    assert abs(result.diagnostics["trace_right"] - right) <= 1e-9
+    assert abs(result.diagnostics["trace_left"] - left) <= 1e-9

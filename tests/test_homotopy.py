@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from oplab.errors import (
     PreconditionError,
@@ -550,6 +551,37 @@ def test_pipeline_finite_range_unitary_certifies():
     for stats in report.segment_stats:
         if stats["samples"]:
             assert stats["min_singular_value"] >= 0.4
+
+
+def tailed_unitary(window, seed):
+    """Angular phase times exp(iH), H a seeded nearest-neighbour Hermitian:
+    no entry is zero, so the deletion series has real blocks to cut."""
+    rng = np.random.default_rng(seed)
+    h = np.diag(rng.standard_normal(window.dimension)).astype(np.complex128)
+    for site in window.sites:
+        for nb in ((site[0] + 1, site[1]), (site[0], site[1] + 1)):
+            if nb in window:
+                i, j = window.index_of(site), window.index_of(nb)
+                z = complex(rng.standard_normal(), rng.standard_normal())
+                hop = 0.3 * z / np.sqrt(2.0)
+                h[i, j] = hop
+                h[j, i] = np.conj(hop)
+    return Operator(window, laughlin_operator(window).entries @ scipy.linalg.expm(1j * h))
+
+
+def test_pipeline_certifies_a_tailed_unitary():
+    window = TruncationWindow.plane(12)
+    u = tailed_unitary(window, 1)
+    assert np.all(u.entries != 0)
+    path, report = theorem1_pipeline(u, 0.5)
+    assert max(report.endpoint_errors) <= 1e-8
+    polar = [s["kind"] for s in report.segment_stats].index("polar")
+    for stats in report.segment_stats[:polar]:
+        if stats["samples"]:
+            assert stats["min_singular_value"] >= 0.5
+    # the first segment runs from u to the surgically deformed g
+    g = path.segments[0].at(1.0)
+    assert 0.0 < spectral_norm(u.entries - g) < 0.5
 
 
 def test_pipeline_input_validation():

@@ -6,7 +6,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oplab.errors import PreconditionError, RepresentationError, WindowExhaustedError
+import oplab.locality
+from oplab.errors import (
+    OplabError,
+    PreconditionError,
+    RepresentationError,
+    StageError,
+    WindowExhaustedError,
+)
 from oplab.geometry import Arc, Ball, Direction, Explicit, FULL_REGION
 from oplab.locality import (
     CentersPlan,
@@ -275,6 +282,17 @@ def test_cone_split_full_circle_is_empty():
     full = Arc(Direction(1, 0), Direction(1, 0))
     split = cone_split(finite_range_operator(w, 1, seed=4), full, 0.5)
     assert split.good == frozenset() and split.bad == frozenset()
+
+
+def test_cone_split_bails_out_as_a_stage_error(monkeypatch):
+    # a neighborhood that never shrinks captures no shell at any stage
+    full = Arc(Direction(1, 0), Direction(1, 0))
+    monkeypatch.setattr(oplab.locality, "widen_arc", lambda arc, k: full)
+    w = TruncationWindow.plane(3)
+    with pytest.raises(OplabError) as err:
+        cone_split(laughlin_operator(w), RIGHT, 0.5)
+    assert isinstance(err.value, StageError)
+    assert err.value.stage == "cone-split"
 
 
 def test_cone_split_csv_rows():
