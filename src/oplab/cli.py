@@ -114,10 +114,7 @@ def _cmd_certify(args) -> int:
     if config.experiment not in ("theorem1", "theorem2"):
         raise ConfigError("certify runs theorem1 or theorem2 configs")
     manifest = run(config, out_override=args.out)
-    blob = json.loads(
-        (Path(args.out or config.out_dir) / "manifest.json").read_text()
-    )
-    print(f"experiment {config.experiment} complete; files: {len(blob['files'])}")
+    print(f"experiment {config.experiment} complete; files: {len(manifest.files)}")
     for item in manifest.files:
         print(f"wrote {item['path']}")
     return 0

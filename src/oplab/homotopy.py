@@ -1,13 +1,14 @@
 """Norm-continuous operator paths and their certification.
 
-A path is a tuple of equally weighted segments, each carrying a cached
-factorization so sampling costs one or two dense products rather than a
-fresh decomposition.  Constructors cover the deformation moves used by
-the full unitary-to-identity pipeline: straight lines, polar
-interpolation, peeling an upper-triangular block factor, logarithmic
-rotation of a unitary, conjugation of a projection along a unitary
-path, and the stacked-isometry move that absorbs a block unitary into
-the identity.
+A path is a tuple of equally weighted segments.  Each segment is one of
+three closed forms built once from a cached factorization, so sampling
+costs one or two dense products rather than a fresh decomposition:
+affine (1-t) A + t B, spectral L e^{(1-t) z} R + C, and conjugation
+U_t* Q U_t.  Constructors cover the deformation moves used by the full
+unitary-to-identity pipeline: straight lines, polar interpolation,
+peeling an upper-triangular block factor, logarithmic rotation of a
+unitary, conjugation of a projection along a unitary path, and the
+stacked-isometry move that absorbs a block unitary into the identity.
 
 Certification never assumes a segment is what it claims to be: the
 certificate reports measured unitarity defects, singular values,
@@ -17,8 +18,9 @@ paths) idempotency defects and an integer index trace.
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -78,53 +80,92 @@ def _residual_norm(entries: np.ndarray, tol: float) -> float:
 
 @dataclass(frozen=True)
 class PathSegment:
-    """One homotopy leg with a cached factorization.
+    """One homotopy leg, evaluated in closed form by its subclass.
 
-    ``flip`` runs the leg backwards; every kind is closed under time
-    reversal so paths can be reversed without recomputing anything.
+    The form is the subclass (affine, spectral or conjugation); ``kind``
+    only names the move for reports and must be one of
+    ``SEGMENT_KINDS``.  ``flip`` runs the leg backwards (t -> 1 - t), so
+    paths reverse without recomputing anything.
     """
 
     kind: str
     window: Window
-    payload: tuple
-    flip: bool = False
-    label: str = ""
+    flip: bool = field(default=False, kw_only=True)
+    label: str = field(default="", kw_only=True)
 
     def __post_init__(self) -> None:
         if self.kind not in SEGMENT_KINDS:
             raise PreconditionError(f"unknown segment kind {self.kind!r}")
 
     def at(self, t: float) -> np.ndarray:
-        if self.flip:
-            t = 1.0 - t
-        if self.kind == "straight_line":
-            a0, a1 = self.payload
-            return (1.0 - t) * a0 + t * a1
-        if self.kind == "polar":
-            u, s, vh = self.payload
-            return (u * (s ** (1.0 - t))[None, :]) @ vh
-        if self.kind == "block_peel":
-            f1, f1n = self.payload
-            return f1 + t * f1n
-        if self.kind == "log":
-            q, phases, right = self.payload
-            core = (q * np.exp(1j * (1.0 - t) * phases)[None, :]) @ q.conj().T
-            return core if right is None else core @ right
-        if self.kind == "conjugation":
-            q0, upath = self.payload
-            ut = upath.at(t)
-            return ut.conj().T @ q0 @ ut
-        # block_unitary
-        if self.payload[0] == "bu-fused":
-            _, a_live, phases, inner_flip, base_const = self.payload
-            s = 1.0 - t if not inner_flip else t
-            wave = np.exp(1j * s * phases) - 1.0
-            return (a_live * wave[None, :]) @ a_live.conj().T + base_const
-        _, v_full, inner, complement = self.payload
-        return v_full @ inner.at(t) @ v_full.conj().T + complement
+        return self._at(1.0 - t if self.flip else t)
 
     def reversed(self) -> "PathSegment":
-        return PathSegment(self.kind, self.window, self.payload, not self.flip, self.label)
+        return dataclasses.replace(self, flip=not self.flip)
+
+
+@dataclass(frozen=True)
+class AffineSegment(PathSegment):
+    """X(t) = (1 - t) A + t B, with A = ``start`` and B = ``end``."""
+
+    start: np.ndarray
+    end: np.ndarray
+
+    def _at(self, t: float) -> np.ndarray:
+        return (1.0 - t) * self.start + t * self.end
+
+    def intertwined(self, window: Window, v: np.ndarray, complement: np.ndarray):
+        """The segment t -> V X(t) V* + complement on ``window``, unflipped."""
+        a, b = (self.end, self.start) if self.flip else (self.start, self.end)
+        vh = v.conj().T
+        return AffineSegment(
+            "block_unitary", window, v @ a @ vh + complement, v @ b @ vh + complement
+        )
+
+
+@dataclass(frozen=True)
+class SpectralSegment(PathSegment):
+    """X(t) = L diag(exp((1 - t) z)) R + C.
+
+    L (``left``, d x k), z (``exponents``, k) and R (``right``, k x d)
+    hold only the columns that move; everything constant in t is in C
+    (``const``).  A polar climb has L = U, z = log s, R = V*, C = 0; a
+    logarithmic rotation has a Schur basis and z = i theta.
+    """
+
+    left: np.ndarray
+    exponents: np.ndarray
+    right: np.ndarray
+    const: np.ndarray
+
+    def _at(self, t: float) -> np.ndarray:
+        wave = np.exp((1.0 - t) * self.exponents)
+        return (self.left * wave[None, :]) @ self.right + self.const
+
+    def intertwined(self, window: Window, v: np.ndarray, complement: np.ndarray):
+        """The segment t -> V X(t) V* + complement on ``window``, unflipped:
+        a flip becomes L e^z with exponents -z."""
+        left, z = self.left, self.exponents
+        if self.flip:
+            left, z = left * np.exp(z)[None, :], -z
+        vh = v.conj().T
+        const = v @ self.const @ vh + complement
+        return SpectralSegment("block_unitary", window, v @ left, z, self.right @ vh, const)
+
+
+@dataclass(frozen=True)
+class ConjugationSegment(PathSegment):
+    """X(t) = U_t* Q U_t, with U_t sampled from the inner path ``upath``."""
+
+    q: np.ndarray
+    upath: "HomotopyPath"
+
+    def _at(self, t: float) -> np.ndarray:
+        ut = self.upath.at(t)
+        return ut.conj().T @ self.q @ ut
+
+    def intertwined(self, window: Window, v: np.ndarray, complement: np.ndarray):
+        raise PreconditionError("the stacked move cannot carry a conjugation segment")
 
 
 # ---------------------------------------------------------------------------
@@ -183,9 +224,6 @@ class HomotopyPath:
         i = self.segment_of(t)
         return self.segments[i].at(t * n - i)
 
-    def sample(self, t: float) -> Operator:
-        return Operator(self.window, self.at(t))
-
     def reverse(self) -> "HomotopyPath":
         return HomotopyPath(
             tuple(seg.reversed() for seg in reversed(self.segments)),
@@ -207,9 +245,7 @@ def straight_line(a0: Operator, a1: Operator, label: str = "") -> HomotopyPath:
     """Linear interpolation t -> (1-t) a0 + t a1."""
     if a0.window != a1.window:
         raise WindowMismatchError("straight line endpoints on different windows")
-    seg = PathSegment(
-        "straight_line", a0.window, (a0.entries, a1.entries), label=label
-    )
+    seg = AffineSegment("straight_line", a0.window, a0.entries, a1.entries, label=label)
     return HomotopyPath((seg,), a0.entries, a1.entries)
 
 
@@ -222,17 +258,51 @@ def polar_path(g: Operator, tol: float = 1e-8) -> HomotopyPath:
             f"smallest singular value {smin:.3e} <= {tol:.1e}; "
             "the polar path would leave the invertibles"
         )
-    seg = PathSegment("polar", g.window, (u, s, vh))
+    seg = SpectralSegment("polar", g.window, u, np.log(s), vh, np.zeros_like(u))
     return HomotopyPath((seg,), g.entries, u @ vh)
 
 
-def _schur_phases(entries: np.ndarray) -> tuple:
-    """Unitary eigenbasis and eigenphases in (-pi, pi], ties pushed to +pi."""
-    t, q = scipy.linalg.schur(entries, output="complex")
-    phases = np.angle(np.diag(t))
-    ties = phases <= (-np.pi + BRANCH_TIE)
-    phases = np.where(ties, phases + 2.0 * np.pi, phases)
-    return q, phases, int(ties.sum())
+def _log_segment(window: Window, entries, blocks, right=None, flip=False) -> SpectralSegment:
+    """Eigenphase contraction t -> W e^{i (1-t) Theta} W* g from U g to g.
+
+    Only the listed index blocks of the unitary ``entries`` are
+    decomposed; off them the basis is the identity and the phases zero.
+    Eigenphases lie in (-pi, pi]; those within 1e-12 of the cut at -pi
+    move to +pi and are counted in the label.  Columns of phase exactly
+    zero never move: they go straight into C, block by block.  The right
+    factor g (default 1) is folded into R and C once.  ``window`` may
+    exceed ``entries``: the blocks index into both.
+    """
+    d = window.dimension
+    const = np.eye(d, dtype=np.complex128) if right is None else right.astype(np.complex128)
+    lefts, rights, moving = [], [], []
+    ties = 0
+    for idx in blocks:
+        idx = np.array(sorted(idx), dtype=np.intp)
+        schur_t, q = scipy.linalg.schur(entries[np.ix_(idx, idx)], output="complex")
+        phases = np.angle(np.diag(schur_t))
+        tied = phases <= (-np.pi + BRANCH_TIE)
+        phases = np.where(tied, phases + 2.0 * np.pi, phases)
+        ties += int(tied.sum())
+        live = phases != 0.0
+        q_live, q_dead = q[:, live], q[:, ~live]
+        fixed = q_dead @ q_dead.conj().T
+        left = np.zeros((d, q_live.shape[1]), dtype=np.complex128)
+        left[idx] = q_live
+        if right is None:
+            rows = left.conj().T
+            const[np.ix_(idx, idx)] = fixed
+        else:
+            rows = q_live.conj().T @ right[idx]
+            const[idx] = fixed @ right[idx]
+        lefts.append(left)
+        rights.append(rows)
+        moving.append(phases[live])
+    label = f"branch-ties:{ties}" if ties else ""
+    z = 1j * np.concatenate(moving)
+    return SpectralSegment(
+        "log", window, np.hstack(lefts), z, np.vstack(rights), const, flip=flip, label=label
+    )
 
 
 def log_path(u: Operator) -> HomotopyPath:
@@ -246,9 +316,7 @@ def log_path(u: Operator) -> HomotopyPath:
         raise UnitarityError(
             f"log path needs a unitary: defect {defect:.3e} > {TOL_BLOCK_FORM:.1e}"
         )
-    q, phases, ties = _schur_phases(u.entries)
-    label = f"branch-ties:{ties}" if ties else ""
-    seg = PathSegment("log", u.window, (q, phases, None), label=label)
+    seg = _log_segment(u.window, u.entries, [range(u.window.dimension)])
     eye = np.eye(u.window.dimension, dtype=np.complex128)
     return HomotopyPath((seg,), u.entries, eye)
 
@@ -285,7 +353,7 @@ def block_peel(m: Operator, p: Projection) -> tuple:
             "block-peel", f"factor product misses the block part by {residual:.3e}"
         )
     factors = (Operator(m.window, f1), Operator(m.window, f2))
-    seg = PathSegment("block_peel", m.window, (f1, f1 @ nil))
+    seg = AffineSegment("block_peel", m.window, f1, f1 + f1 @ nil)
     path = HomotopyPath((seg,), f1, product)
     return factors, path
 
@@ -304,7 +372,7 @@ def conjugation_path(q: Projection | Operator, upath: HomotopyPath) -> HomotopyP
             f"start is {start_gap:.3e} away"
         )
     u1 = upath.at(1.0)
-    seg = PathSegment("conjugation", window, (q_entries, upath))
+    seg = ConjugationSegment("conjugation", window, q_entries, upath)
     return HomotopyPath((seg,), q_entries, u1.conj().T @ q_entries @ u1)
 
 
@@ -394,29 +462,8 @@ def block_unitary_homotopy(
         )
 
     complement = eye - vvh
-    inner_seg = inner.segments[0] if len(inner.segments) == 1 else None
-    if (
-        inner_seg is not None
-        and inner_seg.kind == "log"
-        and inner_seg.payload[2] is None
-    ):
-        q, phases, _ = inner_seg.payload
-        a_full = v_full @ q
-        # columns with phase exactly zero never move; folding them into
-        # a constant term halves the per-sample product size
-        live = np.flatnonzero(phases != 0.0)
-        base_const = a_full @ a_full.conj().T + complement
-        payload = (
-            "bu-fused",
-            np.ascontiguousarray(a_full[:, live]),
-            phases[live],
-            inner_seg.flip,
-            base_const,
-        )
-    else:
-        payload = ("bu-general", v_full, inner, complement)
-    seg = PathSegment("block_unitary", base, payload)
-    return HomotopyPath((seg,), eye, ue)
+    segments = tuple(seg.intertwined(base, v_full, complement) for seg in inner.segments)
+    return HomotopyPath(segments, eye, ue)
 
 
 # ---------------------------------------------------------------------------
@@ -653,29 +700,6 @@ class PipelineConfig:
             raise PreconditionError("the stacked move needs at least one extra copy")
 
 
-def _block_log_phases(entries: np.ndarray, dim: int, blocks) -> tuple:
-    """Identity-anchored eigenphase data for a block-diagonal unitary.
-
-    Only the listed index blocks are decomposed; everywhere else the
-    eigenbasis and phases stay exactly at the identity, so the
-    resulting log segment is exactly constant off the blocks.  ``dim``
-    may exceed the entry matrix size: blocks index into ``entries``
-    while the basis is built at the full dimension.
-    """
-    q = np.eye(dim, dtype=np.complex128)
-    phases = np.zeros(dim)
-    ties = 0
-    for idx in blocks:
-        idx = np.array(sorted(idx), dtype=np.intp)
-        sub = entries[np.ix_(idx, idx)]
-        qsub, ph, tie = _schur_phases(sub)
-        q[np.ix_(idx, idx)] = qsub
-        phases[idx] = ph
-        ties += tie
-    label = f"branch-ties:{ties}" if ties else ""
-    return q, phases, label
-
-
 def theorem1_pipeline(
     u: Operator, eps: float, config: PipelineConfig | None = None
 ) -> tuple:
@@ -720,26 +744,14 @@ def theorem1_pipeline(
     block_indices = [
         [window.index_of(site) for site in block] for block in plan.ranges
     ]
-    q_v, phases_v, label_v = _block_log_phases(v.entries, dim, block_indices)
     vg = v.entries @ g.entries
-    seg_correct = HomotopyPath(
-        (
-            PathSegment(
-                "log", window, (q_v, phases_v, g.entries), flip=True, label=label_v
-            ),
-        ),
-        g.entries,
-        vg,
-    )
+    seg = _log_segment(window, v.entries, block_indices, right=g.entries, flip=True)
+    seg_correct = HomotopyPath((seg,), g.entries, vg)
 
-    # normalize the confined columns so the peel precondition is exact:
-    # scale each center column to unit size, then snap it to its basis
-    # vector (the corrective rotation already left it within 1e-10)
-    norms = np.array([np.linalg.norm(g.entries[:, i]) for i in center_idx])
-    scale = eye.copy()
-    for i, nrm in zip(center_idx, norms):
-        scale[i, i] = 1.0 / nrm
-    peelable = vg @ scale
+    # snap each confined column to its basis vector so the peel
+    # precondition is exact (the corrective rotation already left it
+    # within 1e-10 of a multiple of that vector)
+    peelable = vg.copy()
     for i in center_idx:
         peelable[:, i] = 0.0
         peelable[i, i] = 1.0
@@ -765,16 +777,10 @@ def theorem1_pipeline(
     )
     amp = v_iso.window
     perp_idx = [i for i in range(dim) if i not in set(center_idx)]
-    q_in, phases_in, label_in = _block_log_phases(
-        w_pol.entries, amp.dimension, [perp_idx]
-    )
     target = np.eye(amp.dimension, dtype=np.complex128)
     target[:dim, :dim] = w_pol.entries
-    inner = HomotopyPath(
-        (PathSegment("log", amp, (q_in, phases_in, None), flip=True, label=label_in),),
-        np.eye(amp.dimension, dtype=np.complex128),
-        target,
-    )
+    seg = _log_segment(amp, w_pol.entries, [perp_idx], flip=True)
+    inner = HomotopyPath((seg,), np.eye(amp.dimension, dtype=np.complex128), target)
     bu = stage(
         "block-unitary",
         lambda: block_unitary_homotopy(w_pol, p_centers, v_iso, inner),

@@ -37,25 +37,19 @@ from .windows import TruncationWindow
 
 EXPERIMENTS = ("index-sweep", "theorem1", "theorem2", "surgery", "locality-scan")
 _PLANE_ONLY = {"theorem1", "surgery", "locality-scan"}
-_LINE_ONLY = {"index-sweep", "theorem2"}
 OUT_DIR_ENV = "OPLAB_OUT"
 
-_REQUIRED = ("experiment", "representation", "radius", "seed", "out_dir")
-_DEFAULTS = {
-    "boundary": "open",
-    "sv_threshold": 1e-6,
-    "trace_power": 4,
-    "compact_floor": 1e-3,
-    "buffer": 0.25,
-    "tol_idem": 1e-6,
-    "tol_inv": 1e-6,
-    "samples": 50,
-    "arc_pairs": (),
-    "eps": 0.5,
-    "k_min": -3,
-    "k_max": 3,
+# integer fields and their least allowed value (None: any integer)
+_INTEGER_MINIMUMS = {
+    "radius": 1,
+    "seed": 0,
+    "trace_power": 1,
+    "samples": 2,
     "copies": 1,
+    "k_min": None,
+    "k_max": None,
 }
+_POSITIVE_FIELDS = ("sv_threshold", "buffer", "eps")
 
 DEFAULT_ARC_PAIR = (
     Arc(Direction(1, -1), Direction(1, 1)),
@@ -94,10 +88,7 @@ class ExperimentConfig:
     boundary: str = "open"
     sv_threshold: float = 1e-6
     trace_power: int = 4
-    compact_floor: float = 1e-3
     buffer: float = 0.25
-    tol_idem: float = 1e-6
-    tol_inv: float = 1e-6
     samples: int = 50
     arc_pairs: tuple = ()
     eps: float = 0.5
@@ -115,27 +106,29 @@ class ExperimentConfig:
             problems.append("field 'representation': must be 'Z' or 'Z2'")
         if self.boundary not in ("open", "periodic"):
             problems.append("field 'boundary': must be 'open' or 'periodic'")
-        if not isinstance(self.radius, int) or self.radius < 1:
-            problems.append("field 'radius': must be a positive integer")
-        if not isinstance(self.seed, int):
-            problems.append("field 'seed': must be an integer")
-        for name in ("sv_threshold", "compact_floor", "buffer", "tol_idem", "tol_inv", "eps"):
-            if not getattr(self, name) > 0:
-                problems.append(f"field '{name}': must be positive")
-        if not isinstance(self.trace_power, int) or self.trace_power < 1:
-            problems.append("field 'trace_power': must be a positive integer")
-        if not isinstance(self.samples, int) or self.samples < 2:
-            problems.append("field 'samples': must be an integer >= 2")
-        if self.k_min > self.k_max:
+        if not isinstance(self.out_dir, str):
+            problems.append("field 'out_dir': must be a string")
+        # exact type checks: JSON true/false would pass isinstance(_, int)
+        for name, low in _INTEGER_MINIMUMS.items():
+            value = getattr(self, name)
+            if type(value) is not int:
+                problems.append(f"field '{name}': must be an integer")
+            elif low is not None and value < low:
+                problems.append(f"field '{name}': must be an integer >= {low}")
+        for name in _POSITIVE_FIELDS:
+            value = getattr(self, name)
+            if type(value) not in (int, float) or not value > 0:
+                problems.append(f"field '{name}': must be a positive number")
+        k_range = (self.k_min, self.k_max)
+        if all(type(k) is int for k in k_range) and self.k_min > self.k_max:
             problems.append("field 'k_min': must not exceed k_max")
-        if not isinstance(self.copies, int) or self.copies < 1:
-            problems.append("field 'copies': must be a positive integer")
-        expected = "Z2" if self.experiment in _PLANE_ONLY else "Z"
-        if self.experiment in EXPERIMENTS and self.representation not in (expected,):
-            problems.append(
-                f"field 'representation': experiment '{self.experiment}' "
-                f"runs on {expected}"
-            )
+        if self.experiment in EXPERIMENTS:
+            expected = "Z2" if self.experiment in _PLANE_ONLY else "Z"
+            if self.representation != expected:
+                problems.append(
+                    f"field 'representation': experiment '{self.experiment}' "
+                    f"runs on {expected}"
+                )
         if problems:
             raise ConfigError(problems)
 
@@ -143,12 +136,17 @@ class ExperimentConfig:
     def from_json_dict(cls, raw: dict) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
-        missing = [name for name in _REQUIRED if name not in raw]
+        fields = dataclasses.fields(cls)
+        missing = [
+            f.name
+            for f in fields
+            if f.default is dataclasses.MISSING and f.name not in raw
+        ]
         if missing:
             raise ConfigError(
                 "missing required fields: " + ", ".join(sorted(missing))
             )
-        unknown = sorted(set(raw) - set(_REQUIRED) - set(_DEFAULTS))
+        unknown = sorted(set(raw) - {f.name for f in fields})
         if unknown:
             raise ConfigError("unknown fields: " + ", ".join(unknown))
         values = dict(raw)
@@ -170,7 +168,6 @@ class ExperimentConfig:
         return IndexConfig(
             sv_threshold=self.sv_threshold,
             trace_power=self.trace_power,
-            compact_floor=self.compact_floor,
             buffer=self.buffer,
             **extra,
         )

@@ -1,16 +1,27 @@
-"""Nonzero-block fast paths pinned to their dense references.
+"""Fast paths pinned to their dense references.
 
-Norms, masked products and index defects skip structural zeros; each
-test here recomputes the same quantity over the full window with plain
-numpy (or through the dense fallback) and requires agreement.
+Norms, masked products and index defects skip structural zeros, and
+path segments sample closed forms built once; each test here recomputes
+the same quantity over the full window with plain numpy (or through the
+dense fallback) and requires agreement.
 """
+
+import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from oplab.geometry import Ball, Explicit
+from oplab.homotopy import (
+    _log_segment,
+    block_unitary_homotopy,
+    log_path,
+    polar_path,
+    straight_line,
+)
 from oplab.index import (
     DEFAULT_INDEX_CONFIG,
     fredholm_index,
@@ -19,7 +30,8 @@ from oplab.index import (
     projection_index,
 )
 from oplab.operators import Operator, Projection, spectral_norm
-from oplab.surgery import ProjectionPair, deletion_series
+from oplab.runner import ExperimentConfig, run
+from oplab.surgery import ProjectionPair, deletion_series, greedy_isometry
 from oplab.windows import TruncationWindow
 
 
@@ -210,3 +222,143 @@ def test_trace_formula_support_power_matches_matrix_power(radius, density, seed)
     result = fredholm_index(Operator(w, t), "trace_formula")
     assert abs(result.diagnostics["trace_right"] - right) <= 1e-9
     assert abs(result.diagnostics["trace_left"] - left) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# path segments
+
+TIMES = (0.0, 0.3, 0.5, 1.0)
+
+
+def random_unitary(dim, rng):
+    m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(m)
+    return q * (np.diag(r) / np.abs(np.diag(r)))[None, :]
+
+
+def assert_samples(path, oracle):
+    """The path and its reverse against a dense formula of t."""
+    for t in TIMES:
+        assert np.max(np.abs(path.at(t) - oracle(t))) <= 1e-12
+        assert np.max(np.abs(path.reverse().at(t) - oracle(1.0 - t))) <= 1e-12
+
+
+def test_polar_segment_matches_dense_formula():
+    w = TruncationWindow.plane(2)
+    rng = np.random.default_rng(11)
+    d = w.dimension
+    g = np.eye(d) + 0.3 * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    u, s, vh = np.linalg.svd(g)
+    assert_samples(
+        polar_path(Operator(w, g)), lambda t: (u * (s ** (1.0 - t))[None, :]) @ vh
+    )
+
+
+@pytest.mark.parametrize("with_right", [False, True])
+@pytest.mark.parametrize("flip", [False, True])
+def test_log_segment_matches_dense_formula(with_right, flip):
+    w = TruncationWindow.plane(2)
+    d = w.dimension
+    rng = np.random.default_rng(12)
+    blocks = [[0, 3, 4], [7, 8], [10]]
+    v = np.eye(d, dtype=np.complex128)
+    q = np.eye(d, dtype=np.complex128)
+    theta = np.zeros(d)
+    for idx in blocks:
+        v[np.ix_(idx, idx)] = random_unitary(len(idx), rng)
+        schur_t, q_block = scipy.linalg.schur(v[np.ix_(idx, idx)], output="complex")
+        phases = np.angle(np.diag(schur_t))
+        q[np.ix_(idx, idx)] = q_block
+        theta[idx] = np.where(phases <= -np.pi + 1e-12, phases + 2.0 * np.pi, phases)
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    right = g if with_right else np.eye(d)
+
+    def oracle(t):
+        t = 1.0 - t if flip else t
+        return (q * np.exp(1j * (1.0 - t) * theta)[None, :]) @ q.conj().T @ right
+
+    seg = _log_segment(w, v, blocks, right=g if with_right else None, flip=flip)
+    assert seg.left.shape[1] == 6  # only the block columns move
+    for t in TIMES:
+        assert np.max(np.abs(seg.at(t) - oracle(t))) <= 1e-12
+        assert np.max(np.abs(seg.reversed().at(t) - oracle(1.0 - t))) <= 1e-12
+
+
+def test_log_path_matches_dense_formula():
+    w = TruncationWindow.plane(2)
+    u = random_unitary(w.dimension, np.random.default_rng(13))
+    schur_t, q = scipy.linalg.schur(u, output="complex")
+    theta = np.angle(np.diag(schur_t))
+    assert_samples(
+        log_path(Operator(w, u)),
+        lambda t: (q * np.exp(1j * (1.0 - t) * theta)[None, :]) @ q.conj().T,
+    )
+
+
+def stacked_case(seed):
+    """A unitary acting as the identity on P, its greedy isometry, the
+    stacked target U (+) 1 and the dense intertwiner V."""
+    w = TruncationWindow.plane(2)
+    region = Explicit(frozenset(w.sites) - {(0, 0)})
+    p = Projection.from_region(region, w)
+    d = w.dimension
+    perp = np.flatnonzero(~p.diagonal_mask())
+    u = np.eye(d, dtype=np.complex128)
+    u[np.ix_(perp, perp)] = random_unitary(perp.size, np.random.default_rng(seed))
+    v_iso = greedy_isometry(region, 1, w)
+    amp = v_iso.window
+    v = np.zeros((d, amp.dimension), dtype=np.complex128)
+    v[:, :d] = np.eye(d) - p.entries
+    for match in v_iso.matches:
+        v[w.index_of(match.target), amp.index_of(match.stack, match.source)] = 1.0
+    target = np.eye(amp.dimension, dtype=np.complex128)
+    target[:d, :d] = u
+    return Operator(w, u), p, v_iso, Operator(amp, target), v
+
+
+def stacked_inners(target):
+    eye = Operator.identity(target.window)
+    return {
+        "log-flipped": log_path(target).reverse(),
+        "log-flipped+polar": log_path(target).reverse().concat(polar_path(target)),
+        "line": straight_line(eye, target),
+        "line-flipped": straight_line(target, eye).reverse(),
+    }
+
+
+@pytest.mark.parametrize(
+    "case", ["log-flipped", "log-flipped+polar", "line", "line-flipped"]
+)
+def test_block_unitary_matches_dense_intertwining(case):
+    u, p, v_iso, target, v = stacked_case(14)
+    inner = stacked_inners(target)[case]
+    path = block_unitary_homotopy(u, p, v_iso, inner)
+    assert len(path.segments) == len(inner.segments)
+    assert all(not seg.flip and seg.label == "" for seg in path.segments)
+    complement = np.eye(u.window.dimension) - v @ v.conj().T
+    assert_samples(path, lambda t: v @ inner.at(t) @ v.conj().T + complement)
+
+
+def test_pipeline_segment_list_is_pinned(tmp_path):
+    expected = [
+        ["straight_line", "onto-deformed", False],
+        ["log", "", True],
+        ["straight_line", "normalize-centers", False],
+        ["block_peel", "", True],
+        ["polar", "", False],
+        ["block_unitary", "", True],
+    ]
+    for seed in (1, 2, 3):
+        out = tmp_path / str(seed)
+        config = ExperimentConfig(
+            experiment="theorem1",
+            representation="Z2",
+            radius=12,
+            seed=seed,
+            out_dir=str(out),
+            samples=2,
+        )
+        run(config)
+        blob = json.loads((out / "pipeline.json").read_text())
+        listed = [[s["kind"], s["label"], s["reversed"]] for s in blob["segments"]]
+        assert listed == expected

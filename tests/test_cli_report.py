@@ -129,17 +129,19 @@ def test_config_missing_fields():
 
 
 def test_config_unknown_field():
-    with pytest.raises(ConfigError, match="unknown fields: radius_typo"):
-        ExperimentConfig.from_json_dict(
-            {
-                "experiment": "index-sweep",
-                "representation": "Z",
-                "radius": 8,
-                "seed": 1,
-                "out_dir": "x",
-                "radius_typo": 9,
-            }
-        )
+    # tol_idem, tol_inv and compact_floor were once accepted but never read
+    for name in ("radius_typo", "tol_idem", "tol_inv", "compact_floor"):
+        with pytest.raises(ConfigError, match=f"unknown fields: {name}"):
+            ExperimentConfig.from_json_dict(
+                {
+                    "experiment": "index-sweep",
+                    "representation": "Z",
+                    "radius": 8,
+                    "seed": 1,
+                    "out_dir": "x",
+                    name: 9,
+                }
+            )
 
 
 def test_config_value_checks():
@@ -151,6 +153,18 @@ def test_config_value_checks():
         ExperimentConfig("mystery", "Z", 8, 1, "x")
     with pytest.raises(ConfigError, match="runs on Z2"):
         ExperimentConfig("theorem1", "Z", 8, 1, "x")
+    with pytest.raises(ConfigError, match="'eps': must be a positive number"):
+        ExperimentConfig("theorem1", "Z2", 8, 1, "x", eps="abc")
+    with pytest.raises(ConfigError, match="'k_min': must be an integer"):
+        ExperimentConfig("index-sweep", "Z", 8, 1, "x", k_min="a")
+    with pytest.raises(ConfigError, match="'seed': must be an integer >= 0"):
+        ExperimentConfig("theorem2", "Z", 8, -1, "x")
+    with pytest.raises(ConfigError, match="'radius': must be an integer"):
+        ExperimentConfig("theorem2", "Z", True, 1, "x")
+    with pytest.raises(ConfigError, match="'out_dir': must be a string"):
+        ExperimentConfig("theorem2", "Z", 8, 1, 5)
+    with pytest.raises(ConfigError, match="experiment"):
+        ExperimentConfig(["theorem1"], "Z2", 8, 1, "x")
 
 
 def test_config_arc_pairs_parse_and_snapshot():
@@ -317,6 +331,19 @@ def test_cli_validation_exit_codes(tmp_path, capsys):
     bad.write_text(json.dumps({"experiment": "index-sweep"}))
     assert main(["run", "--config", str(bad)]) == 2
     assert "config error" in capsys.readouterr().err
+    for experiment, representation, override in (
+        ("theorem1", "Z2", {"eps": "abc"}),
+        ("index-sweep", "Z", {"k_min": "a"}),
+        ("theorem1", "Z2", {"seed": -1}),
+        ("theorem2", "Z", {"seed": -1}),
+        ("surgery", "Z2", {"seed": -1}),
+        ("locality-scan", "Z2", {"seed": -1}),
+    ):
+        path = write_config(
+            tmp_path, experiment=experiment, representation=representation, **override
+        )
+        assert main(["run", "--config", str(path)]) == 2
+        assert "config error" in capsys.readouterr().err
 
 
 def test_cli_stage_failure_exit_code(tmp_path, capsys, monkeypatch):
@@ -331,12 +358,24 @@ def test_cli_stage_failure_exit_code(tmp_path, capsys, monkeypatch):
     assert "stage failure" in capsys.readouterr().err
 
 
-def test_cli_certify_verb(tmp_path, capsys):
+def test_cli_certify_verb(tmp_path, capsys, monkeypatch):
     config_path = write_config(
         tmp_path, experiment="theorem2", radius=12, samples=6
     )
     assert main(["certify", "--config", str(config_path)]) == 0
     assert "theorem2 complete" in capsys.readouterr().out
+    # OPLAB_OUT alone redirects the run; the config's out_dir stays unused
+    env_case = tmp_path / "env"
+    env_case.mkdir()
+    config_path = write_config(
+        env_case, experiment="theorem2", radius=12, samples=6
+    )
+    monkeypatch.setenv("OPLAB_OUT", str(tmp_path / "enved"))
+    assert main(["certify", "--config", str(config_path)]) == 0
+    assert "theorem2 complete" in capsys.readouterr().out
+    assert (tmp_path / "enved" / "manifest.json").exists()
+    assert not (env_case / "out").exists()
+    monkeypatch.delenv("OPLAB_OUT")
     sweep = write_config(tmp_path)
     assert main(["certify", "--config", str(sweep)]) == 2
 

@@ -13,10 +13,10 @@ from oplab.errors import (
 )
 from oplab.geometry import Arc, Cone, Direction, Explicit
 from oplab.homotopy import (
+    AffineSegment,
     CertificateReport,
     CertifyConfig,
     HomotopyPath,
-    PathSegment,
     PipelineConfig,
     block_peel,
     block_unitary_homotopy,
@@ -377,8 +377,6 @@ def test_block_unitary_general_inner_agrees_with_fused():
     amp_target = Operator(v_iso.window, inner.at(1.0))
     padded = inner.concat(straight_line(amp_target, amp_target))
     general = block_unitary_homotopy(u, p, v_iso, padded)
-    assert fused.segments[0].payload[0] == "bu-fused"
-    assert general.segments[0].payload[0] == "bu-general"
     assert np.allclose(general.at(0.25), fused.at(0.5), atol=1e-9)
     assert np.allclose(general.at(1.0), fused.at(1.0), atol=1e-9)
 
@@ -404,6 +402,19 @@ def test_block_unitary_rejects_bad_inner():
     wrong = straight_line(Operator.identity(amp), Operator.identity(amp))
     with pytest.raises(PreconditionError, match="inner path"):
         block_unitary_homotopy(u, p, v_iso, wrong)
+
+
+def test_block_unitary_rejects_conjugation_inner():
+    window = TruncationWindow.plane(2)
+    s_region = Explicit(frozenset(window.sites) - {(0, 0)})
+    p = Projection.from_region(s_region, window)
+    v_iso = greedy_isometry(s_region, 1, window)
+    amp = v_iso.window
+    mover = Operator(amp, random_unitary(amp.dimension, 56))
+    # conjugating the identity is constant, so both endpoint checks pass
+    inner = conjugation_path(Operator.identity(amp), log_path(mover).reverse())
+    with pytest.raises(PreconditionError, match="conjugation"):
+        block_unitary_homotopy(Operator.identity(window), p, v_iso, inner)
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +455,7 @@ def test_sample_range_validation():
 def test_segment_kind_validation():
     window = TruncationWindow.plane(2)
     with pytest.raises(PreconditionError):
-        PathSegment("wiggle", window, ())
+        AffineSegment("wiggle", window, np.eye(1), np.eye(1))
 
 
 # ---------------------------------------------------------------------------
