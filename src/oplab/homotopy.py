@@ -11,9 +11,12 @@ unitary, conjugation of a projection along a unitary path, and the
 stacked-isometry move that absorbs a block unitary into the identity.
 
 Certification never assumes a segment is what it claims to be: the
-certificate reports measured unitarity defects, singular values,
-locality defects against configured cone pairs, and (for projection
-paths) idempotency defects and an integer index trace.
+certificate reports unitarity defects and smallest singular values,
+each either measured on the sample or a rigorous bound computed from
+the segment's own factors (and then checked against a dense measurement
+at the segment's ends), measured locality defects against configured
+cone pairs, and (for projection paths) measured idempotency defects and
+an integer index trace.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ TOL_BLOCK_FORM = 1e-8
 TOL_PRODUCT = 1e-10
 TOL_ISOMETRY = 1e-10
 BRANCH_TIE = 1e-12
+BOUND_SLACK = 1e-10
 
 SEGMENT_KINDS = (
     "straight_line",
@@ -114,13 +118,11 @@ class AffineSegment(PathSegment):
     def _at(self, t: float) -> np.ndarray:
         return (1.0 - t) * self.start + t * self.end
 
-    def intertwined(self, window: Window, v: np.ndarray, complement: np.ndarray):
-        """The segment t -> V X(t) V* + complement on ``window``, unflipped."""
+    def intertwined(self, window: Window, v: np.ndarray):
+        """The segment t -> V X(t) V* on ``window``, unflipped."""
         a, b = (self.end, self.start) if self.flip else (self.start, self.end)
         vh = v.conj().T
-        return AffineSegment(
-            "block_unitary", window, v @ a @ vh + complement, v @ b @ vh + complement
-        )
+        return AffineSegment("block_unitary", window, v @ a @ vh, v @ b @ vh)
 
 
 @dataclass(frozen=True)
@@ -130,27 +132,133 @@ class SpectralSegment(PathSegment):
     L (``left``, d x k), z (``exponents``, k) and R (``right``, k x d)
     hold only the columns that move; everything constant in t is in C
     (``const``).  A polar climb has L = U, z = log s, R = V*, C = 0; a
-    logarithmic rotation has a Schur basis and z = i theta.
+    logarithmic rotation has a Schur basis and z = i theta.  A rotation
+    applied to a right factor g keeps g as ``factor`` (R = L* g and
+    C = (1 - LL*) g), so its spectrum can be bounded from g's.
     """
 
     left: np.ndarray
     exponents: np.ndarray
     right: np.ndarray
     const: np.ndarray
+    factor: np.ndarray | None = field(default=None, kw_only=True)
+
+    def _wave(self, t: float) -> np.ndarray:
+        return np.exp((1.0 - t) * self.exponents)
 
     def _at(self, t: float) -> np.ndarray:
-        wave = np.exp((1.0 - t) * self.exponents)
-        return (self.left * wave[None, :]) @ self.right + self.const
+        return (self.left * self._wave(t)[None, :]) @ self.right + self.const
 
-    def intertwined(self, window: Window, v: np.ndarray, complement: np.ndarray):
-        """The segment t -> V X(t) V* + complement on ``window``, unflipped:
-        a flip becomes L e^z with exponents -z."""
+    def block(self, t: float, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """X(t)[rows, cols], cut from factor rows and columns."""
+        wave = self._wave(1.0 - t if self.flip else t)
+        return (self.left[rows] * wave[None, :]) @ self.right[:, cols] + self.const[
+            np.ix_(rows, cols)
+        ]
+
+    def spectrum_bound(self) -> "SpectrumBound | None":
+        """A rigorous bracket on the singular values of every X(t), or
+        None when the factors do not have a form it covers or their
+        defects exceed ``BOUND_SLACK`` (the bracket would be loose).
+
+        Polar (z real, C = 0, L and R square): X = L S R with S =
+        diag(s^(1-t)), so sigma_min(L) s_i^(1-t) sigma_min(R) <= sigma_i
+        <= ||L|| s_i^(1-t) ||R|| (Horn & Johnson, Topics, 3.3), with
+        ||L||^2 and sigma_min(L)^2 within ||L*L - 1||_F of 1, and R alike.
+
+        Rotation (z imaginary): R = D T with D a unit diagonal read off
+        the rows (the stacked move absorbs its flip as L e^{i theta}) and
+        T = L* g, g = ``factor`` or 1.  Then X = Y g + L W G + E with
+        Y = 1 + L (WD - 1) L*, G = R - D T and E = C - (1 - LL*) g.
+        ||Y*Y - 1|| = ||L M* (L*L - 1) M L*|| <= 4 f (1 + f) with M =
+        WD - 1 and f = ||L*L - 1||_F; the remainder moves each singular
+        value by at most sqrt(1 + f) ||G||_F + ||E||_F (Weyl), and
+        sigma_i(Y g) lies within the singular values of Y times those
+        of g, computed once.
+        """
+        z, left, right, const = self.exponents, self.left, self.right, self.const
+        d, k = left.shape
+        eye_k = np.eye(k)
+        if not np.any(z.imag) and not np.any(const) and k == d:
+            a = _fro(left.conj().T @ left - eye_k)
+            b = _fro(right @ right.conj().T - eye_k)
+            if max(a, b) > BOUND_SLACK:
+                return None
+            rates = (float(z.real.max()), float(z.real.min()))
+            return SpectrumBound(
+                math.sqrt((1.0 - a) * (1.0 - b)),
+                math.sqrt((1.0 + a) * (1.0 + b)),
+                0.0,
+                (1.0, 1.0),
+                rates,
+                self.flip,
+            )
+        if np.any(z.real):
+            return None
+        lh = left.conj().T
+        f = _fro(lh @ left - eye_k)
+        base = np.eye(d) if self.factor is None else self.factor
+        target = lh if self.factor is None else lh @ self.factor
+        pairing = np.einsum("ij,ij->i", target.conj(), right)
+        if not np.all(pairing):
+            return None
+        phase = pairing / np.abs(pairing)
+        drift = _fro(right - phase[:, None] * target)
+        offset = _fro(const - base + left @ target)
+        slack = math.sqrt(1.0 + f) * drift + offset
+        if max(f, slack) > BOUND_SLACK:
+            return None
+        delta = 4.0 * f * (1.0 + f)
+        scale = (1.0, 1.0)
+        if self.factor is not None:
+            s = np.linalg.svd(self.factor, compute_uv=False)
+            scale = (float(s[0]), float(s[-1]))
+        return SpectrumBound(
+            math.sqrt(1.0 - delta), math.sqrt(1.0 + delta), slack, scale, (0.0, 0.0), self.flip
+        )
+
+    def intertwined(self, window: Window, v: np.ndarray):
+        """The segment t -> V X(t) V* on ``window``, unflipped: a flip
+        becomes L e^z with exponents -z."""
         left, z = self.left, self.exponents
         if self.flip:
             left, z = left * np.exp(z)[None, :], -z
         vh = v.conj().T
-        const = v @ self.const @ vh + complement
-        return SpectralSegment("block_unitary", window, v @ left, z, self.right @ vh, const)
+        return SpectralSegment(
+            "block_unitary", window, v @ left, z, self.right @ vh, v @ self.const @ vh
+        )
+
+
+@dataclass(frozen=True)
+class SpectrumBound:
+    """Where the singular values of a spectral segment's X(t) can lie.
+
+    The i-th largest singular value is within [alpha w_i - slack,
+    beta w_i + slack], where the core values w(t) run between
+    ``scale[0] e^{(1 - t) rates[0]}`` (largest) and ``scale[1] e^{(1 - t)
+    rates[1]}`` (smallest).  ``at`` turns this into an upper bound on
+    the unitarity defect max |sigma_i^2 - 1| and a lower bound on the
+    smallest singular value.
+    """
+
+    alpha: float
+    beta: float
+    slack: float
+    scale: tuple
+    rates: tuple
+    flip: bool
+
+    def at(self, t: float) -> tuple:
+        """(unitarity defect bound, smallest singular value bound) at t."""
+        if self.flip:
+            t = 1.0 - t
+        unit = 0.0
+        for s, rate in zip(self.scale, self.rates):
+            w = s * math.exp((1.0 - t) * rate)
+            lo = max(self.alpha * w - self.slack, 0.0)
+            hi = self.beta * w + self.slack
+            unit = max(unit, abs(hi * hi - 1.0), abs(lo * lo - 1.0))
+        return unit, lo  # the loop ends on the smallest core value
 
 
 @dataclass(frozen=True)
@@ -164,7 +272,7 @@ class ConjugationSegment(PathSegment):
         ut = self.upath.at(t)
         return ut.conj().T @ self.q @ ut
 
-    def intertwined(self, window: Window, v: np.ndarray, complement: np.ndarray):
+    def intertwined(self, window: Window, v: np.ndarray):
         raise PreconditionError("the stacked move cannot carry a conjugation segment")
 
 
@@ -225,11 +333,15 @@ class HomotopyPath:
         return self.segments[i].at(t * n - i)
 
     def reverse(self) -> "HomotopyPath":
-        return HomotopyPath(
-            tuple(seg.reversed() for seg in reversed(self.segments)),
-            self.declared_end,
-            self.declared_start,
+        # the mirror samples the same closed forms at 1 - t, so its joints
+        # and endpoints are this path's, already checked: skip __init__
+        mirror = object.__new__(HomotopyPath)
+        object.__setattr__(
+            mirror, "segments", tuple(seg.reversed() for seg in reversed(self.segments))
         )
+        object.__setattr__(mirror, "declared_start", self.declared_end)
+        object.__setattr__(mirror, "declared_end", self.declared_start)
+        return mirror
 
     def concat(self, other: "HomotopyPath") -> "HomotopyPath":
         return HomotopyPath(
@@ -249,8 +361,7 @@ def straight_line(a0: Operator, a1: Operator, label: str = "") -> HomotopyPath:
     return HomotopyPath((seg,), a0.entries, a1.entries)
 
 
-def polar_path(g: Operator, tol: float = 1e-8) -> HomotopyPath:
-    """t -> U |G|^(1-t) from G to its unitary polar factor U."""
+def _polar_segment(g: Operator, tol: float) -> SpectralSegment:
     u, s, vh = np.linalg.svd(g.entries)
     smin = float(s[-1]) if s.size else 0.0
     if smin <= tol:
@@ -258,8 +369,13 @@ def polar_path(g: Operator, tol: float = 1e-8) -> HomotopyPath:
             f"smallest singular value {smin:.3e} <= {tol:.1e}; "
             "the polar path would leave the invertibles"
         )
-    seg = SpectralSegment("polar", g.window, u, np.log(s), vh, np.zeros_like(u))
-    return HomotopyPath((seg,), g.entries, u @ vh)
+    return SpectralSegment("polar", g.window, u, np.log(s), vh, np.zeros_like(u))
+
+
+def polar_path(g: Operator, tol: float = 1e-8) -> HomotopyPath:
+    """t -> U |G|^(1-t) from G to its unitary polar factor U."""
+    seg = _polar_segment(g, tol)
+    return HomotopyPath((seg,), g.entries, seg.left @ seg.right)
 
 
 def _log_segment(window: Window, entries, blocks, right=None, flip=False) -> SpectralSegment:
@@ -301,7 +417,15 @@ def _log_segment(window: Window, entries, blocks, right=None, flip=False) -> Spe
     label = f"branch-ties:{ties}" if ties else ""
     z = 1j * np.concatenate(moving)
     return SpectralSegment(
-        "log", window, np.hstack(lefts), z, np.vstack(rights), const, flip=flip, label=label
+        "log",
+        window,
+        np.hstack(lefts),
+        z,
+        np.vstack(rights),
+        const,
+        factor=right,
+        flip=flip,
+        label=label,
     )
 
 
@@ -330,6 +454,12 @@ def block_peel(m: Operator, p: Projection) -> tuple:
     factor's nilpotent part N = P M P⊥ satisfies N^2 = 0 exactly, so
     1 - t N inverts the moving factor on the nose.
     """
+    factors, seg, product = _block_peel(m, p)
+    return factors, HomotopyPath((seg,), factors[0].entries, product)
+
+
+def _block_peel(m: Operator, p: Projection) -> tuple:
+    """The factors, the straightening segment and the product of block_peel."""
     if m.window != p.window:
         raise WindowMismatchError("operator and projection on different windows")
     pe = p.entries
@@ -354,8 +484,7 @@ def block_peel(m: Operator, p: Projection) -> tuple:
         )
     factors = (Operator(m.window, f1), Operator(m.window, f2))
     seg = AffineSegment("block_peel", m.window, f1, f1 + f1 @ nil)
-    path = HomotopyPath((seg,), f1, product)
-    return factors, path
+    return factors, seg, product
 
 
 def conjugation_path(q: Projection | Operator, upath: HomotopyPath) -> HomotopyPath:
@@ -385,6 +514,8 @@ def _full_intertwiner(p: Projection, v_iso: GreedyIsometry) -> np.ndarray:
 
     Stack-zero columns outside the matched region carry the complement
     projection; matched columns carry the greedy partial permutation.
+    Every entry is 0 or 1 for a 0/1 diagonal projection, so VV* is an
+    integer matrix and equals 1 exactly once it is within 1/2 of it.
     """
     amp = v_iso.window
     base = amp.base
@@ -410,15 +541,26 @@ def block_unitary_homotopy(
     the matched region used as a target); the inner path supplies the
     contraction of U ⊕ 1 on the stacked window, and conjugating it by
     the intertwiner lands back on the base window with both endpoints
-    pinned: Z_t = V W_t V* + (1 - V V*).
+    pinned: Z_t = V W_t V*, since the cover check makes VV* = 1.
     """
+    segments = _stacked_segments(u, p, v_iso, inner.segments)
+    eye = np.eye(p.window.dimension, dtype=np.complex128)
+    return HomotopyPath(segments, eye, u.entries)
+
+
+def _stacked_segments(
+    u: Operator, p: Projection, v_iso: GreedyIsometry, inner: tuple
+) -> tuple:
+    """The checked segments of block_unitary_homotopy for the inner
+    segments ``inner``; their joints are checked by the path that
+    holds the result."""
     base = p.window
     if u.window != base:
         raise WindowMismatchError("operator and projection on different windows")
     amp = v_iso.window
     if not isinstance(amp, AmplifiedWindow) or amp.base != base:
         raise WindowMismatchError("isometry does not stack the projection's window")
-    if inner.window != amp:
+    if inner[0].window != amp:
         raise WindowMismatchError("inner path must live on the stacked window")
 
     pe = p.entries
@@ -453,17 +595,15 @@ def block_unitary_homotopy(
     eye_amp = np.eye(amp.dimension, dtype=np.complex128)
     target = eye_amp.copy()
     target[: base.dimension, : base.dimension] = ue
-    start_gap = _residual_norm(inner.at(0.0) - eye_amp, TOL_BLOCK_FORM)
-    end_gap = _residual_norm(inner.at(1.0) - target, TOL_BLOCK_FORM)
+    start_gap = _residual_norm(inner[0].at(0.0) - eye_amp, TOL_BLOCK_FORM)
+    end_gap = _residual_norm(inner[-1].at(1.0) - target, TOL_BLOCK_FORM)
     if max(start_gap, end_gap) > TOL_BLOCK_FORM:
         raise PreconditionError(
             "inner path must run from the stacked identity to U ⊕ 1: "
             f"endpoint gaps ({start_gap:.3e}, {end_gap:.3e})"
         )
 
-    complement = eye - vvh
-    segments = tuple(seg.intertwined(base, v_full, complement) for seg in inner.segments)
-    return HomotopyPath(segments, eye, ue)
+    return tuple(seg.intertwined(base, v_full) for seg in inner)
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +639,14 @@ class CertifyConfig:
 
 @dataclass(frozen=True)
 class CertificateReport:
-    """Measured path quality; aggregates plus the per-sample series."""
+    """Path quality; aggregates plus the per-sample series.
+
+    Each series row ends with its ``measure``: ``dense`` when the
+    unitarity defect and smallest singular value were measured on the
+    sample, ``bound`` when they are rigorous bounds (an upper and a
+    lower bound) from the segment's factors.  The aggregates combine
+    both, so they are themselves bounds wherever a bound row enters.
+    """
 
     samples: int
     max_unitarity_defect: float
@@ -550,13 +697,14 @@ class CertificateReport:
             "locality_defect",
             "idempotency_defect",
             "index",
+            "measure",
         )
 
     def csv_rows(self):
         yield ",".join(self.series_columns())
-        for t, unit, sv, loc, idem, idx in self.series:
+        for t, unit, sv, loc, idem, idx, measure in self.series:
             tail = "" if idx is None else str(int(idx))
-            yield f"{t!r},{unit!r},{sv!r},{loc!r},{idem!r},{tail}"
+            yield f"{t!r},{unit!r},{sv!r},{loc!r},{idem!r},{tail},{measure}"
 
 
 def _locality_indices(window, arc: Arc, allowance) -> np.ndarray:
@@ -571,13 +719,139 @@ def _locality_indices(window, arc: Arc, allowance) -> np.ndarray:
     return np.array(picks, dtype=np.intp)
 
 
+def _gram_defects(gram: np.ndarray) -> tuple:
+    """(max |lambda - 1|, sqrt(lambda_min)) of a Hermitian Gram matrix."""
+    eigs = np.linalg.eigvalsh(gram)
+    return float(np.max(np.abs(eigs - 1.0))), math.sqrt(max(float(eigs[0]), 0.0))
+
+
+def _hermitian_part(g: np.ndarray) -> np.ndarray:
+    return 0.5 * (g + g.conj().T)
+
+
+def _locality(block, pair_indices) -> float:
+    return max(
+        (spectral_norm(block(rows, cols)) for rows, cols in pair_indices if rows.size and cols.size),
+        default=0.0,
+    )
+
+
+def _is_projection(x: np.ndarray, tol: float) -> bool:
+    """Hermitian and idempotent within tol.  max |entry| <= ||.||_2, so an
+    entry above tol settles "no" before any SVD or product."""
+    skew = x - x.conj().T
+    if np.max(np.abs(skew), initial=0.0) > tol or _residual_norm(skew, tol) > tol:
+        return False
+    idem = x @ x - x
+    return np.max(np.abs(idem), initial=0.0) <= tol and _residual_norm(idem, tol) <= tol
+
+
+class _DenseSampler:
+    """Measures each sample of one segment on the d x d sample itself:
+    one Hermitian eigendecomposition of the Gram matrix."""
+
+    def __init__(self, seg: PathSegment, pair_indices):
+        self.seg = seg
+        self.pair_indices = pair_indices
+        self.dense = 0
+
+    def gram(self, t: float, entries: np.ndarray) -> np.ndarray:
+        return _hermitian_part(entries.conj().T @ entries)
+
+    def measure(self, t: float, end: bool, entries: np.ndarray | None) -> tuple:
+        """(entries or None, unitarity defect, smallest singular value,
+        locality defect, measure, excess of the dense value over the
+        bound or None) of the sample at segment time t."""
+        if entries is None:
+            entries = self.seg.at(t)
+        self.dense += 1
+        unit, sv = _gram_defects(self.gram(t, entries))
+        loc = _locality(lambda rows, cols: entries[np.ix_(rows, cols)], self.pair_indices)
+        return entries, unit, sv, loc, "dense", None
+
+
+class _AffineSampler(_DenseSampler):
+    """X(s) = (1 - s) A + s B: the Gram matrix is the quadratic
+    (1 - s)^2 A*A + s (1 - s)(A*B + B*A) + s^2 B*B, from three products
+    made once for the segment."""
+
+    def __init__(self, seg: AffineSegment, pair_indices):
+        super().__init__(seg, pair_indices)
+        ah, b = seg.start.conj().T, seg.end
+        self.terms = (
+            _hermitian_part(ah @ seg.start),
+            2.0 * _hermitian_part(ah @ b),
+            _hermitian_part(b.conj().T @ b),
+        )
+
+    def gram(self, t: float, entries: np.ndarray) -> np.ndarray:
+        s = 1.0 - t if self.seg.flip else t
+        aa, ab, bb = self.terms
+        return (1.0 - s) ** 2 * aa + (s * (1.0 - s)) * ab + s * s * bb
+
+
+class _ConstantSampler(_DenseSampler):
+    """A segment with start = end: one measurement serves every sample."""
+
+    def measure(self, t: float, end: bool, entries: np.ndarray | None) -> tuple:
+        if not self.dense:
+            self.result = super().measure(t, end, self.seg.start)
+        return self.result
+
+
+class _BoundSampler(_DenseSampler):
+    """A spectral segment with a SpectrumBound: interior samples report
+    the bound and a locality block cut from the factors, without forming
+    the sample; end samples are measured densely and checked against it."""
+
+    def __init__(self, seg: SpectralSegment, pair_indices, bound: SpectrumBound):
+        super().__init__(seg, pair_indices)
+        self.bound = bound
+
+    def measure(self, t: float, end: bool, entries: np.ndarray | None) -> tuple:
+        unit_bound, sv_bound = self.bound.at(t)
+        if end:
+            entries, unit, sv, loc, measure, _ = super().measure(t, end, entries)
+            return entries, unit, sv, loc, measure, max(unit - unit_bound, sv_bound - sv)
+        loc = _locality(lambda rows, cols: self.seg.block(t, rows, cols), self.pair_indices)
+        return None, unit_bound, sv_bound, loc, "bound", None
+
+
+def _sampler(seg: PathSegment, pair_indices, dense_only: bool) -> _DenseSampler:
+    if dense_only or isinstance(seg, ConjugationSegment):
+        return _DenseSampler(seg, pair_indices)
+    if isinstance(seg, AffineSegment):
+        if np.array_equal(seg.start, seg.end):
+            return _ConstantSampler(seg, pair_indices)
+        return _AffineSampler(seg, pair_indices)
+    bound = seg.spectrum_bound()
+    if bound is None:
+        return _DenseSampler(seg, pair_indices)
+    return _BoundSampler(seg, pair_indices, bound)
+
+
 def certify_path(path: HomotopyPath, config: CertifyConfig | None = None) -> CertificateReport:
     """Sample the path and measure everything the certificate promises.
 
-    One Hermitian eigendecomposition per sample yields both the
-    unitarity defect and the smallest singular value; the locality
-    defect is the largest masked block norm over the configured cone
-    pairs, taken outside the allowance ball.
+    Each segment picks the cheapest honest way to measure its samples:
+
+    - spectral segments whose factors admit a :class:`SpectrumBound`
+      (polar climbs, rotations, rotations of a right factor, the stacked
+      move) report that rigorous bound on the unitarity defect and the
+      smallest singular value at interior samples, and are measured
+      densely at their first and last sample, where the certificate
+      records how far the measured value lies inside the bound;
+    - affine segments are measured densely, with the Gram matrix a
+      quadratic in t from three products per segment, or once when
+      start and end are equal;
+    - conjugation segments, spectral segments without a bound, and every
+      sample of a projection path are measured densely: one Hermitian
+      eigendecomposition of the Gram matrix per sample.
+
+    The locality defect is always measured: the largest block norm over
+    the configured cone pairs, outside the allowance ball, cut from the
+    factors at bound samples.  Projection paths add the idempotency
+    defect and, with ``index_base``, the index at every sample.
     """
     config = config or CertifyConfig()
     window = path.window
@@ -596,86 +870,72 @@ def certify_path(path: HomotopyPath, config: CertifyConfig | None = None) -> Cer
     else:
         pair_indices = []
 
-    first = path.at(0.0)
-    herm = _residual_norm(first - first.conj().T, config.projection_tol)
-    idem = _residual_norm(first @ first - first, config.projection_tol)
-    is_projection = herm <= config.projection_tol and idem <= config.projection_tol
+    first = path.segments[0].at(0.0)
+    is_projection = _is_projection(first, config.projection_tol)
 
     index_config = config.index_config or IndexConfig()
     index_method = "kernel_count" if index_config.cut_sites else "trace_formula"
 
-    ts = np.linspace(0.0, 1.0, config.samples)
+    ts = [float(t) for t in np.linspace(0.0, 1.0, config.samples)]
+    owners = [path.segment_of(t) for t in ts]
+    n_segs = len(path.segments)
     series = []
     index_trace = []
-    n_segs = len(path.segments)
-    seg_unit = [0.0] * n_segs
-    seg_sv = [math.inf] * n_segs
-    seg_loc = [0.0] * n_segs
-    seg_counts = [0] * n_segs
-    max_unit = 0.0
-    min_sv = math.inf
-    max_loc = 0.0
-    max_idem = 0.0
-    for t in ts:
-        entries = path.at(float(t))
-        gram = entries.conj().T @ entries
-        gram = 0.5 * (gram + gram.conj().T)
-        eigs = np.linalg.eigvalsh(gram)
-        unit = float(np.max(np.abs(eigs - 1.0)))
-        sv = math.sqrt(max(float(eigs[0]), 0.0))
-        loc = 0.0
-        for rows, cols in pair_indices:
-            if rows.size and cols.size:
-                loc = max(loc, spectral_norm(entries[np.ix_(rows, cols)]))
-        idem_defect = 0.0
-        sample_index = None
-        if is_projection:
-            idem_defect = spectral_norm(entries @ entries - entries)
-            if config.index_base is not None:
-                pe = entries
-                eye = np.eye(window.dimension, dtype=np.complex128)
-                compressed = pe @ config.index_base.entries @ pe + (eye - pe)
-                result = fredholm_index(
-                    Operator(window, compressed), index_method, index_config
-                )
-                sample_index = result.value
-                index_trace.append(result.value)
-        seg = path.segment_of(float(t))
-        seg_counts[seg] += 1
-        seg_unit[seg] = max(seg_unit[seg], unit)
-        seg_sv[seg] = min(seg_sv[seg], sv)
-        seg_loc[seg] = max(seg_loc[seg], loc)
-        max_unit = max(max_unit, unit)
-        min_sv = min(min_sv, sv)
-        max_loc = max(max_loc, loc)
-        max_idem = max(max_idem, idem_defect)
-        series.append((float(t), unit, sv, loc, idem_defect, sample_index))
+    stats = []
+    last = None
+    for i, seg in enumerate(path.segments):
+        picks = [k for k, owner in enumerate(owners) if owner == i]
+        sampler = _sampler(seg, pair_indices, is_projection)
+        rows, excesses = [], []
+        for j, k in enumerate(picks):
+            t = ts[k]
+            entries, unit, sv, loc, measure, over = sampler.measure(
+                t * n_segs - i, j in (0, len(picks) - 1), first if k == 0 else None
+            )
+            idem_defect = 0.0
+            sample_index = None
+            if is_projection:
+                idem_defect = spectral_norm(entries @ entries - entries)
+                if config.index_base is not None:
+                    eye = np.eye(window.dimension, dtype=np.complex128)
+                    compressed = entries @ config.index_base.entries @ entries + (eye - entries)
+                    result = fredholm_index(
+                        Operator(window, compressed), index_method, index_config
+                    )
+                    sample_index = result.value
+                    index_trace.append(result.value)
+            if over is not None:
+                excesses.append(over)
+            last = entries
+            rows.append((t, unit, sv, loc, idem_defect, sample_index, measure))
+        series.extend(rows)
+        stats.append(
+            {
+                "kind": seg.kind,
+                "label": seg.label,
+                "reversed": seg.flip,
+                "samples": len(picks),
+                "dense_samples": sampler.dense,
+                "max_unitarity_defect": max((row[1] for row in rows), default=0.0),
+                "min_singular_value": min((row[2] for row in rows), default=None),
+                "max_locality_defect": max((row[3] for row in rows), default=0.0),
+                "max_bound_excess": max(excesses, default=None),
+            }
+        )
 
     endpoint_errors = (
-        spectral_norm(path.at(0.0) - path.declared_start),
-        spectral_norm(path.at(1.0) - path.declared_end),
-    )
-    stats = tuple(
-        {
-            "kind": seg.kind,
-            "label": seg.label,
-            "reversed": seg.flip,
-            "samples": seg_counts[i],
-            "max_unitarity_defect": seg_unit[i],
-            "min_singular_value": (None if seg_counts[i] == 0 else seg_sv[i]),
-            "max_locality_defect": seg_loc[i],
-        }
-        for i, seg in enumerate(path.segments)
+        spectral_norm(first - path.declared_start),
+        spectral_norm(last - path.declared_end),
     )
     return CertificateReport(
         samples=config.samples,
-        max_unitarity_defect=max_unit,
-        min_singular_value=float(min_sv),
-        max_locality_defect=max_loc,
-        max_idempotency_defect=max_idem,
+        max_unitarity_defect=max(row[1] for row in series),
+        min_singular_value=min(row[2] for row in series),
+        max_locality_defect=max(row[3] for row in series),
+        max_idempotency_defect=max(row[4] for row in series),
         index_trace=tuple(index_trace),
         endpoint_errors=endpoint_errors,
-        segment_stats=stats,
+        segment_stats=tuple(stats),
         series=tuple(series),
         is_projection_path=is_projection,
     )
@@ -708,8 +968,11 @@ def theorem1_pipeline(
     Stages: straight line onto the surgically deformed operator, a
     per-block rotation that straightens the confined columns, a short
     normalization line, the reversed block peel, the polar climb back
-    to the unitaries, and the reversed stacked-isometry move.  Any
-    stage failure is re-raised with its stage name attached.
+    to the unitaries, the reversed stacked-isometry move, and the
+    certificate.  The path is assembled once from the segments, which
+    checks every joint.  Any stage failure, including a failed
+    decomposition (``LinAlgError``), is re-raised as a StageError with
+    its stage name attached.
     """
     config = config or PipelineConfig()
     window = u.window
@@ -721,15 +984,14 @@ def theorem1_pipeline(
     if not 0.0 < eps < 1.0:
         raise PreconditionError("eps must lie in (0, 1) to keep the line invertible")
     dim = window.dimension
-    eye = np.eye(dim, dtype=np.complex128)
 
     def stage(name, fn):
         try:
             return fn()
         except StageError:
             raise  # already carries the more precise inner stage name
-        except OplabError as exc:
-            raise StageError(name, str(exc)) from exc
+        except (OplabError, np.linalg.LinAlgError) as exc:
+            raise StageError(name, f"{type(exc).__name__}: {exc}") from exc
 
     g, plan = stage("localized-centers", lambda: localized_centers(u, config.thetas, eps))
     delta = _residual_norm(u.entries - g.entries, 1.0 - 1e-12)
@@ -737,7 +999,7 @@ def theorem1_pipeline(
         raise StageError(
             "localized-centers", f"deformation size {delta:.3e} reaches 1"
         )
-    seg_line = straight_line(u, g, label="onto-deformed")
+    line = AffineSegment("straight_line", window, u.entries, g.entries, label="onto-deformed")
 
     v = stage("corrective-unitary", lambda: corrective_unitary(g, plan))
     center_idx = [window.index_of(c) for c in plan.centers]
@@ -745,8 +1007,10 @@ def theorem1_pipeline(
         [window.index_of(site) for site in block] for block in plan.ranges
     ]
     vg = v.entries @ g.entries
-    seg = _log_segment(window, v.entries, block_indices, right=g.entries, flip=True)
-    seg_correct = HomotopyPath((seg,), g.entries, vg)
+    correct = stage(
+        "corrective-unitary",
+        lambda: _log_segment(window, v.entries, block_indices, right=g.entries, flip=True),
+    )
 
     # snap each confined column to its basis vector so the peel
     # precondition is exact (the corrective rotation already left it
@@ -755,16 +1019,16 @@ def theorem1_pipeline(
     for i in center_idx:
         peelable[:, i] = 0.0
         peelable[i, i] = 1.0
-    m_op = Operator(window, peelable)
-    seg_norm = straight_line(Operator(window, vg), m_op, label="normalize-centers")
+    normalize = AffineSegment(
+        "straight_line", window, vg, peelable, label="normalize-centers"
+    )
 
     p_centers = Projection.from_region(Explicit(frozenset(plan.centers)), window)
-    factors, peel = stage("block-peel", lambda: block_peel(m_op, p_centers))
-    seg_peel = peel.reverse()
-
-    f1 = factors[0]
-    seg_polar = stage("polar", lambda: polar_path(f1))
-    w_pol = Operator(window, seg_polar.declared_end)
+    factors, peel, _ = stage(
+        "block-peel", lambda: _block_peel(Operator(window, peelable), p_centers)
+    )
+    polar = stage("polar", lambda: _polar_segment(factors[0], 1e-8))
+    w_pol = Operator(window, polar.left @ polar.right)
 
     v_iso = stage(
         "greedy-isometry",
@@ -775,27 +1039,22 @@ def theorem1_pipeline(
             require_ray_dense=False,
         ),
     )
-    amp = v_iso.window
     perp_idx = [i for i in range(dim) if i not in set(center_idx)]
-    target = np.eye(amp.dimension, dtype=np.complex128)
-    target[:dim, :dim] = w_pol.entries
-    seg = _log_segment(amp, w_pol.entries, [perp_idx], flip=True)
-    inner = HomotopyPath((seg,), np.eye(amp.dimension, dtype=np.complex128), target)
-    bu = stage(
+    absorb = stage(
         "block-unitary",
-        lambda: block_unitary_homotopy(w_pol, p_centers, v_iso, inner),
+        lambda: _stacked_segments(
+            w_pol,
+            p_centers,
+            v_iso,
+            (_log_segment(v_iso.window, w_pol.entries, [perp_idx], flip=True),),
+        ),
     )
-    seg_absorb = bu.reverse()
 
     path = HomotopyPath(
-        seg_line.segments
-        + seg_correct.segments
-        + seg_norm.segments
-        + seg_peel.segments
-        + seg_polar.segments
-        + seg_absorb.segments,
+        (line, correct, normalize, peel.reversed(), polar)
+        + tuple(seg.reversed() for seg in reversed(absorb)),
         u.entries,
-        eye,
+        np.eye(dim, dtype=np.complex128),
     )
-    report = certify_path(path, config.certify or CertifyConfig())
+    report = stage("certify", lambda: certify_path(path, config.certify or CertifyConfig()))
     return path, report

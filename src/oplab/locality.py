@@ -55,11 +55,11 @@ class DecayProfile:
         radii = tuple(Fraction(r) for r in self.radii)
         values = tuple(float(v) for v in self.values)
         if len(radii) != len(values):
-            raise ValueError("radii and values must have equal length")
+            raise PreconditionError("radii and values must have equal length")
         if any(b <= a for a, b in zip(radii, radii[1:])):
-            raise ValueError("radii must be strictly increasing")
+            raise PreconditionError("radii must be strictly increasing")
         if any(v < 0 for v in values):
-            raise ValueError("values must be non-negative")
+            raise PreconditionError("values must be non-negative")
         object.__setattr__(self, "radii", radii)
         object.__setattr__(self, "values", values)
 
@@ -80,9 +80,9 @@ class ConeSplit:
 
     def __post_init__(self) -> None:
         if self.good & self.bad:
-            raise ValueError("good and bad overlap")
+            raise PreconditionError("good and bad overlap")
         if self.achieved_bound < 0:
-            raise ValueError("achieved_bound must be non-negative")
+            raise PreconditionError("achieved_bound must be non-negative")
 
     def csv_rows(self):
         yield ("site", "kind")
@@ -108,23 +108,23 @@ class CentersPlan:
         radii = tuple(Fraction(r) for r in self.radii)
         budgets = tuple(float(b) for b in self.budgets)
         if not (len(centers) == len(radii) == len(budgets)):
-            raise ValueError("centers, radii and budgets must have equal length")
+            raise PreconditionError("centers, radii and budgets must have equal length")
         if any(b <= a for a, b in zip(radii, radii[1:])):
-            raise ValueError("radii must be strictly increasing")
+            raise PreconditionError("radii must be strictly increasing")
         if any(b <= 0 for b in budgets):
-            raise ValueError("budgets must be positive")
+            raise PreconditionError("budgets must be positive")
         ranges = self.ranges
         if ranges is not None:
             ranges = tuple(frozenset(tuple(s) for s in y) for y in ranges)
             if len(ranges) != len(centers):
-                raise ValueError("ranges must align with centers")
+                raise PreconditionError("ranges must align with centers")
             for k, (center, y) in enumerate(zip(centers, ranges)):
                 if center not in y:
-                    raise ValueError(f"center {k} lies outside its range")
+                    raise PreconditionError(f"center {k} lies outside its range")
             for a in range(len(ranges)):
                 for b in range(a + 1, len(ranges)):
                     if ranges[a] & ranges[b]:
-                        raise ValueError(f"ranges {a} and {b} overlap")
+                        raise PreconditionError(f"ranges {a} and {b} overlap")
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "radii", radii)
         object.__setattr__(self, "budgets", budgets)

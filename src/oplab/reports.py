@@ -105,8 +105,9 @@ def bar_chart_svg(title: str, labels, values) -> str:
 def _certificate_files(report: CertificateReport, out_dir: Path, stem: str) -> list:
     files = [write_csv(out_dir / f"{stem}.csv", report.csv_rows())]
     seg_lines = ["segment,kind,label,samples,max_unitarity_defect,"
-                 "min_singular_value,max_locality_defect"]
+                 "min_singular_value,max_locality_defect,dense_samples,max_bound_excess"]
     for i, stats in enumerate(report.segment_stats):
+        excess = stats["max_bound_excess"]
         seg_lines.append(
             ",".join(
                 (
@@ -117,6 +118,8 @@ def _certificate_files(report: CertificateReport, out_dir: Path, stem: str) -> l
                     repr(stats["max_unitarity_defect"]),
                     repr(stats["min_singular_value"]),
                     repr(stats["max_locality_defect"]),
+                    str(stats["dense_samples"]),
+                    "" if excess is None else repr(excess),
                 )
             )
         )

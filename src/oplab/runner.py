@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, StageError
 from .geometry import Arc, Direction, Explicit
 from .homotopy import (
     CertifyConfig,
@@ -456,6 +456,9 @@ def run(config: ExperimentConfig | str | Path, out_override: str | None = None) 
                         "seconds": round(time.perf_counter() - self.t0, 6),
                     }
                 )
+            elif issubclass(exc_type, np.linalg.LinAlgError):
+                # a failed decomposition is a stage failure, not a crash
+                raise StageError(self.name, f"LinAlgError: {exc}") from exc
             return False
 
     files = _RUNNERS[config.experiment](config, out, add_stage)

@@ -1,11 +1,13 @@
 """Fast paths pinned to their dense references.
 
-Norms, masked products and index defects skip structural zeros, and
-path segments sample closed forms built once; each test here recomputes
-the same quantity over the full window with plain numpy (or through the
-dense fallback) and requires agreement.
+Norms, masked products and index defects skip structural zeros, path
+segments sample closed forms built once, and certificates bound spectral
+segments from their factors; each test here recomputes the same quantity
+over the full window with plain numpy (or through the dense fallback)
+and requires agreement, or that the bound contains the dense value.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -15,7 +17,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from oplab.geometry import Ball, Explicit
+import oplab.homotopy
 from oplab.homotopy import (
+    _locality_indices,
     _log_segment,
     block_unitary_homotopy,
     log_path,
@@ -30,7 +34,7 @@ from oplab.index import (
     projection_index,
 )
 from oplab.operators import Operator, Projection, spectral_norm
-from oplab.runner import ExperimentConfig, run
+from oplab.runner import ExperimentConfig, run, seeded_local_unitary
 from oplab.surgery import ProjectionPair, deletion_series, greedy_isometry
 from oplab.windows import TruncationWindow
 
@@ -362,3 +366,120 @@ def test_pipeline_segment_list_is_pinned(tmp_path):
         blob = json.loads((out / "pipeline.json").read_text())
         listed = [[s["kind"], s["label"], s["reversed"]] for s in blob["segments"]]
         assert listed == expected
+
+
+# ---------------------------------------------------------------------------
+# certificate bounds
+
+
+def dense_defects(x):
+    """Unitarity defect and smallest singular value of a d x d sample."""
+    eigs = np.linalg.eigvalsh(x.conj().T @ x)
+    return float(np.max(np.abs(eigs - 1.0))), float(np.sqrt(max(eigs[0], 0.0)))
+
+
+def nudged(seg, eps):
+    """The segment with moving columns scaled off the unitary form by
+    c = 1 +- eps, in L and in R, so ||L*L - 1|| moves.  A rotation keeps
+    C = (1 - LL*) g, so the defect it gains is bounded only by the
+    ||L*L - 1|| term; a polar climb gains it in its extreme singular
+    values, bounded only by the factor terms."""
+    k = seg.left.shape[1]
+    c = np.ones(k)
+    if np.any(seg.exponents.imag):
+        c[int(np.argmax(np.abs(seg.exponents)))] = 1.0 + eps
+    else:
+        c[0], c[-1] = 1.0 + eps, 1.0 - eps
+    left = seg.left * c[None, :]
+    right = c[:, None] * seg.right
+    const = seg.const
+    if np.any(seg.exponents.imag):
+        g = np.eye(seg.left.shape[0]) if seg.factor is None else seg.factor
+        const = const - (seg.left * (c * c - 1.0)[None, :]) @ (seg.left.conj().T @ g)
+    return dataclasses.replace(seg, left=left, right=right, const=const)
+
+
+def bounded_forms(tailed_pipeline):
+    _, path, _, _ = tailed_pipeline
+    u = random_unitary(TruncationWindow.plane(3).dimension, np.random.default_rng(15))
+    return {
+        "polar": path.segments[4],
+        "log": log_path(Operator(TruncationWindow.plane(3), u)).segments[0],
+        "log-right": path.segments[1],
+        "stacked": path.segments[5],
+    }
+
+
+@pytest.mark.parametrize("eps", [0.0, 5e-12])
+@pytest.mark.parametrize("form", ["polar", "log", "log-right", "stacked"])
+def test_spectrum_bound_contains_the_dense_spectrum(tailed_pipeline, form, eps):
+    seg = nudged(bounded_forms(tailed_pipeline)[form], eps)
+    if form == "polar":
+        s = np.exp(seg.exponents.real)
+        assert s.max() - s.min() > 0.05  # a climb that really moves
+    if form == "log-right":
+        assert seg.factor is not None
+    for piece in (seg, seg.reversed()):
+        bound = piece.spectrum_bound()
+        assert bound is not None
+        for t in (0.0, 0.13, 0.5, 0.87, 1.0):
+            unit, sv = dense_defects(piece.at(t))
+            unit_bound, sv_bound = bound.at(t)
+            assert unit - 1e-12 <= unit_bound <= unit + 1e-10
+            assert sv - 1e-10 <= sv_bound <= sv + 1e-12
+
+
+def test_spectrum_bound_refuses_a_broken_form(tailed_pipeline):
+    seg = bounded_forms(tailed_pipeline)["log-right"]
+    assert dataclasses.replace(seg, factor=None).spectrum_bound() is None
+    assert nudged(seg, 1e-6).spectrum_bound() is None  # too loose to be useful
+    polar = bounded_forms(tailed_pipeline)["polar"]
+    assert dataclasses.replace(polar, const=polar.const + 1e-3).spectrum_bound() is None
+
+
+def test_certificate_matches_the_dense_oracle(tailed_pipeline):
+    """Every row of the pipeline certificate against a dense measurement
+    of the same sample: dense rows agree, bound rows contain it."""
+    _, path, report, certify = tailed_pipeline
+    window = path.window
+    allowance = window.radius / 2
+    pairs = [
+        (_locality_indices(window, row, allowance), _locality_indices(window, col, allowance))
+        for row, col in certify.arc_pairs
+    ]
+    assert {row[-1] for row in report.series} == {"dense", "bound"}
+    for t, unit, sv, loc, _, _, measure in report.series:
+        x = path.at(t)
+        dense_unit, dense_sv = dense_defects(x)
+        dense_loc = max(dense_norm(x[np.ix_(r, c)]) for r, c in pairs)
+        assert abs(loc - dense_loc) <= 1e-12
+        if measure == "dense":
+            assert abs(unit - dense_unit) <= 1e-12
+            assert abs(sv - dense_sv) <= 1e-12
+        else:
+            assert dense_unit - 1e-12 <= unit <= dense_unit + 1e-10
+            assert dense_sv - 1e-10 <= sv <= dense_sv + 1e-12
+    assert report.max_locality_defect > 0.0
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_pipeline_bounds_hold_and_intertwiner_is_exact(seed, monkeypatch):
+    intertwiners = []
+    build = oplab.homotopy._full_intertwiner
+    monkeypatch.setattr(
+        oplab.homotopy,
+        "_full_intertwiner",
+        lambda p, v_iso: intertwiners.append(build(p, v_iso)) or intertwiners[-1],
+    )
+    window = TruncationWindow.plane(12)
+    _, report = oplab.homotopy.theorem1_pipeline(seeded_local_unitary(window, seed), 0.5)
+    (v,) = intertwiners
+    assert np.array_equal(v @ v.conj().T, np.eye(window.dimension))
+    stats = report.segment_stats
+    assert [s["kind"] for s in stats if s["max_bound_excess"] is not None] == [
+        "log",
+        "polar",
+        "block_unitary",
+    ]
+    assert all(s["max_bound_excess"] <= 1e-12 for s in stats if s["max_bound_excess"] is not None)
+    assert sum(s["dense_samples"] for s in stats) <= 26

@@ -5,7 +5,9 @@ import re
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+import oplab.homotopy
 from oplab.cli import main
 from oplab.errors import ConfigError, PreconditionError, StageError
 from oplab.homotopy import CertifyConfig, certify_path, straight_line
@@ -378,6 +380,28 @@ def test_cli_certify_verb(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("OPLAB_OUT")
     sweep = write_config(tmp_path)
     assert main(["certify", "--config", str(sweep)]) == 2
+
+
+def test_cli_certify_linalg_failure_is_a_stage_failure(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("did not converge")
+
+    theorem1 = write_config(tmp_path, experiment="theorem1", representation="Z2", radius=6)
+    for target, name, stage in (
+        (oplab.homotopy, "certify_path", "certify"),
+        (scipy.linalg, "schur", "corrective-unitary"),
+        (np.linalg, "svd", "polar"),
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(target, name, fail)
+            assert main(["certify", "--config", str(theorem1)]) == 3
+        err = capsys.readouterr().err
+        assert f"stage '{stage}'" in err and "LinAlgError" in err
+    # outside the pipeline, the runner's stage names the failure
+    theorem2 = write_config(tmp_path, experiment="theorem2", samples=4)
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    assert main(["certify", "--config", str(theorem2)]) == 3
+    assert "stage 'build-pair'" in capsys.readouterr().err
 
 
 def test_cli_probe_verb(capsys):

@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from oplab.errors import (
     PreconditionError,
@@ -443,6 +442,26 @@ def test_concat_rejects_gap():
         straight_line(a, a).concat(straight_line(b, b))
 
 
+def test_path_validates_on_assembly_only(monkeypatch):
+    window = TruncationWindow.plane(2)
+    a = Operator.identity(window)
+    b = laughlin_operator(window)
+    with pytest.raises(PreconditionError, match="declared endpoints"):
+        HomotopyPath(straight_line(a, b).segments, a.entries, a.entries)
+    checks = []
+    check = HomotopyPath.__post_init__
+    monkeypatch.setattr(
+        HomotopyPath, "__post_init__", lambda path: checks.append(1) or check(path)
+    )
+    forward = straight_line(a, b).concat(polar_path(b))
+    assert len(checks) == 3
+    backward = forward.reverse()  # mirrors checked closed forms: no re-check
+    assert len(checks) == 3
+    assert np.array_equal(backward.at(1.0), forward.at(0.0))
+    theorem1_pipeline(finite_range_unitary(TruncationWindow.plane(6), 5), 0.5)
+    assert len(checks) == 4  # the pipeline assembles its path once
+
+
 def test_sample_range_validation():
     window = TruncationWindow.plane(2)
     path = straight_line(Operator.identity(window), Operator.identity(window))
@@ -505,6 +524,27 @@ def test_certify_doubled_samples_consistent():
     assert once.max_locality_defect == twice.max_locality_defect == 0.0
 
 
+def test_certify_evaluates_each_sample_once(monkeypatch):
+    window = TruncationWindow.plane(2)
+    u = laughlin_operator(window)
+    line = straight_line(u, Operator(window, u.entries @ u.entries))
+    constant = straight_line(u, u)
+    calls = []
+    at = AffineSegment._at
+    monkeypatch.setattr(AffineSegment, "_at", lambda seg, t: calls.append(t) or at(seg, t))
+    report = certify_path(line, CertifyConfig(samples=10))
+    assert len(calls) == 10
+    assert not report.is_projection_path
+    assert report.segment_stats[0]["dense_samples"] == 10
+    assert {row[-1] for row in report.series} == {"dense"}
+    # a constant segment is measured once, on its start
+    calls.clear()
+    report = certify_path(constant, CertifyConfig(samples=10))
+    assert len(calls) == 1  # the projection test at t = 0
+    assert report.segment_stats[0]["dense_samples"] == 1
+    assert len({row[1:] for row in report.series}) == 1
+
+
 def test_certificate_serialization_roundtrip():
     window = TruncationWindow.plane(2)
     path = straight_line(Operator.identity(window), Operator.identity(window))
@@ -514,6 +554,8 @@ def test_certificate_serialization_roundtrip():
     assert len(blob["series"]) == 5
     rows = list(report.csv_rows())
     assert rows[0].startswith("t,unitarity_defect")
+    assert rows[0].endswith(",index,measure")
+    assert all(row.endswith(",dense") for row in rows[1:])
     assert len(rows) == 6
     assert report.segment_stats[0]["kind"] == "straight_line"
     assert report.segment_stats[0]["samples"] == 5
@@ -564,27 +606,9 @@ def test_pipeline_finite_range_unitary_certifies():
             assert stats["min_singular_value"] >= 0.4
 
 
-def tailed_unitary(window, seed):
-    """Angular phase times exp(iH), H a seeded nearest-neighbour Hermitian:
-    no entry is zero, so the deletion series has real blocks to cut."""
-    rng = np.random.default_rng(seed)
-    h = np.diag(rng.standard_normal(window.dimension)).astype(np.complex128)
-    for site in window.sites:
-        for nb in ((site[0] + 1, site[1]), (site[0], site[1] + 1)):
-            if nb in window:
-                i, j = window.index_of(site), window.index_of(nb)
-                z = complex(rng.standard_normal(), rng.standard_normal())
-                hop = 0.3 * z / np.sqrt(2.0)
-                h[i, j] = hop
-                h[j, i] = np.conj(hop)
-    return Operator(window, laughlin_operator(window).entries @ scipy.linalg.expm(1j * h))
-
-
-def test_pipeline_certifies_a_tailed_unitary():
-    window = TruncationWindow.plane(12)
-    u = tailed_unitary(window, 1)
+def test_pipeline_certifies_a_tailed_unitary(tailed_pipeline):
+    u, path, report, _ = tailed_pipeline
     assert np.all(u.entries != 0)
-    path, report = theorem1_pipeline(u, 0.5)
     assert max(report.endpoint_errors) <= 1e-8
     polar = [s["kind"] for s in report.segment_stats].index("polar")
     for stats in report.segment_stats[:polar]:
@@ -593,6 +617,11 @@ def test_pipeline_certifies_a_tailed_unitary():
     # the first segment runs from u to the surgically deformed g
     g = path.segments[0].at(1.0)
     assert 0.0 < spectral_norm(u.entries - g) < 0.5
+    # the rotation, the polar climb and the stacked move are bounded from
+    # their factors, and each bound holds at its densely measured ends
+    bounded = [s["kind"] for s in report.segment_stats if s["max_bound_excess"] is not None]
+    assert bounded == ["log", "polar", "block_unitary"]
+    assert all(s["max_bound_excess"] <= 1e-12 for s in report.segment_stats if s["kind"] in bounded)
 
 
 def test_pipeline_input_validation():

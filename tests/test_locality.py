@@ -168,11 +168,11 @@ def test_profile_requires_disjoint_arcs():
 
 
 def test_decay_profile_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError):
         DecayProfile((1, 2), (0.5,))
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError):
         DecayProfile((2, 1), (0.5, 0.5))
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError):
         DecayProfile((1, 2), (0.5, -0.1))
     rows = list(DecayProfile((1, Fraction(5, 2)), (1.0, 0.0)).csv_rows())
     assert rows[0] == ("radius", "value")
@@ -303,6 +303,13 @@ def test_cone_split_csv_rows():
     assert len(rows) == 1 + len(split.good) + len(split.bad)
 
 
+def test_cone_split_validation():
+    with pytest.raises(PreconditionError):
+        ConeSplit(frozenset({(1, 0)}), frozenset({(1, 0)}), 0.1)
+    with pytest.raises(PreconditionError):
+        ConeSplit(frozenset(), frozenset(), -0.1)
+
+
 # ---------------------------------------------------------------------------
 # annulus_confine
 
@@ -376,13 +383,13 @@ def test_annulus_input_validation():
 
 
 def test_centers_plan_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError):
         CentersPlan(((1, 0),), (2, 3), (0.5,))  # length mismatch
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError):
         CentersPlan(((1, 0), (3, 0)), (4, 2), (0.5, 0.5))  # radii not increasing
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError):
         CentersPlan(((1, 0),), (2,), (0.5,), ranges=(frozenset({(0, 5)}),))
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError):
         CentersPlan(
             ((1, 0), (3, 0)),
             (2, 4),
