@@ -25,6 +25,7 @@ import dataclasses
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -69,6 +70,11 @@ def _fro(entries: np.ndarray) -> float:
     return float(np.linalg.norm(entries))
 
 
+def _support(entries: np.ndarray) -> np.ndarray:
+    """Site mask of the rows and columns where a square matrix is nonzero."""
+    return np.any(entries, axis=0) | np.any(entries, axis=1)
+
+
 def _residual_norm(entries: np.ndarray, tol: float) -> float:
     """Spectral norm of a residual, skipping the SVD when the Frobenius
     norm (an upper bound on it) already lands at or under tol."""
@@ -104,6 +110,15 @@ class PathSegment:
     def at(self, t: float) -> np.ndarray:
         return self._at(1.0 - t if self.flip else t)
 
+    def block(self, t: float, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """X(t)[rows, cols]; forms that can cut it from their factors do."""
+        return self.at(t)[np.ix_(rows, cols)]
+
+    def moving_sites(self) -> np.ndarray:
+        """Mask of the sites where some X(t) may differ from the identity;
+        forms that can read it off their factors narrow it."""
+        return np.ones(self.window.dimension, dtype=bool)
+
     def reversed(self) -> "PathSegment":
         return dataclasses.replace(self, flip=not self.flip)
 
@@ -117,6 +132,16 @@ class AffineSegment(PathSegment):
 
     def _at(self, t: float) -> np.ndarray:
         return (1.0 - t) * self.start + t * self.end
+
+    def block(self, t: float, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        s = 1.0 - t if self.flip else t
+        ix = np.ix_(rows, cols)
+        return (1.0 - s) * self.start[ix] + s * self.end[ix]
+
+    def moving_sites(self) -> np.ndarray:
+        """Sites whose row or column of A or B differs from the identity."""
+        eye = np.eye(self.start.shape[0])
+        return _support(self.start - eye) | _support(self.end - eye)
 
     def intertwined(self, window: Window, v: np.ndarray):
         """The segment t -> V X(t) V* on ``window``, unflipped."""
@@ -156,6 +181,15 @@ class SpectralSegment(PathSegment):
             np.ix_(rows, cols)
         ]
 
+    def moving_sites(self) -> np.ndarray:
+        """Sites in a row of L, a column of R or the support of C - 1."""
+        eye = np.eye(self.const.shape[0])
+        return (
+            np.any(self.left, axis=1)
+            | np.any(self.right, axis=0)
+            | _support(self.const - eye)
+        )
+
     def spectrum_bound(self) -> "SpectrumBound | None":
         """A rigorous bracket on the singular values of every X(t), or
         None when the factors do not have a form it covers or their
@@ -175,9 +209,14 @@ class SpectralSegment(PathSegment):
         value by at most sqrt(1 + f) ||G||_F + ||E||_F (Weyl), and
         sigma_i(Y g) lies within the singular values of Y times those
         of g, computed once.
+
+        Both brackets hold for the exact X(t); the bound adds a rounding
+        allowance of d eps ||X||^2 (``SpectrumBound.at``) so that it
+        also holds for the sample as computed in floating point.
         """
         z, left, right, const = self.exponents, self.left, self.right, self.const
         d, k = left.shape
+        rounding = d * float(np.finfo(np.float64).eps)
         eye_k = np.eye(k)
         if not np.any(z.imag) and not np.any(const) and k == d:
             a = _fro(left.conj().T @ left - eye_k)
@@ -192,6 +231,7 @@ class SpectralSegment(PathSegment):
                 (1.0, 1.0),
                 rates,
                 self.flip,
+                rounding,
             )
         if np.any(z.real):
             return None
@@ -214,7 +254,13 @@ class SpectralSegment(PathSegment):
             s = np.linalg.svd(self.factor, compute_uv=False)
             scale = (float(s[0]), float(s[-1]))
         return SpectrumBound(
-            math.sqrt(1.0 - delta), math.sqrt(1.0 + delta), slack, scale, (0.0, 0.0), self.flip
+            math.sqrt(1.0 - delta),
+            math.sqrt(1.0 + delta),
+            slack,
+            scale,
+            (0.0, 0.0),
+            self.flip,
+            rounding,
         )
 
     def intertwined(self, window: Window, v: np.ndarray):
@@ -239,6 +285,15 @@ class SpectrumBound:
     rates[1]}`` (smallest).  ``at`` turns this into an upper bound on
     the unitarity defect max |sigma_i^2 - 1| and a lower bound on the
     smallest singular value.
+
+    Those bracket the exact X(t).  A dense measurement forms X(t) and its
+    Gram matrix in floating point, from inner products of length up to
+    d, each with relative error of order d eps (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 3.1), so its eigenvalues may
+    leave the exact bracket by about d eps ||X||^2.  ``rounding`` is
+    d eps, and ``at`` widens both bounds by ``rounding`` ||X||^2, with
+    ||X|| bounded by the largest core value, so that the bound dominates
+    the computed sample as well.
     """
 
     alpha: float
@@ -247,30 +302,87 @@ class SpectrumBound:
     scale: tuple
     rates: tuple
     flip: bool
+    rounding: float
 
     def at(self, t: float) -> tuple:
         """(unitarity defect bound, smallest singular value bound) at t."""
         if self.flip:
             t = 1.0 - t
-        unit = 0.0
-        for s, rate in zip(self.scale, self.rates):
-            w = s * math.exp((1.0 - t) * rate)
-            lo = max(self.alpha * w - self.slack, 0.0)
-            hi = self.beta * w + self.slack
-            unit = max(unit, abs(hi * hi - 1.0), abs(lo * lo - 1.0))
-        return unit, lo  # the loop ends on the smallest core value
+        # the largest and the smallest core value
+        core = [s * math.exp((1.0 - t) * rate) for s, rate in zip(self.scale, self.rates)]
+        his = [self.beta * w + self.slack for w in core]
+        los = [max(self.alpha * w - self.slack, 0.0) for w in core]
+        unit = max(abs(x * x - 1.0) for x in his + los)
+        allowance = self.rounding * his[0] * his[0]
+        return unit + allowance, math.sqrt(max(los[-1] * los[-1] - allowance, 0.0))
+
+
+@dataclass(frozen=True)
+class BlockSample:
+    """A d x d sample that is diagonal off a site set S: ``diag`` there
+    (``diag`` is zero on S), ``block`` on S x S, and zero between the two.
+    A sample taken on the whole window has S = every site."""
+
+    diag: np.ndarray
+    sites: np.ndarray
+    block: np.ndarray
+
+    @classmethod
+    def whole(cls, entries: np.ndarray) -> "BlockSample":
+        d = entries.shape[0]
+        return cls(np.zeros(d), np.arange(d), entries)
+
+    def outside(self) -> np.ndarray:
+        """The diagonal entries off S."""
+        off = np.ones(self.diag.size, dtype=bool)
+        off[self.sites] = False
+        return self.diag[off]
+
+    def dense(self) -> np.ndarray:
+        if self.sites.size == self.diag.size:
+            return self.block
+        out = np.diag(self.diag).astype(np.complex128)
+        out[np.ix_(self.sites, self.sites)] = self.block
+        return out
 
 
 @dataclass(frozen=True)
 class ConjugationSegment(PathSegment):
-    """X(t) = U_t* Q U_t, with U_t sampled from the inner path ``upath``."""
+    """X(t) = U_t* Q U_t, with U_t sampled from the inner path ``upath``.
+
+    Let S hold the sites where a factor of ``upath`` differs from the
+    identity (``moving_sites`` of each inner segment) and every site
+    where Q has an off-diagonal entry.  Off S, U_t is the identity and Q
+    is diagonal, so X(t) is exactly diag(Q) there, W_t* Q_SS W_t on
+    S x S with W_t = U_t[S, S], and zero between: each sample is built
+    from that block alone.  When S is the whole window this is the
+    dense product.
+    """
 
     q: np.ndarray
     upath: "HomotopyPath"
 
+    @cached_property
+    def _frame(self) -> tuple:
+        """(S, diag(Q) with zeros on S, Q[S, S])."""
+        q = self.q
+        moving = _support(q - np.diag(np.diag(q)))
+        for seg in self.upath.segments:
+            moving |= seg.moving_sites()
+        sites = np.flatnonzero(moving)
+        return sites, np.where(moving, 0.0, np.diag(q)), q[np.ix_(sites, sites)]
+
+    def sample(self, t: float) -> BlockSample:
+        """The sample at t, as diag(Q) off S and its block on S."""
+        return self._sample(1.0 - t if self.flip else t)
+
+    def _sample(self, t: float) -> BlockSample:
+        sites, diag, q_block = self._frame
+        w = self.upath.block(t, sites, sites)
+        return BlockSample(diag, sites, w.conj().T @ q_block @ w)
+
     def _at(self, t: float) -> np.ndarray:
-        ut = self.upath.at(t)
-        return ut.conj().T @ self.q @ ut
+        return self._sample(t).dense()
 
     def intertwined(self, window: Window, v: np.ndarray):
         raise PreconditionError("the stacked move cannot carry a conjugation segment")
@@ -325,12 +437,21 @@ class HomotopyPath:
         n = len(self.segments)
         return min(int(t * n), n - 1)
 
-    def at(self, t: float) -> np.ndarray:
+    def _locate(self, t: float) -> tuple:
+        """(segment, segment time) of the path parameter t."""
         if not 0.0 <= t <= 1.0:
             raise PreconditionError(f"path parameter {t} outside [0, 1]")
-        n = len(self.segments)
         i = self.segment_of(t)
-        return self.segments[i].at(t * n - i)
+        return self.segments[i], t * len(self.segments) - i
+
+    def at(self, t: float) -> np.ndarray:
+        seg, s = self._locate(t)
+        return seg.at(s)
+
+    def block(self, t: float, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """X(t)[rows, cols], cut from the owning segment's factors."""
+        seg, s = self._locate(t)
+        return seg.block(s, rows, cols)
 
     def reverse(self) -> "HomotopyPath":
         # the mirror samples the same closed forms at 1 - t, so its joints
@@ -500,9 +621,8 @@ def conjugation_path(q: Projection | Operator, upath: HomotopyPath) -> HomotopyP
             f"conjugation needs a unitary path from the identity; "
             f"start is {start_gap:.3e} away"
         )
-    u1 = upath.at(1.0)
     seg = ConjugationSegment("conjugation", window, q_entries, upath)
-    return HomotopyPath((seg,), q_entries, u1.conj().T @ q_entries @ u1)
+    return HomotopyPath((seg,), q_entries, seg.at(1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -719,10 +839,11 @@ def _locality_indices(window, arc: Arc, allowance) -> np.ndarray:
     return np.array(picks, dtype=np.intp)
 
 
-def _gram_defects(gram: np.ndarray) -> tuple:
-    """(max |lambda - 1|, sqrt(lambda_min)) of a Hermitian Gram matrix."""
-    eigs = np.linalg.eigvalsh(gram)
-    return float(np.max(np.abs(eigs - 1.0))), math.sqrt(max(float(eigs[0]), 0.0))
+def _gram_defects(gram: np.ndarray, outside: np.ndarray) -> tuple:
+    """(max |lambda - 1|, sqrt(lambda_min)) over the eigenvalues of a
+    Hermitian Gram block and the values ``outside`` it."""
+    eigs = np.concatenate((np.linalg.eigvalsh(gram), outside))
+    return float(np.max(np.abs(eigs - 1.0))), math.sqrt(max(float(eigs.min()), 0.0))
 
 
 def _hermitian_part(g: np.ndarray) -> np.ndarray:
@@ -747,27 +868,42 @@ def _is_projection(x: np.ndarray, tol: float) -> bool:
 
 
 class _DenseSampler:
-    """Measures each sample of one segment on the d x d sample itself:
-    one Hermitian eigendecomposition of the Gram matrix."""
+    """Measures each sample of one segment on the sample itself: one
+    Hermitian eigendecomposition of the Gram matrix of its block, with
+    the squared moduli of its diagonal off the block."""
 
     def __init__(self, seg: PathSegment, pair_indices):
         self.seg = seg
         self.pair_indices = pair_indices
         self.dense = 0
 
-    def gram(self, t: float, entries: np.ndarray) -> np.ndarray:
-        return _hermitian_part(entries.conj().T @ entries)
+    def sample(self, t: float, entries: np.ndarray | None) -> BlockSample:
+        return BlockSample.whole(self.seg.at(t) if entries is None else entries)
+
+    def gram(self, t: float, sample: BlockSample) -> np.ndarray:
+        return _hermitian_part(sample.block.conj().T @ sample.block)
 
     def measure(self, t: float, end: bool, entries: np.ndarray | None) -> tuple:
-        """(entries or None, unitarity defect, smallest singular value,
+        """(sample or None, unitarity defect, smallest singular value,
         locality defect, measure, excess of the dense value over the
-        bound or None) of the sample at segment time t."""
-        if entries is None:
-            entries = self.seg.at(t)
+        bound or None) of the sample at segment time t; ``entries``, when
+        given, is the sample already formed."""
+        sample = self.sample(t, entries)
         self.dense += 1
-        unit, sv = _gram_defects(self.gram(t, entries))
-        loc = _locality(lambda rows, cols: entries[np.ix_(rows, cols)], self.pair_indices)
-        return entries, unit, sv, loc, "dense", None
+        outside = sample.outside()
+        unit, sv = _gram_defects(self.gram(t, sample), (outside * outside.conj()).real)
+        dense = sample.dense() if self.pair_indices else None
+        loc = _locality(lambda rows, cols: dense[np.ix_(rows, cols)], self.pair_indices)
+        return sample, unit, sv, loc, "dense", None
+
+
+class _ConjugationSampler(_DenseSampler):
+    """U_t* Q U_t, built and measured on the block of sites that move
+    (``ConjugationSegment.sample``); the Gram spectrum is the block's
+    together with |q_ii|^2 off it."""
+
+    def sample(self, t: float, entries: np.ndarray | None) -> BlockSample:
+        return self.seg.sample(t)
 
 
 class _AffineSampler(_DenseSampler):
@@ -784,7 +920,7 @@ class _AffineSampler(_DenseSampler):
             _hermitian_part(b.conj().T @ b),
         )
 
-    def gram(self, t: float, entries: np.ndarray) -> np.ndarray:
+    def gram(self, t: float, sample: BlockSample) -> np.ndarray:
         s = 1.0 - t if self.seg.flip else t
         aa, ab, bb = self.terms
         return (1.0 - s) ** 2 * aa + (s * (1.0 - s)) * ab + s * s * bb
@@ -811,14 +947,39 @@ class _BoundSampler(_DenseSampler):
     def measure(self, t: float, end: bool, entries: np.ndarray | None) -> tuple:
         unit_bound, sv_bound = self.bound.at(t)
         if end:
-            entries, unit, sv, loc, measure, _ = super().measure(t, end, entries)
-            return entries, unit, sv, loc, measure, max(unit - unit_bound, sv_bound - sv)
+            sample, unit, sv, loc, measure, _ = super().measure(t, end, entries)
+            return sample, unit, sv, loc, measure, max(unit - unit_bound, sv_bound - sv)
         loc = _locality(lambda rows, cols: self.seg.block(t, rows, cols), self.pair_indices)
         return None, unit_bound, sv_bound, loc, "bound", None
 
 
+def _idempotency_defect(sample: BlockSample) -> float:
+    """||P^2 - P|| of a sample: max |p^2 - p| over its diagonal off the
+    block, and the norm of the block's own defect."""
+    out, blk = sample.outside(), sample.block
+    return max(
+        float(np.max(np.abs(out * out - out), initial=0.0)),
+        spectral_norm(blk @ blk - blk),
+    )
+
+
+def _compression(sample: BlockSample, base: np.ndarray) -> np.ndarray:
+    """P B P + 1 - P for the sample P.  A row or column of P off the block
+    is p_i e_i, so B is only scaled there; products run through the block."""
+    s, blk, p = sample.sites, sample.block, sample.diag
+    pb = p[:, None] * base
+    pb[s] = blk @ base[s]
+    out = pb * p[None, :]
+    out[:, s] = pb[:, s] @ blk
+    out[np.diag_indices_from(out)] += 1.0 - p
+    out[np.ix_(s, s)] -= blk
+    return out
+
+
 def _sampler(seg: PathSegment, pair_indices, dense_only: bool) -> _DenseSampler:
-    if dense_only or isinstance(seg, ConjugationSegment):
+    if isinstance(seg, ConjugationSegment):
+        return _ConjugationSampler(seg, pair_indices)
+    if dense_only:
         return _DenseSampler(seg, pair_indices)
     if isinstance(seg, AffineSegment):
         if np.array_equal(seg.start, seg.end):
@@ -844,14 +1005,20 @@ def certify_path(path: HomotopyPath, config: CertifyConfig | None = None) -> Cer
     - affine segments are measured densely, with the Gram matrix a
       quadratic in t from three products per segment, or once when
       start and end are equal;
-    - conjugation segments, spectral segments without a bound, and every
-      sample of a projection path are measured densely: one Hermitian
+    - conjugation segments are measured exactly on the block of sites
+      that move (see :class:`ConjugationSegment`): off it the sample is
+      the diagonal of Q;
+    - spectral segments without a bound, and every other sample of a
+      projection path, are measured densely: one Hermitian
       eigendecomposition of the Gram matrix per sample.
 
     The locality defect is always measured: the largest block norm over
     the configured cone pairs, outside the allowance ball, cut from the
     factors at bound samples.  Projection paths add the idempotency
-    defect and, with ``index_base``, the index at every sample.
+    defect and, with ``index_base``, the index of P B P + 1 - P at every
+    sample; both are taken from the sample's block and its diagonal,
+    with no d x d product off the block.  ``index_base`` on a path that
+    does not start at a projection raises PreconditionError.
     """
     config = config or CertifyConfig()
     window = path.window
@@ -872,6 +1039,11 @@ def certify_path(path: HomotopyPath, config: CertifyConfig | None = None) -> Cer
 
     first = path.segments[0].at(0.0)
     is_projection = _is_projection(first, config.projection_tol)
+    if config.index_base is not None and not is_projection:
+        raise PreconditionError(
+            "an index trace needs a projection path, but the path does not start "
+            f"at a projection (tolerance {config.projection_tol:.1e})"
+        )
 
     index_config = config.index_config or IndexConfig()
     index_method = "kernel_count" if index_config.cut_sites else "trace_formula"
@@ -889,16 +1061,15 @@ def certify_path(path: HomotopyPath, config: CertifyConfig | None = None) -> Cer
         rows, excesses = [], []
         for j, k in enumerate(picks):
             t = ts[k]
-            entries, unit, sv, loc, measure, over = sampler.measure(
+            sample, unit, sv, loc, measure, over = sampler.measure(
                 t * n_segs - i, j in (0, len(picks) - 1), first if k == 0 else None
             )
             idem_defect = 0.0
             sample_index = None
             if is_projection:
-                idem_defect = spectral_norm(entries @ entries - entries)
+                idem_defect = _idempotency_defect(sample)
                 if config.index_base is not None:
-                    eye = np.eye(window.dimension, dtype=np.complex128)
-                    compressed = entries @ config.index_base.entries @ entries + (eye - entries)
+                    compressed = _compression(sample, config.index_base.entries)
                     result = fredholm_index(
                         Operator(window, compressed), index_method, index_config
                     )
@@ -906,7 +1077,7 @@ def certify_path(path: HomotopyPath, config: CertifyConfig | None = None) -> Cer
                     index_trace.append(result.value)
             if over is not None:
                 excesses.append(over)
-            last = entries
+            last = sample
             rows.append((t, unit, sv, loc, idem_defect, sample_index, measure))
         series.extend(rows)
         stats.append(
@@ -925,7 +1096,7 @@ def certify_path(path: HomotopyPath, config: CertifyConfig | None = None) -> Cer
 
     endpoint_errors = (
         spectral_norm(first - path.declared_start),
-        spectral_norm(last - path.declared_end),
+        spectral_norm(last.dense() - path.declared_end),
     )
     return CertificateReport(
         samples=config.samples,

@@ -24,7 +24,7 @@ from .errors import (
     PreconditionError,
     RepresentationError,
 )
-from .geometry import Explicit, Site
+from .geometry import ORIGIN, Explicit, Site
 from .operators import (
     CircleFunction,
     Operator,
@@ -129,30 +129,29 @@ def _site_vector(site: Site) -> tuple:
     return site
 
 
-def _site_distance(a: Site, b: Site) -> float:
-    av, bv = _site_vector(a), _site_vector(b)
-    return math.hypot(av[0] - bv[0], av[1] - bv[1])
+def _distances(coords: np.ndarray, site: Site) -> np.ndarray:
+    """Euclidean distance from every row of ``coords`` to ``site``.
+
+    The squared distances are exact integers, so each square root is
+    correctly rounded: the same float ``math.hypot`` gives.
+    """
+    delta = coords - np.array(_site_vector(site))
+    return np.sqrt((delta * delta).sum(axis=1).astype(float))
 
 
 def interior_mask(window: TruncationWindow, buffer: float) -> np.ndarray:
     """Sites at distance >= buffer * radius from the window boundary."""
     limit = (1.0 - buffer) * float(window.radius)
-    return np.array(
-        [math.hypot(*_site_vector(s)) <= limit for s in window.sites], dtype=bool
-    )
+    return _distances(window.coordinates, ORIGIN) <= limit
 
 
 def _cut_neighborhood_mask(
     window: TruncationWindow, cut_sites: tuple, cut_radius: float
 ) -> np.ndarray:
+    """Sites within ``cut_radius`` of some cut site."""
     mask = np.zeros(window.dimension, dtype=bool)
-    if not cut_sites:
-        return mask
-    for i, site in enumerate(window.sites):
-        for cut in cut_sites:
-            if _site_distance(site, cut) <= cut_radius:
-                mask[i] = True
-                break
+    for cut in cut_sites:
+        mask |= _distances(window.coordinates, cut) <= cut_radius
     return mask
 
 
@@ -192,15 +191,17 @@ def cut_interface(p: Projection) -> tuple:
 
 
 def _defects(entries: np.ndarray) -> tuple:
-    """1 - T*T and 1 - TT*, built once per index call and shared by the
-    defect diagnostics and the trace formula."""
+    """1 - T*T and 1 - TT*, for the trace formula and the base check."""
     eye = np.eye(entries.shape[0])
     return eye - entries.conj().T @ entries, eye - entries @ entries.conj().T
 
 
-def _defect_diagnostics(d_right, d_left, window, config: IndexConfig) -> dict:
+def _defect_diagnostics(entries: np.ndarray, window, config: IndexConfig) -> dict:
+    """Where the isometry defects of T sit.  The diagonals of 1 - T*T
+    and 1 - TT* are 1 minus the squared column and row norms of T."""
     inside = interior_mask(window, config.buffer)
-    mass = np.abs(np.diag(d_right)) + np.abs(np.diag(d_left))
+    squares = (entries * entries.conj()).real
+    mass = np.abs(1.0 - squares.sum(axis=0)) + np.abs(1.0 - squares.sum(axis=1))
     total = float(mass.sum())
     fraction = float(mass[inside].sum()) / total if total > STRUCTURAL_TOL else 0.0
     return {
@@ -224,14 +225,13 @@ def _pp_index(entries: np.ndarray, window, cut_sites, config: IndexConfig) -> In
         )
     structural = np.abs(entries) > STRUCTURAL_TOL
     radius = config.resolved_cut_radius(window)
+    near = _cut_neighborhood_mask(window, tuple(cut_sites), radius)
     sites = window.sites
 
     def split(dead_axis_mask):
         at_cut, at_edge = [], []
-        for i in np.nonzero(dead_axis_mask)[0]:
-            site = sites[int(i)]
-            near = any(_site_distance(site, c) <= radius for c in cut_sites)
-            (at_cut if near else at_edge).append(site)
+        for i in np.flatnonzero(dead_axis_mask):
+            (at_cut if near[i] else at_edge).append(sites[int(i)])
         return at_cut, at_edge
 
     kernel_cut, kernel_edge = split(~structural.any(axis=0))
@@ -271,10 +271,37 @@ def _count_localized(vectors: np.ndarray, cut_mask: np.ndarray) -> tuple:
     return count, tuple(fractions)
 
 
+def _lone_pairs(entries: np.ndarray) -> np.ndarray:
+    """Mask of the entries that are the only nonzero in both their row
+    and their column."""
+    nonzero = entries != 0
+    return (
+        nonzero
+        & (nonzero.sum(axis=1) == 1)[:, None]
+        & (nonzero.sum(axis=0) == 1)[None, :]
+    )
+
+
 def _kernel_index(
     entries: np.ndarray, window, cut_sites, config: IndexConfig
 ) -> IndexResult:
-    u, s, vh = np.linalg.svd(entries)
+    """Count near-kernel vectors of T and T* pinned to the cut.
+
+    A lone pair, an entry T_ij alone in its row and its column, splits
+    off exactly: T is that 1 x 1 block plus the rest, so |T_ij| is a
+    singular value with right vector e_j and left vector e_i.  Every such
+    pair is stripped and only the square core that is left goes through
+    the SVD; its singular vectors are embedded back into the window.  The
+    gap check and the localization count then see the singular values of
+    the whole T in descending order, as a full SVD lists them.
+    """
+    d = entries.shape[0]
+    lone = _lone_pairs(entries)
+    pair_rows, pair_cols = np.nonzero(lone)
+    core_rows = np.flatnonzero(~lone.any(axis=1))
+    core_cols = np.flatnonzero(~lone.any(axis=0))
+    u, s_core, vh = np.linalg.svd(entries[np.ix_(core_rows, core_cols)])
+    s = np.concatenate((s_core, np.abs(entries[pair_rows, pair_cols])))
     thr = config.sv_threshold
     in_gap = s[(s >= thr) & (s < thr * config.gap_factor)]
     if in_gap.size:
@@ -283,13 +310,23 @@ def _kernel_index(
             f"[{thr:.1e}, {thr * config.gap_factor:.1e}), smallest "
             f"{float(in_gap.min()):.3e}; enlarge the window"
         )
-    near = np.nonzero(s < thr)[0]
-    radius = config.resolved_cut_radius(window)
-    cut_mask = _cut_neighborhood_mask(window, tuple(cut_sites), radius)
+    order = np.argsort(-s, kind="stable")
+    near = order[s[order] < thr]
     # rows of vh conjugated are the right singular vectors (kernel of T);
     # columns of u are the left ones (kernel of the adjoint)
-    kernel_count, kernel_fracs = _count_localized(vh[near].conj(), cut_mask)
-    coker_count, coker_fracs = _count_localized(u[:, near].T, cut_mask)
+    right = np.zeros((near.size, d), dtype=np.complex128)
+    left = np.zeros((near.size, d), dtype=np.complex128)
+    for n, k in enumerate(near):
+        if k < s_core.size:
+            right[n, core_cols] = vh[k].conj()
+            left[n, core_rows] = u[:, k]
+        else:
+            right[n, pair_cols[k - s_core.size]] = 1.0
+            left[n, pair_rows[k - s_core.size]] = 1.0
+    radius = config.resolved_cut_radius(window)
+    cut_mask = _cut_neighborhood_mask(window, tuple(cut_sites), radius)
+    kernel_count, kernel_fracs = _count_localized(right, cut_mask)
+    coker_count, coker_fracs = _count_localized(left, cut_mask)
     value = kernel_count - coker_count
     diagnostics = {
         "near_singular_values": tuple(float(x) for x in s[near]),
@@ -297,6 +334,8 @@ def _kernel_index(
         "cokernel_cut_fractions": coker_fracs,
         "kernel_at_cut": kernel_count,
         "cokernel_at_cut": coker_count,
+        "core_dim": int(core_rows.size),
+        "pairs_stripped": int(pair_rows.size),
         "cut_sites": tuple(cut_sites),
         "config": config.echo(),
     }
@@ -351,14 +390,17 @@ def fredholm_index(
     combinatorial route when the matrix is a weighted partial
     permutation, falls back to kernel counting, and cross-checks with
     the trace formula; a mismatch raises rather than guessing.
+
+    ``kernel_count`` takes its SVD only on the core left after stripping
+    lone pairs (see ``_kernel_index``).  The defects 1 - T*T and 1 - TT*
+    are formed only where the trace formula runs; the defect
+    diagnostics read their diagonals off the column and row norms of T.
     """
     config = config or DEFAULT_INDEX_CONFIG
     window = t.window
     if not isinstance(window, TruncationWindow):
         raise PreconditionError("index estimation needs a plain truncation window")
     entries = t.entries
-    d_right, d_left = _defects(entries)
-    base_diag = _defect_diagnostics(d_right, d_left, window, config)
     cut_sites = tuple(config.cut_sites)
 
     if method == "partial_permutation":
@@ -366,13 +408,13 @@ def fredholm_index(
     elif method == "kernel_count":
         result = _kernel_index(entries, window, cut_sites, config)
     elif method == "trace_formula":
-        result = _trace_index(d_right, d_left, window, config)
+        result = _trace_index(*_defects(entries), window, config)
     elif method == "auto":
         if _pp_admits(entries):
             result = _pp_index(entries, window, cut_sites, config)
         else:
             result = _kernel_index(entries, window, cut_sites, config)
-        check = _trace_index(d_right, d_left, window, config)
+        check = _trace_index(*_defects(entries), window, config)
         if check.value != result.value:
             raise MethodDisagreementError(
                 f"{result.method} gives {result.value} but trace_formula "
@@ -386,7 +428,7 @@ def fredholm_index(
     else:
         raise PreconditionError(f"unknown index method {method!r}")
 
-    result.diagnostics.update(base_diag)
+    result.diagnostics.update(_defect_diagnostics(entries, window, config))
     return result
 
 

@@ -13,6 +13,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable
 
+import numpy as np
+
 from .errors import RepresentationError
 from .geometry import Direction, ORIGIN, Site, direction_of, site_sort_key
 
@@ -59,6 +61,18 @@ class TruncationWindow:
             ]
         found.sort(key=site_sort_key)
         return tuple(found)
+
+    @cached_property
+    def coordinates(self) -> np.ndarray:
+        """Read-only (dimension, 2) integer coordinates in basis order; a
+        line site x sits at (x, 0)."""
+        if self.representation == "Z":
+            out = np.zeros((self.dimension, 2), dtype=np.int64)
+            out[:, 0] = self.sites
+        else:
+            out = np.array(self.sites, dtype=np.int64).reshape(-1, 2)
+        out.setflags(write=False)
+        return out
 
     @cached_property
     def site_set(self) -> frozenset:

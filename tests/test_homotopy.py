@@ -320,6 +320,18 @@ def test_conjugation_index_trace_constant():
     assert report.max_idempotency_defect <= 1e-8
 
 
+def test_index_trace_needs_a_projection_path():
+    window = TruncationWindow.line(16)
+    upath = log_path(local_rotation(window, 0, 1, 0.8))  # starts at the rotation
+    config = CertifyConfig(samples=5, index_base=shift_operator(window, 1))
+    with pytest.raises(PreconditionError, match="projection path"):
+        certify_path(upath, config)
+    # without an index base the same path certifies as a unitary path
+    report = certify_path(upath, CertifyConfig(samples=5))
+    assert not report.is_projection_path
+    assert report.index_trace == ()
+
+
 # ---------------------------------------------------------------------------
 # the stacked-isometry move
 
