@@ -74,7 +74,6 @@ from .operators import (
     Projection,
     apply_circle_function,
     laughlin_operator,
-    polar_part,
     shift_operator,
     spectral_norm,
 )

@@ -40,7 +40,17 @@ from .errors import (
 )
 from .geometry import Arc, Direction, Explicit, ORIGIN, arcs_disjoint
 from .index import IndexConfig, fredholm_index
-from .operators import Operator, Projection, spectral_norm
+from .operators import (
+    Operator,
+    Projection,
+    adjoints,
+    block_stacks,
+    components,
+    diagonal_blocks,
+    gram_eigenvalues,
+    hermitian_part,
+    spectral_norm,
+)
 from .surgery import (
     GreedyIsometry,
     corrective_unitary,
@@ -51,7 +61,6 @@ from .windows import AmplifiedWindow, TruncationWindow, Window
 
 TOL_JOINT = 1e-9
 TOL_BLOCK_FORM = 1e-8
-TOL_PRODUCT = 1e-10
 TOL_ISOMETRY = 1e-10
 BRANCH_TIE = 1e-12
 BOUND_SLACK = 1e-10
@@ -143,6 +152,11 @@ class AffineSegment(PathSegment):
         eye = np.eye(self.start.shape[0])
         return _support(self.start - eye) | _support(self.end - eye)
 
+    def components(self) -> list:
+        """Site sets over which every X(t) is block diagonal: the
+        components of the pattern of A | B."""
+        return components((self.start != 0) | (self.end != 0))
+
     def intertwined(self, window: Window, v: np.ndarray):
         """The segment t -> V X(t) V* on ``window``, unflipped."""
         a, b = (self.end, self.start) if self.flip else (self.start, self.end)
@@ -189,6 +203,16 @@ class SpectralSegment(PathSegment):
             | np.any(self.right, axis=0)
             | _support(self.const - eye)
         )
+
+    def components(self) -> list:
+        """Components of C's pattern, with mode k joining the rows of
+        L[:, k] and the columns of R[k, :]."""
+        d, k = self.left.shape
+        pattern = np.zeros((d + k, d + k), dtype=bool)
+        pattern[:d, :d] = self.const != 0
+        pattern[:d, d:] = self.left != 0
+        pattern[d:, :d] = self.right != 0
+        return [part[part < d] for part in components(pattern) if part[0] < d]
 
     def spectrum_bound(self) -> "SpectrumBound | None":
         """A rigorous bracket on the singular values of every X(t), or
@@ -251,8 +275,14 @@ class SpectralSegment(PathSegment):
         delta = 4.0 * f * (1.0 + f)
         scale = (1.0, 1.0)
         if self.factor is not None:
-            s = np.linalg.svd(self.factor, compute_uv=False)
-            scale = (float(s[0]), float(s[-1]))
+            # the singular values of g, one stacked SVD per component size
+            s = np.concatenate(
+                [
+                    np.linalg.svd(diagonal_blocks(self.factor, stack), compute_uv=False).ravel()
+                    for stack in block_stacks(components(self.factor))
+                ]
+            )
+            scale = (float(s.max()), float(s.min()))
         return SpectrumBound(
             math.sqrt(1.0 - delta),
             math.sqrt(1.0 + delta),
@@ -483,14 +513,31 @@ def straight_line(a0: Operator, a1: Operator, label: str = "") -> HomotopyPath:
 
 
 def _polar_segment(g: Operator, tol: float) -> SpectralSegment:
-    u, s, vh = np.linalg.svd(g.entries)
-    smin = float(s[-1]) if s.size else 0.0
+    """The polar climb t -> U |G|^(1-t) for G = U S V*.
+
+    The SVD is taken per connected component of G's nonzero pattern
+    (one stacked call per component size), which is exact: G is block
+    diagonal over its components, so U S V* is the direct sum of the
+    blocks' SVDs.  L = U and R = V* hold exact zeros off the blocks, so
+    the polar factor U = LR splits over the same components.  An
+    irreducible G is one component, and this is one whole-window SVD.
+    """
+    entries = g.entries
+    d = entries.shape[0]
+    left = np.zeros((d, d), dtype=np.complex128)
+    right = np.zeros((d, d), dtype=np.complex128)
+    sing = np.zeros(d)
+    for stack in block_stacks(components(entries)):
+        u, s, vh = np.linalg.svd(diagonal_blocks(entries, stack))
+        blocks = (stack[:, :, None], stack[:, None, :])
+        left[blocks], right[blocks], sing[stack] = u, vh, s
+    smin = float(sing.min())
     if smin <= tol:
         raise SingularOperatorError(
             f"smallest singular value {smin:.3e} <= {tol:.1e}; "
             "the polar path would leave the invertibles"
         )
-    return SpectralSegment("polar", g.window, u, np.log(s), vh, np.zeros_like(u))
+    return SpectralSegment("polar", g.window, left, np.log(sing), right, np.zeros_like(left))
 
 
 def polar_path(g: Operator, tol: float = 1e-8) -> HomotopyPath:
@@ -504,57 +551,87 @@ def _log_segment(window: Window, entries, blocks, right=None, flip=False) -> Spe
 
     Only the listed index blocks of the unitary ``entries`` are
     decomposed; off them the basis is the identity and the phases zero.
+    Each listed block is first split into the connected components of
+    its nonzero pattern, and each component gets its own Schur
+    decomposition: the block is block diagonal over them, so its Schur
+    form is their direct sum, exactly.  A block with an irreducible
+    pattern is one component and one Schur decomposition.
     Eigenphases lie in (-pi, pi]; those within 1e-12 of the cut at -pi
-    move to +pi and are counted in the label.  Columns of phase exactly
-    zero never move: they go straight into C, block by block.  The right
-    factor g (default 1) is folded into R and C once.  ``window`` may
-    exceed ``entries``: the blocks index into both.
+    move to +pi and are counted in the label.  An exactly real negative
+    eigenvalue (such as an entry -1 alone in its component) is at +pi
+    whatever the sign of its zero imaginary part.  A component of one
+    site is its own Schur form, so all of those are read off at once.
+    Columns of phase exactly zero never move: they go straight into C,
+    component by component.  The right factor g (default 1) is folded into R and C
+    once.  ``window`` may exceed ``entries``: the blocks index into both.
     """
     d = window.dimension
     const = np.eye(d, dtype=np.complex128) if right is None else right.astype(np.complex128)
-    lefts, rights, moving = [], [], []
-    ties = 0
+    parts = []
     for idx in blocks:
         idx = np.array(sorted(idx), dtype=np.intp)
-        schur_t, q = scipy.linalg.schur(entries[np.ix_(idx, idx)], output="complex")
-        phases = np.angle(np.diag(schur_t))
-        tied = phases <= (-np.pi + BRANCH_TIE)
-        phases = np.where(tied, phases + 2.0 * np.pi, phases)
-        ties += int(tied.sum())
+        parts.extend(idx[part] for part in components(entries[np.ix_(idx, idx)]))
+    # a 1 x 1 block [x] is its own Schur form, with basis [1]
+    singles = np.array([part[0] for part in parts if part.size == 1], dtype=np.intp)
+    phases, ties = _eigenphases(entries[singles, singles])
+    spins = singles[phases != 0.0]
+    if right is None:
+        const[spins, spins] = 0.0
+    else:
+        const[spins] = 0.0
+    bases, moving = [], [phases[phases != 0.0]]
+    for part in (part for part in parts if part.size > 1):
+        schur_t, q = scipy.linalg.schur(entries[np.ix_(part, part)], output="complex")
+        phases, tied = _eigenphases(np.diag(schur_t))
+        ties += tied
         live = phases != 0.0
         q_live, q_dead = q[:, live], q[:, ~live]
         fixed = q_dead @ q_dead.conj().T
-        left = np.zeros((d, q_live.shape[1]), dtype=np.complex128)
-        left[idx] = q_live
         if right is None:
-            rows = left.conj().T
-            const[np.ix_(idx, idx)] = fixed
+            const[np.ix_(part, part)] = fixed
         else:
-            rows = q_live.conj().T @ right[idx]
-            const[idx] = fixed @ right[idx]
-        lefts.append(left)
-        rights.append(rows)
+            const[part] = fixed @ right[part]
+        bases.append((part, q_live))
         moving.append(phases[live])
-    label = f"branch-ties:{ties}" if ties else ""
     z = 1j * np.concatenate(moving)
+    left = np.zeros((d, z.size), dtype=np.complex128)
+    left[spins, np.arange(spins.size)] = 1.0
+    rows = np.zeros((z.size, d), dtype=np.complex128)
+    if right is not None:
+        rows[: spins.size] = right[spins]
+    col = spins.size
+    for part, q_live in bases:
+        cols = slice(col, col + q_live.shape[1])
+        left[part, cols] = q_live
+        if right is not None:
+            rows[cols] = q_live.conj().T @ right[part]
+        col = cols.stop
+    if right is None:
+        rows = np.ascontiguousarray(left.conj().T)
+    label = f"branch-ties:{ties}" if ties else ""
     return SpectralSegment(
-        "log",
-        window,
-        np.hstack(lefts),
-        z,
-        np.vstack(rights),
-        const,
-        factor=right,
-        flip=flip,
-        label=label,
+        "log", window, left, z, rows, const, factor=right, flip=flip, label=label
     )
+
+
+def _eigenphases(diag: np.ndarray) -> tuple:
+    """Phases in (-pi, pi] of Schur diagonal entries, with those within
+    ``BRANCH_TIE`` of the cut moved to +pi, and how many moved.  Adding
+    0.0 turns a zero imaginary part of either sign into +0.0, so an
+    exactly real negative entry is at +pi and is not a tie."""
+    phases = np.angle(diag + 0.0)
+    tied = phases <= (-np.pi + BRANCH_TIE)
+    return np.where(tied, phases + 2.0 * np.pi, phases), int(tied.sum())
 
 
 def log_path(u: Operator) -> HomotopyPath:
     """Eigenphase contraction t -> W e^{i (1-t) Theta} W* from U to 1.
 
     The branch cut sits at -pi; eigenphases within 1e-12 of the cut are
-    moved to +pi and the count is recorded in the segment label.
+    moved to +pi and the count is recorded in the segment label.  The
+    unitarity check and the Schur decomposition run per connected
+    component of U's nonzero pattern, so a U that moves two sites
+    decomposes a 2 x 2 block.
     """
     defect = u.unitarity_defect()
     if defect > TOL_BLOCK_FORM:
@@ -580,31 +657,35 @@ def block_peel(m: Operator, p: Projection) -> tuple:
 
 
 def _block_peel(m: Operator, p: Projection) -> tuple:
-    """The factors, the straightening segment and the product of block_peel."""
+    """The factors, the straightening segment and the product of block_peel.
+
+    Built on the index blocks of P's 0/1 mask (p its sites, q the rest):
+    PMP - P = M[p, p] - 1, P~MP = M[q, p] and N = M[p, q].  Because
+    P~P = 0, f1 N = N exactly, so the product f1 (1 + N) is f1 + N with
+    no d x d product.
+    """
     if m.window != p.window:
         raise WindowMismatchError("operator and projection on different windows")
-    pe = p.entries
-    qe = np.eye(m.window.dimension, dtype=np.complex128) - pe
+    mask = p.diagonal_mask()
+    if mask is None:
+        raise PreconditionError("the block peel needs a 0/1 diagonal projection")
+    on, off = np.flatnonzero(mask), np.flatnonzero(~mask)
     me = m.entries
-    r_fix = _residual_norm(pe @ me @ pe - pe, TOL_BLOCK_FORM)
-    r_low = _residual_norm(qe @ me @ pe, TOL_BLOCK_FORM)
+    r_fix = _residual_norm(me[np.ix_(on, on)] - np.eye(on.size), TOL_BLOCK_FORM)
+    r_low = _residual_norm(me[np.ix_(off, on)], TOL_BLOCK_FORM)
     if max(r_fix, r_low) > TOL_BLOCK_FORM:
         raise PreconditionError(
             "operator is not in block form over the projection: "
             f"|PMP - P| = {r_fix:.3e}, |P~MP| = {r_low:.3e}"
         )
-    nil = pe @ me @ qe
-    f1 = pe + qe @ me @ qe
-    f2 = np.eye(m.window.dimension, dtype=np.complex128) + nil
-    product = f1 @ f2
-    peelable = pe + pe @ me @ qe + qe @ me @ qe
-    residual = _fro(product - peelable)
-    if residual > TOL_PRODUCT:
-        raise StageError(
-            "block-peel", f"factor product misses the block part by {residual:.3e}"
-        )
-    factors = (Operator(m.window, f1), Operator(m.window, f2))
-    seg = AffineSegment("block_peel", m.window, f1, f1 + f1 @ nil)
+    d = m.window.dimension
+    nil = np.zeros((d, d), dtype=np.complex128)
+    nil[np.ix_(on, off)] = me[np.ix_(on, off)]
+    f1 = np.diag(mask).astype(np.complex128)
+    f1[np.ix_(off, off)] = me[np.ix_(off, off)]
+    product = f1 + nil
+    factors = (Operator(m.window, f1), Operator(m.window, np.eye(d) + nil))
+    seg = AffineSegment("block_peel", m.window, f1, product)
     return factors, seg, product
 
 
@@ -839,15 +920,9 @@ def _locality_indices(window, arc: Arc, allowance) -> np.ndarray:
     return np.array(picks, dtype=np.intp)
 
 
-def _gram_defects(gram: np.ndarray, outside: np.ndarray) -> tuple:
-    """(max |lambda - 1|, sqrt(lambda_min)) over the eigenvalues of a
-    Hermitian Gram block and the values ``outside`` it."""
-    eigs = np.concatenate((np.linalg.eigvalsh(gram), outside))
+def _gram_defects(eigs: np.ndarray) -> tuple:
+    """(max |lambda - 1|, sqrt(lambda_min)) over Gram eigenvalues."""
     return float(np.max(np.abs(eigs - 1.0))), math.sqrt(max(float(eigs.min()), 0.0))
-
-
-def _hermitian_part(g: np.ndarray) -> np.ndarray:
-    return 0.5 * (g + g.conj().T)
 
 
 def _locality(block, pair_indices) -> float:
@@ -868,20 +943,27 @@ def _is_projection(x: np.ndarray, tol: float) -> bool:
 
 
 class _DenseSampler:
-    """Measures each sample of one segment on the sample itself: one
-    Hermitian eigendecomposition of the Gram matrix of its block, with
-    the squared moduli of its diagonal off the block."""
+    """Measures each sample of one segment on the sample itself: the
+    Gram eigenvalues of its block, one Hermitian eigendecomposition per
+    component of the segment (its ``components``, found once and
+    stacked by size), with the squared moduli of its diagonal off the
+    block.  ``largest_block`` is the size of the largest component."""
 
     def __init__(self, seg: PathSegment, pair_indices):
         self.seg = seg
         self.pair_indices = pair_indices
         self.dense = 0
+        self.stacks = block_stacks(self.parts())
+        self.largest_block = max(stack.shape[1] for stack in self.stacks)
+
+    def parts(self) -> list:
+        return self.seg.components()
 
     def sample(self, t: float, entries: np.ndarray | None) -> BlockSample:
         return BlockSample.whole(self.seg.at(t) if entries is None else entries)
 
-    def gram(self, t: float, sample: BlockSample) -> np.ndarray:
-        return _hermitian_part(sample.block.conj().T @ sample.block)
+    def eigenvalues(self, t: float, sample: BlockSample) -> np.ndarray:
+        return gram_eigenvalues(sample.block, self.stacks)
 
     def measure(self, t: float, end: bool, entries: np.ndarray | None) -> tuple:
         """(sample or None, unitarity defect, smallest singular value,
@@ -891,7 +973,9 @@ class _DenseSampler:
         sample = self.sample(t, entries)
         self.dense += 1
         outside = sample.outside()
-        unit, sv = _gram_defects(self.gram(t, sample), (outside * outside.conj()).real)
+        unit, sv = _gram_defects(
+            np.concatenate((self.eigenvalues(t, sample), (outside * outside.conj()).real))
+        )
         dense = sample.dense() if self.pair_indices else None
         loc = _locality(lambda rows, cols: dense[np.ix_(rows, cols)], self.pair_indices)
         return sample, unit, sv, loc, "dense", None
@@ -902,28 +986,41 @@ class _ConjugationSampler(_DenseSampler):
     (``ConjugationSegment.sample``); the Gram spectrum is the block's
     together with |q_ii|^2 off it."""
 
+    def parts(self) -> list:
+        sites, _, _ = self.seg._frame
+        return [np.arange(sites.size)]
+
     def sample(self, t: float, entries: np.ndarray | None) -> BlockSample:
         return self.seg.sample(t)
 
 
 class _AffineSampler(_DenseSampler):
-    """X(s) = (1 - s) A + s B: the Gram matrix is the quadratic
-    (1 - s)^2 A*A + s (1 - s)(A*B + B*A) + s^2 B*B, from three products
-    made once for the segment."""
+    """X(s) = (1 - s) A + s B: per component, the Gram block is the
+    quadratic (1 - s)^2 A*A + s (1 - s)(A*B + B*A) + s^2 B*B, from three
+    stacked products made once for the segment."""
 
     def __init__(self, seg: AffineSegment, pair_indices):
         super().__init__(seg, pair_indices)
-        ah, b = seg.start.conj().T, seg.end
-        self.terms = (
-            _hermitian_part(ah @ seg.start),
-            2.0 * _hermitian_part(ah @ b),
-            _hermitian_part(b.conj().T @ b),
-        )
+        self.terms = []
+        for stack in self.stacks:
+            a, b = diagonal_blocks(seg.start, stack), diagonal_blocks(seg.end, stack)
+            ah = adjoints(a)
+            self.terms.append(
+                (
+                    hermitian_part(ah @ a),
+                    2.0 * hermitian_part(ah @ b),
+                    hermitian_part(adjoints(b) @ b),
+                )
+            )
 
-    def gram(self, t: float, sample: BlockSample) -> np.ndarray:
+    def eigenvalues(self, t: float, sample: BlockSample) -> np.ndarray:
         s = 1.0 - t if self.seg.flip else t
-        aa, ab, bb = self.terms
-        return (1.0 - s) ** 2 * aa + (s * (1.0 - s)) * ab + s * s * bb
+        return np.concatenate(
+            [
+                np.linalg.eigvalsh((1.0 - s) ** 2 * aa + (s * (1.0 - s)) * ab + s * s * bb).ravel()
+                for aa, ab, bb in self.terms
+            ]
+        )
 
 
 class _ConstantSampler(_DenseSampler):
@@ -1012,6 +1109,16 @@ def certify_path(path: HomotopyPath, config: CertifyConfig | None = None) -> Cer
       projection path, are measured densely: one Hermitian
       eigendecomposition of the Gram matrix per sample.
 
+    A dense measurement of an affine or spectral segment runs per
+    connected component of the segment's pattern, found once from its
+    own data (its ``components``): the Gram blocks of the
+    components are stacked by size and decomposed by one numpy call per
+    size.  Every sample is block diagonal over those components, so the
+    union of the blocks' eigenvalues is exactly the Gram spectrum; an
+    irreducible segment is one component, the whole window.  Each
+    segment's stats record ``largest_block``, the largest component
+    measured.
+
     The locality defect is always measured: the largest block norm over
     the configured cone pairs, outside the allowance ball, cut from the
     factors at bound samples.  Projection paths add the idempotency
@@ -1091,6 +1198,7 @@ def certify_path(path: HomotopyPath, config: CertifyConfig | None = None) -> Cer
                 "min_singular_value": min((row[2] for row in rows), default=None),
                 "max_locality_defect": max((row[3] for row in rows), default=0.0),
                 "max_bound_excess": max(excesses, default=None),
+                "largest_block": sampler.largest_block,
             }
         )
 

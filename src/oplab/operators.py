@@ -17,7 +17,6 @@ import numpy as np
 from .errors import (
     PreconditionError,
     RepresentationError,
-    SingularOperatorError,
     UnitarityError,
     WindowMismatchError,
 )
@@ -102,7 +101,7 @@ class Operator:
         return spectral_norm(self.entries)
 
     def unitarity_defect(self) -> float:
-        """|| A*A - 1 ||, computed from the eigenvalues of A*A."""
+        """|| A*A - 1 ||, from the eigenvalues of A*A (:func:`unitarity_defect`)."""
         return unitarity_defect(self.entries)
 
     def is_diagonal(self) -> bool:
@@ -127,10 +126,99 @@ def spectral_norm(entries: np.ndarray) -> float:
 
 
 def unitarity_defect(entries: np.ndarray) -> float:
-    """|| A*A - 1 || of a square block, from the eigenvalues of A*A."""
-    gram = entries.conj().T @ entries
-    eigs = np.linalg.eigvalsh((gram + gram.conj().T) / 2.0)
+    """|| A*A - 1 || of a square block, from the eigenvalues of A*A, taken
+    per connected component of its nonzero pattern (exact; see
+    :func:`components`)."""
+    eigs = gram_eigenvalues(entries, block_stacks(components(entries)))
     return float(np.max(np.abs(eigs - 1.0))) if eigs.size else 0.0
+
+
+# ---------------------------------------------------------------------------
+# connected components of a nonzero pattern
+
+
+def components(pattern: np.ndarray) -> list:
+    """Connected components of a square nonzero pattern, as sorted site arrays.
+
+    Sites i and j are linked when entry (i, j) or (j, i) is nonzero; a
+    site with an empty row and column is a component of its own.  Listed
+    one component after another, a matrix with this pattern is block
+    diagonal, so its singular values, Gram spectrum and Schur form are
+    the union (the direct sum) of its diagonal blocks': factorizing the
+    blocks one at a time is exact.  An irreducible pattern is one
+    component, the whole window.  Components come in the order of their
+    smallest site.
+
+    The walk keeps a parent for every site, never larger than the site,
+    so following parents ends at the smallest site of a tree.  First
+    every site hooks onto the smallest site in its row when that is
+    smaller (one pass over the boolean pattern, which settles a dense
+    block at once); then, while some entry links two different trees,
+    the larger root hooks onto the smaller, over those entries only.
+    """
+    linked = np.asarray(pattern) != 0
+    if not linked.size:
+        return []
+    sites = np.arange(linked.shape[0])
+    parent = np.minimum(sites, np.where(linked.any(axis=1), linked.argmax(axis=1), sites))
+    root = _roots(parent)
+    crossing = linked & (root[:, None] != root[None, :])
+    held = np.flatnonzero(crossing.any(axis=1))
+    rows, cols = np.nonzero(crossing[held])
+    rows = held[rows]
+    while rows.size:
+        ends = root[rows], root[cols]
+        np.minimum.at(parent, ends[0], ends[1])
+        np.minimum.at(parent, ends[1], ends[0])
+        root = _roots(parent)
+        keep = root[rows] != root[cols]
+        rows, cols = rows[keep], cols[keep]
+    order = np.argsort(root, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(root[order])) + 1)
+
+
+def _roots(parent: np.ndarray) -> np.ndarray:
+    """Follow parents (each at most its site) until they stop moving."""
+    while True:
+        up = parent[parent]
+        if np.array_equal(up, parent):
+            return up
+        parent = up
+
+
+def block_stacks(parts: list) -> tuple:
+    """The components grouped by size: one (n, s) index array per size s,
+    so each group is factorized by one stacked numpy call."""
+    sizes = sorted({part.size for part in parts})
+    return tuple(np.stack([part for part in parts if part.size == s]) for s in sizes)
+
+
+def diagonal_blocks(entries: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """The (n, s, s) diagonal blocks entries[c, c] of a stack of components."""
+    if stack.shape == (1, entries.shape[0]):
+        return entries[None]  # one component: the whole window, no copy
+    return entries[stack[:, :, None], stack[:, None, :]]
+
+
+def gram_eigenvalues(entries: np.ndarray, stacks: tuple) -> np.ndarray:
+    """Eigenvalues of A*A for a square A that is block diagonal over the
+    components in ``stacks``: the union of the blocks' Gram spectra."""
+    eigs = []
+    for stack in stacks:
+        blocks = diagonal_blocks(entries, stack)
+        gram = adjoints(blocks) @ blocks
+        eigs.append(np.linalg.eigvalsh(hermitian_part(gram)).ravel())
+    return np.concatenate(eigs) if eigs else np.zeros(0)
+
+
+def adjoints(blocks: np.ndarray) -> np.ndarray:
+    """G* of a matrix, or of each matrix in a stack."""
+    return np.swapaxes(blocks.conj(), -1, -2)
+
+
+def hermitian_part(g: np.ndarray) -> np.ndarray:
+    """(G + G*) / 2 of a matrix or a stack of matrices."""
+    return 0.5 * (g + adjoints(g))
 
 
 # ---------------------------------------------------------------------------
@@ -380,26 +468,3 @@ def shift_operator(window: TruncationWindow, k: int = 1, boundary: str = "open")
         if -n <= y <= n:
             entries[window.index_of(y), window.index_of(x)] = 1.0
     return Operator(window, entries, {"name": f"shift[{k},{boundary}]"})
-
-
-# ---------------------------------------------------------------------------
-# polar decomposition
-
-
-def polar_part(g: Operator, tol: float = TOL_INVERTIBLE) -> Operator:
-    """Unitary polar factor of an invertible operator, via SVD.
-
-    Raises if the smallest singular value is at or below ``tol``; the
-    message reports it so callers can widen their margins.
-    """
-    u, s, vh = np.linalg.svd(g.entries)
-    smin = float(s[-1]) if s.size else 0.0
-    if smin <= tol:
-        raise SingularOperatorError(
-            f"smallest singular value {smin:.3e} <= {tol:.1e}; polar factor is unreliable"
-        )
-    return Operator(g.window, u @ vh)
-
-
-def operator_norm(a: Operator) -> float:
-    return a.norm()

@@ -105,7 +105,8 @@ def bar_chart_svg(title: str, labels, values) -> str:
 def _certificate_files(report: CertificateReport, out_dir: Path, stem: str) -> list:
     files = [write_csv(out_dir / f"{stem}.csv", report.csv_rows())]
     seg_lines = ["segment,kind,label,samples,max_unitarity_defect,"
-                 "min_singular_value,max_locality_defect,dense_samples,max_bound_excess"]
+                 "min_singular_value,max_locality_defect,dense_samples,max_bound_excess,"
+                 "largest_block"]
     for i, stats in enumerate(report.segment_stats):
         excess = stats["max_bound_excess"]
         seg_lines.append(
@@ -120,6 +121,7 @@ def _certificate_files(report: CertificateReport, out_dir: Path, stem: str) -> l
                     repr(stats["max_locality_defect"]),
                     str(stats["dense_samples"]),
                     "" if excess is None else repr(excess),
+                    str(stats["largest_block"]),
                 )
             )
         )

@@ -1,10 +1,12 @@
 """Fast paths pinned to their dense references.
 
 Norms, masked products and index defects skip structural zeros, path
-segments sample closed forms built once, and certificates bound spectral
-segments from their factors; each test here recomputes the same quantity
-over the full window with plain numpy (or through the dense fallback)
-and requires agreement, or that the bound contains the dense value.
+segments sample closed forms built once, certificates bound spectral
+segments from their factors, and factorizations run one connected
+component of the nonzero pattern at a time; each test here recomputes
+the same quantity over the full window with plain numpy (or through the
+dense fallback) and requires agreement, or that the bound contains the
+dense value.
 """
 
 import dataclasses
@@ -17,11 +19,12 @@ import scipy.linalg
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from oplab.errors import BoundaryContaminationError
+from oplab.errors import BoundaryContaminationError, PreconditionError
 from oplab.geometry import Ball, Explicit
 import oplab.homotopy
 from oplab.homotopy import (
     CertifyConfig,
+    _block_peel,
     _compression,
     _locality_indices,
     _log_segment,
@@ -44,8 +47,18 @@ from oplab.index import (
     interior_mask,
     projection_index,
 )
-from oplab.operators import Operator, Projection, shift_operator, spectral_norm
-from oplab.runner import ExperimentConfig, run, seeded_local_unitary
+import oplab.operators
+from oplab.operators import (
+    Operator,
+    Projection,
+    block_stacks,
+    components,
+    gram_eigenvalues,
+    shift_operator,
+    spectral_norm,
+    unitarity_defect,
+)
+from oplab.runner import DEFAULT_ARC_PAIR, ExperimentConfig, run, seeded_local_unitary
 from oplab.surgery import ProjectionPair, deletion_series, greedy_isometry
 from oplab.windows import TruncationWindow
 
@@ -693,21 +706,19 @@ def test_spectrum_bound_refuses_a_broken_form(tailed_pipeline):
     assert dataclasses.replace(polar, const=polar.const + 1e-3).spectrum_bound() is None
 
 
-def test_certificate_matches_the_dense_oracle(tailed_pipeline):
-    """Every row of the pipeline certificate against a dense measurement
-    of the same sample: dense rows agree, bound rows contain it."""
-    _, path, report, certify = tailed_pipeline
+def assert_rows_match_the_dense_oracle(path, report, certify):
+    """Every row of a certificate against a dense measurement of the same
+    sample: dense rows agree, bound rows contain it."""
     window = path.window
     allowance = window.radius / 2
     pairs = [
         (_locality_indices(window, row, allowance), _locality_indices(window, col, allowance))
         for row, col in certify.arc_pairs
     ]
-    assert {row[-1] for row in report.series} == {"dense", "bound"}
     for t, unit, sv, loc, _, _, measure in report.series:
         x = path.at(t)
         dense_unit, dense_sv = dense_defects(x)
-        dense_loc = max(dense_norm(x[np.ix_(r, c)]) for r, c in pairs)
+        dense_loc = max((dense_norm(x[np.ix_(r, c)]) for r, c in pairs), default=0.0)
         assert abs(loc - dense_loc) <= 1e-12
         if measure == "dense":
             assert abs(unit - dense_unit) <= 1e-12
@@ -715,6 +726,12 @@ def test_certificate_matches_the_dense_oracle(tailed_pipeline):
         else:
             assert dense_unit - 1e-12 <= unit <= dense_unit + 1e-10
             assert dense_sv - 1e-10 <= sv <= dense_sv + 1e-12
+
+
+def test_certificate_matches_the_dense_oracle(tailed_pipeline):
+    _, path, report, certify = tailed_pipeline
+    assert {row[-1] for row in report.series} == {"dense", "bound"}
+    assert_rows_match_the_dense_oracle(path, report, certify)
     assert report.max_locality_defect > 0.0
 
 
@@ -741,3 +758,248 @@ def test_pipeline_bounds_hold_and_intertwiner_is_exact(seed, monkeypatch):
     # dense end values with no tolerance on top
     assert all(s["max_bound_excess"] <= 0.0 for s in stats if s["max_bound_excess"] is not None)
     assert sum(s["dense_samples"] for s in stats) <= 26
+
+
+# ---------------------------------------------------------------------------
+# connected components
+
+
+def closure_components(pattern):
+    """Components by brute force: the transitive closure of the linked
+    pattern by repeated boolean squaring, one sorted tuple per component."""
+    linked = pattern != 0
+    reach = linked | linked.T | np.eye(pattern.shape[0], dtype=bool)
+    while True:
+        grown = (reach.astype(np.int64) @ reach.astype(np.int64)) > 0
+        if np.array_equal(grown, reach):
+            return sorted({tuple(np.flatnonzero(row)) for row in reach})
+        reach = grown
+
+
+@given(
+    n=st.integers(1, 40),
+    density=st.sampled_from([0.0, 0.02, 0.08, 0.3]),
+    dense_block=st.integers(0, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=1, density=0.0, dense_block=0, seed=0)
+@example(n=30, density=0.0, dense_block=30, seed=0)  # one fully dense block
+@example(n=30, density=0.02, dense_block=6, seed=5)
+def test_components_match_the_transitive_closure(n, density, dense_block, seed):
+    rng = np.random.default_rng(seed)
+    pattern = sparse_complex(rng, n, n, density)
+    empty = rng.random(n) < 0.2  # empty rows and columns
+    pattern[empty] = 0.0
+    pattern[:, empty] = 0.0
+    block = rng.choice(n, size=min(dense_block, n), replace=False)  # scattered sites
+    pattern[np.ix_(block, block)] = 1.0
+    parts = components(pattern)
+    assert [tuple(part) for part in parts] == closure_components(pattern)
+    assert all(part.dtype.kind == "i" for part in parts)
+
+
+def test_components_of_a_small_pattern():
+    pattern = np.zeros((7, 7))
+    pattern[0, 4] = pattern[2, 4] = 1.0  # one-way entries still link
+    pattern[6, 3] = 2.0
+    pattern[5, 5] = 1.0
+    assert [part.tolist() for part in components(pattern)] == [[0, 2, 4], [1], [3, 6], [5]]
+    assert components(np.zeros((0, 0))) == []
+    assert unitarity_defect(np.zeros((0, 0), dtype=np.complex128)) == 0.0  # an empty union block
+
+
+def permuted_blocks(rng, sizes, unitary):
+    """A block-diagonal matrix with the given block sizes, its sites
+    permuted; returns it with its blocks as sorted site arrays."""
+    d = sum(sizes)
+    m = np.zeros((d, d), dtype=np.complex128)
+    start = 0
+    for size in sizes:
+        block = random_unitary(size, rng)
+        if not unitary:
+            block = block @ np.diag(0.5 + rng.random(size))
+        m[start : start + size, start : start + size] = block
+        start += size
+    perm = rng.permutation(d)
+    inverse = np.argsort(perm)
+    m = m[np.ix_(perm, perm)]
+    bounds = np.cumsum((0,) + tuple(sizes))
+    blocks = [np.sort(inverse[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+    return m, sorted(blocks, key=lambda part: part[0])
+
+
+def split_cases():
+    """(name, window, unitary) for the permuted blocks of sizes 1, 2 and
+    5 (and a trailing singleton, to fill a line window) and for the
+    radius-12 pipeline inputs."""
+    rng = np.random.default_rng(16)
+    line = TruncationWindow.line(4)
+    u, _ = permuted_blocks(rng, (1, 2, 5, 1), unitary=True)
+    yield "blocks", line, u
+    plane = TruncationWindow.plane(12)
+    for seed in (1, 2, 3):
+        yield f"seed{seed}", plane, seeded_local_unitary(plane, seed).entries
+
+
+SPLIT_CASES = {name: (window, u) for name, window, u in split_cases()}
+
+
+def test_permuted_blocks_are_found():
+    m, blocks = permuted_blocks(np.random.default_rng(17), (1, 2, 5), unitary=False)
+    parts = components(m)
+    assert [part.tolist() for part in parts] == [block.tolist() for block in blocks]
+    assert sorted(part.size for part in parts) == [1, 2, 5]
+
+
+@pytest.mark.parametrize("case", sorted(SPLIT_CASES))
+def test_split_defects_match_the_whole_window(case):
+    window, u = SPLIT_CASES[case]
+    d = window.dimension
+    g = u @ np.diag(0.5 + np.random.default_rng(18).random(d))  # same pattern
+    assert len(components(u)) > 1
+    for x in (u, g):
+        dense = np.linalg.eigvalsh(x.conj().T @ x)
+        split = np.sort(gram_eigenvalues(x, block_stacks(components(x))))
+        assert np.max(np.abs(split - dense)) <= 1e-12
+        assert abs(unitarity_defect(x) - np.max(np.abs(dense - 1.0))) <= 1e-12
+
+
+@pytest.mark.parametrize("case", sorted(SPLIT_CASES))
+def test_split_schur_and_polar_match_the_whole_window(case):
+    window, u = SPLIT_CASES[case]
+    d = window.dimension
+    schur_t, q = scipy.linalg.schur(u, output="complex")
+    theta = np.angle(np.diag(schur_t))
+    theta = np.where(theta <= -np.pi + 1e-12, theta + 2.0 * np.pi, theta)
+    assert_samples(
+        log_path(Operator(window, u)),
+        lambda t: (q * np.exp(1j * (1.0 - t) * theta)[None, :]) @ q.conj().T,
+    )
+    g = u @ np.diag(0.5 + np.random.default_rng(19).random(d))
+    left, s, right = np.linalg.svd(g)
+    polar = polar_path(Operator(window, g))
+    assert_samples(polar, lambda t: (left * (s ** (1.0 - t))[None, :]) @ right)
+    seg = polar.segments[0]
+    for part in components(g):  # the factors hold exact zeros off the blocks
+        off = np.setdiff1d(np.arange(d), part)
+        assert not np.any(seg.left[np.ix_(part, off)]) and not np.any(seg.right[np.ix_(part, off)])
+
+
+@pytest.mark.parametrize("case", sorted(SPLIT_CASES))
+def test_split_certificates_match_the_dense_oracle(case):
+    window, u = SPLIT_CASES[case]
+    g = u @ np.diag(0.5 + np.random.default_rng(20).random(window.dimension))
+    certify = CertifyConfig(samples=7)
+    paths = [
+        straight_line(Operator(window, u), Operator(window, g)),  # affine sampler
+        straight_line(Operator(window, g), Operator(window, g)),  # constant sampler
+        log_path(Operator(window, u)),  # bound sampler, dense ends
+        polar_path(Operator(window, g)),
+    ]
+    largest = max(part.size for part in components(u))
+    for path in paths:
+        report = certify_path(path, certify)
+        assert_rows_match_the_dense_oracle(path, report, certify)
+        assert report.segment_stats[0]["largest_block"] <= largest
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_split_pipeline_certificate_matches_the_dense_oracle(seed):
+    window = TruncationWindow.plane(12)
+    certify = CertifyConfig(arc_pairs=(DEFAULT_ARC_PAIR,))
+    path, report = oplab.homotopy.theorem1_pipeline(
+        seeded_local_unitary(window, seed), 0.5, oplab.homotopy.PipelineConfig(certify=certify)
+    )
+    assert_rows_match_the_dense_oracle(path, report, certify)
+    # the finite-range input splits into components of at most two sites
+    assert [s["largest_block"] for s in report.segment_stats] == [2] * 6
+
+
+def whole_window(pattern):
+    """The split turned off: every pattern is one component."""
+    return [np.arange(np.asarray(pattern).shape[0])]
+
+
+def test_tailed_input_runs_the_whole_window_route_bit_for_bit(tailed_pipeline, monkeypatch):
+    """An irreducible input is one component: wherever a segment is one
+    component, the split route is the whole-window route, to the bit.
+    Only the polar climb and the stacked move split (the first peel
+    factor is the identity on the centers)."""
+    u, path, report, certify = tailed_pipeline
+    d = u.window.dimension
+    assert [part.size for part in components(u.entries)] == [d]
+    split_log = log_path(u)
+    split_log_report = certify_path(split_log, certify)
+    monkeypatch.setattr(oplab.homotopy, "components", whole_window)
+    monkeypatch.setattr(oplab.operators, "components", whole_window)
+    whole_log = log_path(u)
+    for name in ("left", "exponents", "right", "const"):
+        assert np.array_equal(getattr(whole_log.segments[0], name), getattr(split_log.segments[0], name))
+    assert certify_path(whole_log, certify).series == split_log_report.series
+
+    whole_path, whole_report = oplab.homotopy.theorem1_pipeline(
+        u, 0.5, oplab.homotopy.PipelineConfig(certify=certify)
+    )
+    sizes = [s["largest_block"] for s in report.segment_stats]
+    assert sizes == [d, d, d, d, d - 2, d - 2]
+    for i, (split, whole) in enumerate(zip(report.segment_stats, whole_report.segment_stats)):
+        rows = [k for k, row in enumerate(report.series) if path.segment_of(row[0]) == i]
+        assert whole["largest_block"] == d
+        if split["largest_block"] == d:
+            assert {**split, "largest_block": d} == whole
+            assert [report.series[k] for k in rows] == [whole_report.series[k] for k in rows]
+        else:
+            for k in rows:
+                assert np.allclose(report.series[k][1:4], whole_report.series[k][1:4], rtol=0.0, atol=1e-12)
+
+
+def dense_block_peel(m, p):
+    """The factors of block_peel from dense products with P and P~."""
+    pe = p.entries
+    qe = np.eye(pe.shape[0]) - pe
+    me = m.entries
+    return pe + qe @ me @ qe, pe @ me @ qe, pe + pe @ me @ qe + qe @ me @ qe
+
+
+def random_peelable(window, seed):
+    rng = np.random.default_rng(seed)
+    d = window.dimension
+    mask = rng.random(d) < 0.3
+    pe = np.diag(mask).astype(np.complex128)
+    qe = np.eye(d) - pe
+    raw = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return Operator(window, pe + pe @ raw @ qe + qe @ raw @ qe), Projection(Operator(window, pe))
+
+
+@pytest.mark.parametrize("case", ["random", "pipeline"])
+def test_block_peel_on_index_blocks_matches_the_dense_factor_product(case, monkeypatch):
+    if case == "random":
+        m, p = random_peelable(TruncationWindow.plane(4), 26)
+    else:
+        calls = []
+        peel = oplab.homotopy._block_peel
+        monkeypatch.setattr(
+            oplab.homotopy, "_block_peel", lambda m, p: calls.append((m, p)) or peel(m, p)
+        )
+        oplab.homotopy.theorem1_pipeline(
+            seeded_local_unitary(TruncationWindow.plane(12), 1),
+            0.5,
+            oplab.homotopy.PipelineConfig(certify=CertifyConfig(samples=2)),
+        )
+        ((m, p),) = calls
+    (f1, f2), seg, product = _block_peel(m, p)
+    dense_f1, dense_nil, peelable = dense_block_peel(m, p)
+    nil = f2.entries - np.eye(m.window.dimension)
+    assert np.array_equal(f1.entries, dense_f1)
+    assert np.array_equal(nil, dense_nil)
+    assert np.array_equal(f1.entries @ nil, nil)  # f1 N = N, because P~P = 0
+    # the factor product, formed densely, is the peelable part
+    assert np.linalg.norm(f1.entries @ f2.entries - peelable) <= 1e-10
+    assert np.array_equal(product, peelable)
+    assert np.array_equal(seg.start, f1.entries) and np.array_equal(seg.end, product)
+
+
+def test_block_peel_needs_a_mask():
+    m, p = random_peelable(TruncationWindow.plane(2), 27)
+    with pytest.raises(PreconditionError, match="0/1 diagonal"):
+        _block_peel(m, DenseProjection(p.operator))

@@ -257,6 +257,17 @@ def test_log_path_branch_tie_recorded():
     assert abs(path.at(0.5)[0, 0] - np.exp(1j * np.pi / 2)) < 1e-9
 
 
+def test_log_path_puts_an_exact_minus_one_at_plus_pi():
+    # each -1 is a component of its own; the sign of its zero imaginary
+    # part carries no phase, so neither is a tie
+    window = TruncationWindow.line(1)
+    diag = np.array([complex(-1.0, 0.0), complex(-1.0, -0.0), 1.0])
+    path = log_path(Operator.diagonal(window, diag))
+    assert path.segments[0].label == ""
+    assert np.array_equal(path.segments[0].exponents, [1j * np.pi, 1j * np.pi])
+    assert np.allclose(np.diag(path.at(0.5)), [1j, 1j, 1.0], atol=1e-15)
+
+
 def test_log_path_rejects_nonunitary():
     window = TruncationWindow.line(2)
     with pytest.raises(UnitarityError):

@@ -15,13 +15,13 @@ from oplab.errors import (
     WindowMismatchError,
 )
 from oplab.geometry import Arc, Ball, Cone, Direction, parse_region
+from oplab.homotopy import polar_path
 from oplab.operators import (
     CircleFunction,
     Operator,
     Projection,
     apply_circle_function,
     laughlin_operator,
-    polar_part,
     shift_operator,
     spectral_norm,
 )
@@ -273,28 +273,32 @@ def test_apply_zero_function_is_zero():
 
 
 # ---------------------------------------------------------------------------
-# polar factor
+# polar factor: the end of the polar path
 
 
 def test_polar_part_of_diagonal():
+    # d singleton components: one 1 x 1 SVD each
     w = TruncationWindow.line(1)
     g = Operator.diagonal(w, np.array([2.0, 3.0j, -5.0]))
-    u = polar_part(g)
-    assert np.allclose(np.diag(u.entries), [1.0, 1.0j, -1.0], atol=1e-14)
-    assert u.unitarity_defect() < 1e-14
+    u = polar_path(g).at(1.0)
+    assert np.array_equal(u, np.diag(np.diag(u)))  # exact zeros off the blocks
+    assert np.allclose(np.diag(u), [1.0, 1.0j, -1.0], atol=1e-14)
+    assert Operator(w, u).unitarity_defect() < 1e-14
 
 
 def test_polar_part_fixes_unitary():
     w = TruncationWindow.line(4)
     u = shift_operator(w, 1, "periodic")
-    assert spectral_norm(polar_part(u).entries - u.entries) < 1e-12
+    assert spectral_norm(polar_path(u).at(1.0) - u.entries) < 1e-12
 
 
 def test_polar_part_rejects_singular():
+    # the zero sits in one component, apart from a well-conditioned 2 x 2 block
     w = TruncationWindow.line(2)
-    g = Operator.diagonal(w, np.array([1.0, 1.0, 0.0, 1.0, 1.0]))
-    with pytest.raises(SingularOperatorError):
-        polar_part(g)
+    g = np.diag([1.0, 1.0, 0.0, 1.0, 1.0]).astype(np.complex128)
+    g[0, 1], g[1, 0] = 0.5, -0.5
+    with pytest.raises(SingularOperatorError, match="0.000e"):
+        polar_path(Operator(w, g))
 
 
 def test_polar_recovers_factor_of_stretched_unitary():
@@ -305,7 +309,7 @@ def test_polar_recovers_factor_of_stretched_unitary():
     q, _ = np.linalg.qr(x)
     pos = np.eye(d) + 0.3 * np.diag(rng.uniform(size=d))
     g = Operator(w, q @ pos)
-    assert spectral_norm(polar_part(g).entries - q) < 1e-10
+    assert spectral_norm(polar_path(g).at(1.0) - q) < 1e-10
 
 
 # ---------------------------------------------------------------------------
