@@ -26,7 +26,6 @@ from .geometry import (
     RegionUnion,
     arcs_disjoint,
     direction_of,
-    parse_region,
     widen_arc,
 )
 from .homotopy import (
@@ -55,7 +54,6 @@ from .index import (
     interior_mask,
     nontriviality_probe,
     projection_index,
-    translation_invariance_check,
 )
 from .locality import (
     CentersPlan,
@@ -65,8 +63,6 @@ from .locality import (
     block_norm,
     compactness_profile,
     cone_split,
-    finite_support_approx,
-    masked_block_norm,
 )
 from .operators import (
     CircleFunction,

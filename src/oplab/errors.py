@@ -18,10 +18,6 @@ class WindowMismatchError(OplabError):
     """Two operands live on different truncation windows."""
 
 
-class RegionParseError(OplabError, ValueError):
-    """A region/arc text form could not be parsed."""
-
-
 class UnitarityError(OplabError):
     """An operand required to be unitary (within tolerance) is not."""
 

@@ -17,13 +17,12 @@ Conventions
 """
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 from typing import Iterator, Union
 
-from .errors import RegionParseError, RepresentationError
+from .errors import RepresentationError
 
 SiteZ2 = tuple[int, int]
 SiteZ = int
@@ -371,197 +370,3 @@ def region_sites(region: Region, window) -> frozenset:
 def realize_region(region: Region, window) -> tuple:
     """Region sites in the window's canonical enumeration order."""
     return window.order(region_sites(region, window))
-
-
-# ---------------------------------------------------------------------------
-# textual form
-
-_PRECEDENCE = {"union": 1, "intersection": 2, "complement": 3, "atom": 4}
-
-
-def _rational_text(value: Fraction) -> str:
-    value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
-
-
-def _site_text(site: Site) -> str:
-    if isinstance(site, int):
-        return str(site)
-    return f"({site[0]},{site[1]})"
-
-
-def region_to_text(region: Region) -> str:
-    """Canonical textual form; ``parse_region`` inverts it exactly."""
-
-    def prec(r: Region) -> int:
-        if isinstance(r, RegionUnion):
-            return _PRECEDENCE["union"]
-        if isinstance(r, RegionIntersection):
-            return _PRECEDENCE["intersection"]
-        if isinstance(r, Complement):
-            return _PRECEDENCE["complement"]
-        return _PRECEDENCE["atom"]
-
-    def emit(r: Region) -> str:
-        if isinstance(r, Cone):
-            return f"cone[{r.arc.as_text()}]"
-        if isinstance(r, Ball):
-            return f"ball[{_rational_text(r.radius)}]"
-        if isinstance(r, Annulus):
-            return f"ann[{_rational_text(r.inner)},{_rational_text(r.outer)}]"
-        if isinstance(r, Explicit):
-            parts = sorted(r.sites, key=lambda s: (0, s) if isinstance(s, int) else (1, s))
-            return "set[" + ",".join(_site_text(s) for s in parts) + "]"
-        if isinstance(r, Complement):
-            inner = emit(r.region)
-            if prec(r.region) < _PRECEDENCE["complement"]:
-                inner = f"({inner})"
-            return f"!{inner}"
-        if isinstance(r, (RegionUnion, RegionIntersection)):
-            op = "|" if isinstance(r, RegionUnion) else "&"
-            own = prec(r)
-            left = emit(r.left)
-            if prec(r.left) < own:
-                left = f"({left})"
-            right = emit(r.right)
-            if prec(r.right) <= own:
-                right = f"({right})"
-            return f"{left}{op}{right}"
-        raise TypeError(f"not a region: {r!r}")
-
-    return emit(region)
-
-
-_INT = r"-?\d+"
-_TOKEN_RE = re.compile(r"\s*(cone\[|ball\[|ann\[|set\[|[()!|&\],]|\.\.|" + _INT + r"(?:/\d+)?)")
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.tokens: list[str] = []
-        while self.pos < len(text):
-            m = _TOKEN_RE.match(text, self.pos)
-            if not m:
-                raise RegionParseError(f"bad region text at offset {self.pos}: {text[self.pos:]!r}")
-            self.tokens.append(m.group(1))
-            self.pos = m.end()
-        self.i = 0
-
-    def peek(self) -> str | None:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def take(self, expect: str | None = None) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise RegionParseError("unexpected end of region text")
-        if expect is not None and tok != expect:
-            raise RegionParseError(f"expected {expect!r}, found {tok!r}")
-        self.i += 1
-        return tok
-
-    def parse(self) -> Region:
-        r = self.union()
-        if self.peek() is not None:
-            raise RegionParseError(f"trailing tokens after region: {self.tokens[self.i:]}")
-        return r
-
-    def union(self) -> Region:
-        r = self.intersection()
-        while self.peek() == "|":
-            self.take()
-            r = RegionUnion(r, self.intersection())
-        return r
-
-    def intersection(self) -> Region:
-        r = self.factor()
-        while self.peek() == "&":
-            self.take()
-            r = RegionIntersection(r, self.factor())
-        return r
-
-    def factor(self) -> Region:
-        tok = self.peek()
-        if tok == "!":
-            self.take()
-            return Complement(self.factor())
-        if tok == "(":
-            self.take()
-            r = self.union()
-            self.take(")")
-            return r
-        return self.primitive()
-
-    def rational(self) -> Fraction:
-        tok = self.take()
-        if not re.fullmatch(_INT + r"(?:/\d+)?", tok):
-            raise RegionParseError(f"expected a rational, found {tok!r}")
-        return Fraction(tok)
-
-    def integer(self) -> int:
-        tok = self.take()
-        if not re.fullmatch(_INT, tok):
-            raise RegionParseError(f"expected an integer, found {tok!r}")
-        return int(tok)
-
-    def pair(self) -> tuple[int, int]:
-        self.take("(")
-        a = self.integer()
-        self.take(",")
-        b = self.integer()
-        self.take(")")
-        return (a, b)
-
-    def primitive(self) -> Region:
-        tok = self.take()
-        if tok == "cone[":
-            start = self.pair()
-            self.take("..")
-            end = self.pair()
-            self.take("]")
-            return Cone(Arc(Direction(*start), Direction(*end)))
-        if tok == "ball[":
-            radius = self.rational()
-            self.take("]")
-            return Ball(radius)
-        if tok == "ann[":
-            inner = self.rational()
-            self.take(",")
-            outer = self.rational()
-            self.take("]")
-            return Annulus(inner, outer)
-        if tok == "set[":
-            sites: list[Site] = []
-            if self.peek() != "]":
-                while True:
-                    if self.peek() == "(":
-                        sites.append(self.pair())
-                    else:
-                        sites.append(self.integer())
-                    if self.peek() == ",":
-                        self.take()
-                        continue
-                    break
-            self.take("]")
-            return Explicit(frozenset(sites))
-        raise RegionParseError(f"expected a region primitive, found {tok!r}")
-
-
-def parse_region(text: str) -> Region:
-    """Parse the textual region form: cone[..], ball[..], ann[..], set[..], !, |, &."""
-    return _Parser(text).parse()
-
-
-def parse_arc(text: str) -> Arc:
-    """Parse ``(p,q)..(r,s)`` as an arc."""
-    m = re.fullmatch(
-        r"\s*\((" + _INT + r"),(" + _INT + r")\)\.\.\((" + _INT + r"),(" + _INT + r")\)\s*",
-        text,
-    )
-    if not m:
-        raise RegionParseError(f"bad arc text: {text!r}")
-    a, b, c, d = (int(g) for g in m.groups())
-    return Arc(Direction(a, b), Direction(c, d))

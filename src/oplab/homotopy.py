@@ -61,7 +61,6 @@ from .windows import AmplifiedWindow, TruncationWindow, Window
 
 TOL_JOINT = 1e-9
 TOL_BLOCK_FORM = 1e-8
-TOL_ISOMETRY = 1e-10
 BRANCH_TIE = 1e-12
 BOUND_SLACK = 1e-10
 
@@ -157,11 +156,13 @@ class AffineSegment(PathSegment):
         components of the pattern of A | B."""
         return components((self.start != 0) | (self.end != 0))
 
-    def intertwined(self, window: Window, v: np.ndarray):
-        """The segment t -> V X(t) V* on ``window``, unflipped."""
+    def intertwined(self, window: Window, src: np.ndarray):
+        """The segment t -> V X(t) V* on ``window``, unflipped.  Row i of
+        the 0/1 intertwiner V holds its one 1 in column src[i], so V X V*
+        is X[src][:, src] entry for entry."""
         a, b = (self.end, self.start) if self.flip else (self.start, self.end)
-        vh = v.conj().T
-        return AffineSegment("block_unitary", window, v @ a @ vh, v @ b @ vh)
+        ix = np.ix_(src, src)
+        return AffineSegment("block_unitary", window, a[ix], b[ix])
 
 
 @dataclass(frozen=True)
@@ -293,16 +294,14 @@ class SpectralSegment(PathSegment):
             rounding,
         )
 
-    def intertwined(self, window: Window, v: np.ndarray):
-        """The segment t -> V X(t) V* on ``window``, unflipped: a flip
-        becomes L e^z with exponents -z."""
+    def intertwined(self, window: Window, src: np.ndarray):
+        """The segment t -> V X(t) V* on ``window``, unflipped, as L[src],
+        R[:, src] and C[src][:, src]: a flip becomes L e^z with exponents -z."""
         left, z = self.left, self.exponents
         if self.flip:
             left, z = left * np.exp(z)[None, :], -z
-        vh = v.conj().T
-        return SpectralSegment(
-            "block_unitary", window, v @ left, z, self.right @ vh, v @ self.const @ vh
-        )
+        const = self.const[np.ix_(src, src)]
+        return SpectralSegment("block_unitary", window, left[src], z, self.right[:, src], const)
 
 
 @dataclass(frozen=True)
@@ -414,7 +413,7 @@ class ConjugationSegment(PathSegment):
     def _at(self, t: float) -> np.ndarray:
         return self._sample(t).dense()
 
-    def intertwined(self, window: Window, v: np.ndarray):
+    def intertwined(self, window: Window, src: np.ndarray):
         raise PreconditionError("the stacked move cannot carry a conjugation segment")
 
 
@@ -656,6 +655,17 @@ def block_peel(m: Operator, p: Projection) -> tuple:
     return factors, HomotopyPath((seg,), factors[0].entries, product)
 
 
+def _mask_sites(p: Projection, move: str) -> tuple:
+    """(on, off): index arrays of the sites in P's 0/1 site mask and of
+    the rest, through which the block moves read P instead of forming
+    products with it.  A projection without a 0/1 mask raises a
+    PreconditionError naming ``move``."""
+    mask = p.diagonal_mask()
+    if mask is None:
+        raise PreconditionError(f"the {move} needs a 0/1 diagonal projection")
+    return np.flatnonzero(mask), np.flatnonzero(~mask)
+
+
 def _block_peel(m: Operator, p: Projection) -> tuple:
     """The factors, the straightening segment and the product of block_peel.
 
@@ -666,10 +676,7 @@ def _block_peel(m: Operator, p: Projection) -> tuple:
     """
     if m.window != p.window:
         raise WindowMismatchError("operator and projection on different windows")
-    mask = p.diagonal_mask()
-    if mask is None:
-        raise PreconditionError("the block peel needs a 0/1 diagonal projection")
-    on, off = np.flatnonzero(mask), np.flatnonzero(~mask)
+    on, off = _mask_sites(p, "block peel")
     me = m.entries
     r_fix = _residual_norm(me[np.ix_(on, on)] - np.eye(on.size), TOL_BLOCK_FORM)
     r_low = _residual_norm(me[np.ix_(off, on)], TOL_BLOCK_FORM)
@@ -681,7 +688,7 @@ def _block_peel(m: Operator, p: Projection) -> tuple:
     d = m.window.dimension
     nil = np.zeros((d, d), dtype=np.complex128)
     nil[np.ix_(on, off)] = me[np.ix_(on, off)]
-    f1 = np.diag(mask).astype(np.complex128)
+    f1 = np.eye(d, dtype=np.complex128)
     f1[np.ix_(off, off)] = me[np.ix_(off, off)]
     product = f1 + nil
     factors = (Operator(m.window, f1), Operator(m.window, np.eye(d) + nil))
@@ -710,24 +717,32 @@ def conjugation_path(q: Projection | Operator, upath: HomotopyPath) -> HomotopyP
 # the stacked-isometry move
 
 
-def _full_intertwiner(p: Projection, v_iso: GreedyIsometry) -> np.ndarray:
-    """Rectangular map from the stacked window onto the base window.
+def _intertwiner_columns(off: np.ndarray, v_iso: GreedyIsometry) -> np.ndarray:
+    """src[i], the stacked column that the 0/1 intertwiner V sends onto
+    base site i.  V's nonzero set is {(i, i) : i off P} and {(target,
+    source)} over the matches, a pair listed twice counting once.
 
-    Stack-zero columns outside the matched region carry the complement
-    projection; matched columns carry the greedy partial permutation.
-    Every entry is 0 or 1 for a 0/1 diagonal projection, so VV* is an
-    integer matrix and equals 1 exactly once it is within 1/2 of it.
+    VV* = 1 exactly when that set hits every base site once and uses no
+    stacked column twice, and then (V*V)^2 = V*(VV*)V = V*V.  Any other
+    set raises a PreconditionError naming the first site or column at
+    fault.
     """
     amp = v_iso.window
     base = amp.base
-    d = base.dimension
-    v_full = np.zeros((d, amp.dimension), dtype=np.complex128)
-    v_full[:, :d] = p.perp().entries
-    for match in v_iso.matches:
-        row = base.index_of(match.target)
-        col = amp.index_of(match.stack, match.source)
-        v_full[row, col] = 1.0
-    return v_full
+    pairs = {(i, i) for i in off.tolist()} | {
+        (base.index_of(m.target), amp.index_of(m.stack, m.source)) for m in v_iso.matches
+    }
+    rows, cols = np.array(sorted(pairs), dtype=np.intp).reshape(-1, 2).T
+    hits = np.bincount(rows, minlength=base.dimension)
+    uses = np.bincount(cols, minlength=amp.dimension)
+    faults = [f"site {base.sites[i]} is hit {hits[i]} times" for i in np.flatnonzero(hits != 1)[:1]]
+    faults += [f"stacked column {c} carries {uses[c]} sites" for c in np.flatnonzero(uses > 1)[:1]]
+    if faults:
+        raise PreconditionError(
+            f"isometry range misses the window: {', '.join(faults)}, so VV* != 1; "
+            "every site of the matched region must be used as a target once"
+        )
+    return cols  # sorted by row, one per row
 
 
 def block_unitary_homotopy(
@@ -738,10 +753,13 @@ def block_unitary_homotopy(
 ) -> HomotopyPath:
     """Path 1 -> U for a unitary acting as the identity on the range of P.
 
-    The greedy isometry must cover the range of P exactly (every site of
-    the matched region used as a target); the inner path supplies the
-    contraction of U ⊕ 1 on the stacked window, and conjugating it by
-    the intertwiner lands back on the base window with both endpoints
+    The move reads P's 0/1 site mask and the greedy match list: U must
+    be the identity on the index blocks of P's range, and the matches
+    must cover the range of P exactly (every site of the matched region
+    used as a target, no stacked column twice), an integer check.  The
+    inner path supplies the contraction of U ⊕ 1 on the stacked window;
+    conjugating it by the 0/1 intertwiner V, gathered by index rather
+    than formed, lands back on the base window with both endpoints
     pinned: Z_t = V W_t V*, since the cover check makes VV* = 1.
     """
     segments = _stacked_segments(u, p, v_iso, inner.segments)
@@ -764,34 +782,18 @@ def _stacked_segments(
     if inner[0].window != amp:
         raise WindowMismatchError("inner path must live on the stacked window")
 
-    pe = p.entries
-    qe = np.eye(base.dimension, dtype=np.complex128) - pe
+    on, off = _mask_sites(p, "stacked move")
     ue = u.entries
-    r_fix = _residual_norm(pe @ ue @ pe - pe, TOL_BLOCK_FORM)
-    r_up = _residual_norm(pe @ ue @ qe, TOL_BLOCK_FORM)
-    r_low = _residual_norm(qe @ ue @ pe, TOL_BLOCK_FORM)
+    r_fix = _residual_norm(ue[np.ix_(on, on)] - np.eye(on.size), TOL_BLOCK_FORM)
+    r_up = _residual_norm(ue[np.ix_(on, off)], TOL_BLOCK_FORM)
+    r_low = _residual_norm(ue[np.ix_(off, on)], TOL_BLOCK_FORM)
     worst = max(r_fix, r_up, r_low)
     if worst > TOL_BLOCK_FORM:
         raise PreconditionError(
             "operator does not act as the identity on the projection range: "
             f"|PUP - P| = {r_fix:.3e}, |PUP~| = {r_up:.3e}, |P~UP| = {r_low:.3e}"
         )
-
-    v_full = _full_intertwiner(p, v_iso)
-    vvh = v_full @ v_full.conj().T
-    eye = np.eye(base.dimension, dtype=np.complex128)
-    cover = _residual_norm(vvh - eye, TOL_ISOMETRY)
-    if cover > TOL_ISOMETRY:
-        raise PreconditionError(
-            f"isometry range misses the window: |VV* - 1| = {cover:.3e}; "
-            "every site of the matched region must be used as a target"
-        )
-    vhv = v_full.conj().T @ v_full
-    partial = _residual_norm(vhv @ vhv - vhv, TOL_ISOMETRY)
-    if partial > TOL_ISOMETRY:
-        raise PreconditionError(
-            f"intertwiner is not a partial isometry: defect {partial:.3e}"
-        )
+    src = _intertwiner_columns(off, v_iso)
 
     eye_amp = np.eye(amp.dimension, dtype=np.complex128)
     target = eye_amp.copy()
@@ -804,7 +806,7 @@ def _stacked_segments(
             f"endpoint gaps ({start_gap:.3e}, {end_gap:.3e})"
         )
 
-    return tuple(seg.intertwined(base, v_full) for seg in inner)
+    return tuple(seg.intertwined(base, src) for seg in inner)
 
 
 # ---------------------------------------------------------------------------
@@ -1281,7 +1283,6 @@ def theorem1_pipeline(
     line = AffineSegment("straight_line", window, u.entries, g.entries, label="onto-deformed")
 
     v = stage("corrective-unitary", lambda: corrective_unitary(g, plan))
-    center_idx = [window.index_of(c) for c in plan.centers]
     block_indices = [
         [window.index_of(site) for site in block] for block in plan.ranges
     ]
@@ -1291,18 +1292,19 @@ def theorem1_pipeline(
         lambda: _log_segment(window, v.entries, block_indices, right=g.entries, flip=True),
     )
 
+    centers = Explicit(frozenset(plan.centers))
+    p_centers = Projection.from_region(centers, window)
+    on, off = _mask_sites(p_centers, "pipeline")
     # snap each confined column to its basis vector so the peel
     # precondition is exact (the corrective rotation already left it
     # within 1e-10 of a multiple of that vector)
     peelable = vg.copy()
-    for i in center_idx:
-        peelable[:, i] = 0.0
-        peelable[i, i] = 1.0
+    peelable[:, on] = 0.0
+    peelable[on, on] = 1.0
     normalize = AffineSegment(
         "straight_line", window, vg, peelable, label="normalize-centers"
     )
 
-    p_centers = Projection.from_region(Explicit(frozenset(plan.centers)), window)
     factors, peel, _ = stage(
         "block-peel", lambda: _block_peel(Operator(window, peelable), p_centers)
     )
@@ -1311,21 +1313,15 @@ def theorem1_pipeline(
 
     v_iso = stage(
         "greedy-isometry",
-        lambda: greedy_isometry(
-            Explicit(frozenset(plan.centers)),
-            config.copies,
-            window,
-            require_ray_dense=False,
-        ),
+        lambda: greedy_isometry(centers, config.copies, window, require_ray_dense=False),
     )
-    perp_idx = [i for i in range(dim) if i not in set(center_idx)]
     absorb = stage(
         "block-unitary",
         lambda: _stacked_segments(
             w_pol,
             p_centers,
             v_iso,
-            (_log_segment(v_iso.window, w_pol.entries, [perp_idx], flip=True),),
+            (_log_segment(v_iso.window, w_pol.entries, [off], flip=True),),
         ),
     )
 

@@ -26,7 +26,6 @@ from .errors import (
 )
 from .geometry import ORIGIN, Explicit, Site
 from .operators import (
-    CircleFunction,
     Operator,
     Projection,
     _laurent_apply,
@@ -639,18 +638,3 @@ def nontriviality_probe(
         sup_norms=sup_norms,
         compact_floor=config.compact_floor,
     )
-
-
-def translation_invariance_check(f: CircleFunction, window: TruncationWindow) -> float:
-    """Spread of column norms of f applied to the periodic shift.
-
-    The periodic shift is an exact cyclic permutation, so f of it is a
-    circulant and every column norm agrees; the returned spread is a
-    floating-point honesty check, not a mathematical quantity.
-    """
-    base = shift_operator(window, 1, "periodic")
-    fmat = _laurent_apply(f, base.entries)
-    norms = np.linalg.norm(fmat, axis=0)
-    if norms.size == 0:
-        return 0.0
-    return float(norms.max() - norms.min())

@@ -2,9 +2,8 @@
 
 Infinite-volume statements about compact cross-cone blocks turn into
 measurable quantities here: block norms between cones, decay profiles
-against ball cutoffs, shortest finite supports meeting a norm budget,
-and the two workhorse constructions that later surgery steps consume,
-cone splitting and annulus confinement.
+against ball cutoffs, and the two workhorse constructions that later
+surgery steps consume, cone splitting and annulus confinement.
 
 Every bound any routine promises is recomputed from the raw matrix
 before being returned; nothing is trusted from the construction.
@@ -29,10 +28,8 @@ from .geometry import (
     ORIGIN,
     Arc,
     Direction,
-    Region,
     Site,
     arcs_disjoint,
-    realize_region,
     site_sort_key,
     widen_arc,
 )
@@ -192,16 +189,6 @@ def _open_complement_indices(window: TruncationWindow, arc: Arc) -> list:
     ]
 
 
-def masked_block_norm(a: Operator, row_sites, col_sites) -> float:
-    """Norm of the matrix cut down to the given row and column sites."""
-    w = a.window
-    rows = np.asarray([w.index_of(s) for s in row_sites], dtype=np.intp)
-    cols = np.asarray([w.index_of(s) for s in col_sites], dtype=np.intp)
-    if rows.size == 0 or cols.size == 0:
-        return 0.0
-    return spectral_norm(a.entries[np.ix_(rows, cols)])
-
-
 def block_norm(a: Operator, i: Arc, j: Arc) -> float:
     """Cross-cone block norm: rows from cone(j), columns from cone(i)."""
     w = _require_plane(a.window, "block_norm")
@@ -264,23 +251,6 @@ def compactness_profile(a: Operator, i: Arc, j: Arc, cutoffs: Sequence) -> Decay
             continue
         values.append(spectral_norm(a.entries[np.ix_(np.asarray(keep), cols)]))
     return DecayProfile(tuple(radii), tuple(values))
-
-
-def finite_support_approx(k: Operator, e: Region, eps: float) -> frozenset:
-    """Shortest canonical-order support F inside the region with
-    ‖Λ_F K − Λ_E K‖ <= eps, pruned of rows that are identically zero."""
-    if eps <= 0:
-        raise PreconditionError("eps must be positive")
-    w = k.window
-    ordered = realize_region(e, w)
-    rows = [w.index_of(s) for s in ordered]
-    cols = np.arange(w.dimension, dtype=np.intp)
-    m = _shortest_prefix(k.entries, rows, cols, eps)
-    kept = []
-    for site in ordered[:m]:
-        if np.any(k.entries[w.index_of(site), :]):
-            kept.append(site)
-    return frozenset(kept)
 
 
 def cone_split(a: Operator, j: Arc, eps: float) -> ConeSplit:

@@ -23,6 +23,7 @@ from oplab.errors import BoundaryContaminationError, PreconditionError
 from oplab.geometry import Ball, Explicit
 import oplab.homotopy
 from oplab.homotopy import (
+    AffineSegment,
     CertifyConfig,
     _block_peel,
     _compression,
@@ -568,6 +569,39 @@ def test_log_path_matches_dense_formula():
     )
 
 
+def dense_intertwiner(p, v_iso):
+    """The 0/1 intertwiner V as a matrix: stack-zero columns off P map to
+    their own sites, and each match sends its source column to its target."""
+    base, amp = p.window, v_iso.window
+    d = base.dimension
+    v = np.zeros((d, amp.dimension), dtype=np.complex128)
+    v[:, :d] = np.eye(d) - p.entries
+    for match in v_iso.matches:
+        v[base.index_of(match.target), amp.index_of(match.stack, match.source)] = 1.0
+    return v
+
+
+def dense_intertwined(seg, v):
+    """The unflipped factors of t -> V X(t) V*, by products with V."""
+    vh = v.conj().T
+    if isinstance(seg, AffineSegment):
+        a, b = (seg.end, seg.start) if seg.flip else (seg.start, seg.end)
+        return {"start": v @ a @ vh, "end": v @ b @ vh}
+    left, z = seg.left, seg.exponents
+    if seg.flip:
+        left, z = left * np.exp(z)[None, :], -z
+    return {"left": v @ left, "exponents": z, "right": seg.right @ vh, "const": v @ seg.const @ vh}
+
+
+def assert_dense_intertwining(stacked, inner, v):
+    """Each stacked segment equals the dense route V X V*, entry for entry."""
+    assert len(stacked) == len(inner)
+    for seg, source in zip(stacked, inner):
+        assert not seg.flip
+        for name, want in dense_intertwined(source, v).items():
+            assert np.array_equal(getattr(seg, name), want)
+
+
 def stacked_case(seed):
     """A unitary acting as the identity on P, its greedy isometry, the
     stacked target U (+) 1 and the dense intertwiner V."""
@@ -580,13 +614,9 @@ def stacked_case(seed):
     u[np.ix_(perp, perp)] = random_unitary(perp.size, np.random.default_rng(seed))
     v_iso = greedy_isometry(region, 1, w)
     amp = v_iso.window
-    v = np.zeros((d, amp.dimension), dtype=np.complex128)
-    v[:, :d] = np.eye(d) - p.entries
-    for match in v_iso.matches:
-        v[w.index_of(match.target), amp.index_of(match.stack, match.source)] = 1.0
     target = np.eye(amp.dimension, dtype=np.complex128)
     target[:d, :d] = u
-    return Operator(w, u), p, v_iso, Operator(amp, target), v
+    return Operator(w, u), p, v_iso, Operator(amp, target), dense_intertwiner(p, v_iso)
 
 
 def stacked_inners(target):
@@ -610,6 +640,28 @@ def test_block_unitary_matches_dense_intertwining(case):
     assert all(not seg.flip and seg.label == "" for seg in path.segments)
     complement = np.eye(u.window.dimension) - v @ v.conj().T
     assert_samples(path, lambda t: v @ inner.at(t) @ v.conj().T + complement)
+    assert_dense_intertwining(path.segments, inner.segments, v)
+
+
+def shared_column(v_iso):
+    """The second match moved onto the first match's source column."""
+    first, second, *rest = v_iso.matches
+    moved = dataclasses.replace(second, stack=first.stack, source=first.source)
+    return dataclasses.replace(v_iso, matches=(first, moved, *rest))
+
+
+@pytest.mark.parametrize("case", ["dropped-match", "shared-column", "no-mask"])
+def test_block_unitary_rejects_a_broken_intertwiner(case):
+    u, p, v_iso, target, _ = stacked_case(14)
+    if case == "dropped-match":
+        v_iso = dataclasses.replace(v_iso, matches=v_iso.matches[1:])
+        message = r"site \(-?\d+, -?\d+\) is hit 0 times"
+    elif case == "shared-column":
+        v_iso, message = shared_column(v_iso), r"stacked column \d+ carries 2 sites"
+    else:
+        p, message = DenseProjection(p.operator), "0/1 diagonal"
+    with pytest.raises(PreconditionError, match=message):
+        block_unitary_homotopy(u, p, v_iso, log_path(target).reverse())
 
 
 def test_pipeline_segment_list_is_pinned(tmp_path):
@@ -737,17 +789,19 @@ def test_certificate_matches_the_dense_oracle(tailed_pipeline):
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_pipeline_bounds_hold_and_intertwiner_is_exact(seed, monkeypatch):
-    intertwiners = []
-    build = oplab.homotopy._full_intertwiner
+    calls = []
+    build = oplab.homotopy._stacked_segments
     monkeypatch.setattr(
         oplab.homotopy,
-        "_full_intertwiner",
-        lambda p, v_iso: intertwiners.append(build(p, v_iso)) or intertwiners[-1],
+        "_stacked_segments",
+        lambda *args: calls.append((args, build(*args))) or calls[-1][1],
     )
     window = TruncationWindow.plane(12)
     _, report = oplab.homotopy.theorem1_pipeline(seeded_local_unitary(window, seed), 0.5)
-    (v,) = intertwiners
+    (((_, p, v_iso, inner), stacked),) = calls
+    v = dense_intertwiner(p, v_iso)
     assert np.array_equal(v @ v.conj().T, np.eye(window.dimension))
+    assert_dense_intertwining(stacked, inner, v)
     stats = report.segment_stats
     assert [s["kind"] for s in stats if s["max_bound_excess"] is not None] == [
         "log",

@@ -1,4 +1,4 @@
-"""Exact geometry layer: directions, arcs, regions, textual forms.
+"""Exact geometry layer: directions, arcs, regions.
 
 Derived expectations are computed by independent float-free or brute-force
 oracles inside the tests, then asserted against the library.
@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from oplab.errors import RegionParseError, RepresentationError
+from oplab.errors import RepresentationError
 from oplab.geometry import (
     Annulus,
     Arc,
@@ -25,11 +25,8 @@ from oplab.geometry import (
     arcs_disjoint,
     direction_of,
     enumerate_directions,
-    parse_arc,
-    parse_region,
     realize_region,
     region_sites,
-    region_to_text,
     site_sort_key,
     widen_arc,
 )
@@ -341,59 +338,3 @@ def test_realize_region_idempotent_and_ordered():
     once = realize_region(region, window)
     assert once == window.order(once)
     assert realize_region(region, window) == once
-
-
-# ---------------------------------------------------------------------------
-# textual forms
-
-
-CANONICAL_TEXTS = [
-    "cone[(1,0)..(0,1)]",
-    "ball[5]",
-    "ball[5/2]",
-    "ann[3,7]",
-    "set[(0,1),(2,3)]",
-    "set[]",
-    "!ball[2]",
-    "cone[(1,0)..(0,1)]|ball[2]",
-    "cone[(1,0)..(0,1)]&!set[(0,0)]",
-    "!(ball[1]|ann[1,2])",
-    "ball[1]|(ball[2]|ball[3])",
-    "ball[1]&ball[2]|ball[3]",
-]
-
-
-@pytest.mark.parametrize("text", CANONICAL_TEXTS)
-def test_parser_round_trips_canonical_text(text):
-    region = parse_region(text)
-    assert region_to_text(region) == text
-    assert parse_region(region_to_text(region)) == region
-
-
-def test_region_to_text_round_trips_structures():
-    regions = [
-        Cone(Arc(Direction(1, 0), Direction(-1, 2))),
-        Ball(Fraction(7, 3)),
-        Annulus(Fraction(1), Fraction(9, 2)),
-        Explicit(frozenset({(1, -2), (0, 0)})),
-        Complement(Ball(1)),
-        RegionUnion(Ball(1), RegionIntersection(Ball(2), Complement(Ball(3)))),
-        RegionIntersection(RegionUnion(Ball(1), Ball(2)), Ball(3)),
-        RegionUnion(RegionUnion(Ball(1), Ball(2)), Ball(3)),
-        RegionUnion(Ball(1), RegionUnion(Ball(2), Ball(3))),
-        Explicit(frozenset({-3, 0, 5})),
-    ]
-    for region in regions:
-        assert parse_region(region_to_text(region)) == region
-
-
-def test_parser_rejects_garbage():
-    for bad in ["cone[(1,0)..]", "ball[]", "ball[2", "set[(1,)]", "ball[2]extra", "", "co[1]"]:
-        with pytest.raises(RegionParseError):
-            parse_region(bad)
-
-
-def test_parse_arc():
-    assert parse_arc("(1,0)..(0,-1)") == Arc(Direction(1, 0), Direction(0, -1))
-    with pytest.raises(RegionParseError):
-        parse_arc("(1,0)-(0,1)")

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from oplab.errors import (
     BoundaryContaminationError,
@@ -19,7 +21,6 @@ from oplab.index import (
     interior_mask,
     nontriviality_probe,
     projection_index,
-    translation_invariance_check,
 )
 from oplab.operators import (
     CircleFunction,
@@ -114,16 +115,16 @@ def test_trivial_projections():
     assert projection_index(full, base).value == 0
 
 
-def test_index_k_sweep_matches_oracle():
-    window = TruncationWindow.line(32)
-    for k in range(-3, 4):
-        base, p = index_k_projection(k, window)
-        oracle = zero_line_oracle(
-            compression(p, base).entries, window, float(window.radius) / 4
-        )
-        assert oracle == k
-        for method in ("auto", "kernel_count", "trace_formula"):
-            assert projection_index(p, base, method=method).value == k
+@given(radius=st.integers(12, 64), k=st.integers(-3, 3))
+@example(radius=32, k=-3)
+@example(radius=32, k=3)
+def test_index_k_sweep_matches_oracle(radius, k):
+    window = TruncationWindow.line(radius)
+    base, p = index_k_projection(k, window)
+    oracle = zero_line_oracle(compression(p, base).entries, window, float(window.radius) / 4)
+    assert oracle == k
+    for method in ("auto", "kernel_count", "trace_formula"):
+        assert projection_index(p, base, method=method).value == k
 
 
 def test_index_k_needs_room():
@@ -144,12 +145,13 @@ def test_adjoint_negates_index():
     assert backward.value == -forward.value == 1
 
 
-def test_perp_negates_index():
-    window = TruncationWindow.line(16)
-    p = half_line(window)
-    base = shift_operator(window, 1)
-    assert projection_index(p.perp(), base).value == 1
-    assert projection_index(p, base).value == -1
+@given(radius=st.integers(12, 64), k=st.integers(-3, 3))
+@example(radius=16, k=-1)  # the half line under the unit shift
+def test_perp_negates_index(radius, k):
+    window = TruncationWindow.line(radius)
+    base, p = index_k_projection(k, window)
+    assert projection_index(p, base).value == k
+    assert projection_index(p.perp(), base).value == -k
 
 
 def test_conjugation_invariance_exact():
@@ -359,28 +361,3 @@ def test_probe_report_serialization():
     assert blob["format"] == "nontrivialityreport v1"
     assert len(blob["records"]) == 2
     assert blob["compact_floor"] == DEFAULT_INDEX_CONFIG.compact_floor
-
-
-# ---------------------------------------------------------------------------
-# translation invariance
-
-
-def test_translation_invariance_monomial():
-    window = TruncationWindow.line(16)
-    assert translation_invariance_check(CircleFunction.monomial(1), window) == 0.0
-
-
-def test_translation_invariance_zero_function():
-    window = TruncationWindow.line(16)
-    assert translation_invariance_check(CircleFunction({}), window) == 0.0
-
-
-def test_translation_invariance_random_laurent():
-    rng = np.random.default_rng(20240817)
-    window = TruncationWindow.line(20)
-    coeffs = {
-        n: complex(rng.standard_normal(), rng.standard_normal())
-        for n in range(-5, 6)
-    }
-    spread = translation_invariance_check(CircleFunction(coeffs), window)
-    assert spread <= 1e-12

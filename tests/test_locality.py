@@ -14,7 +14,7 @@ from oplab.errors import (
     StageError,
     WindowExhaustedError,
 )
-from oplab.geometry import Arc, Ball, Direction, Explicit, FULL_REGION
+from oplab.geometry import Arc, Direction
 from oplab.locality import (
     CentersPlan,
     ConeSplit,
@@ -23,8 +23,6 @@ from oplab.locality import (
     block_norm,
     compactness_profile,
     cone_split,
-    finite_support_approx,
-    masked_block_norm,
 )
 from oplab.operators import (
     CircleFunction,
@@ -92,17 +90,6 @@ def test_block_norm_bounded_by_operator_norm():
 def test_block_norm_needs_plane():
     with pytest.raises(RepresentationError):
         block_norm(Operator.identity(TruncationWindow.line(3)), RIGHT, LEFT)
-
-
-def test_masked_block_norm_matches_numpy():
-    w = TruncationWindow.plane(3)
-    a = finite_range_operator(w, 3, seed=9)
-    rows = [(0, 1), (1, 1), (2, 0)]
-    cols = [(0, -1), (-1, 0)]
-    ri = [w.index_of(s) for s in rows]
-    ci = [w.index_of(s) for s in cols]
-    oracle = np.linalg.norm(a.entries[np.ix_(ri, ci)], 2)
-    assert abs(masked_block_norm(a, rows, cols) - oracle) < 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -177,55 +164,6 @@ def test_decay_profile_validation():
     rows = list(DecayProfile((1, Fraction(5, 2)), (1.0, 0.0)).csv_rows())
     assert rows[0] == ("radius", "value")
     assert rows[1][0] == "1" and rows[2][0] == "5/2"
-
-
-# ---------------------------------------------------------------------------
-# finite_support_approx
-
-
-def test_finite_support_of_rank_one_is_its_row():
-    w = TruncationWindow.plane(4)
-    a = hop_operator(w, (2, 0), (0, 3))
-    f = finite_support_approx(a, FULL_REGION, 0.5)
-    assert f == {(0, 3)}
-
-
-def test_finite_support_of_zero_is_empty():
-    w = TruncationWindow.plane(3)
-    assert finite_support_approx(Operator.zero(w), FULL_REGION, 1e-6) == frozenset()
-
-
-def test_finite_support_diagonal_keeps_large_entries():
-    w = TruncationWindow.plane(3)
-    sites = w.sites
-    diag = np.array([1.0 / (k + 1) for k in range(w.dimension)])
-    a = Operator.diagonal(w, diag)
-    eps = 0.2
-    f = finite_support_approx(a, FULL_REGION, eps)
-    expected = {sites[k] for k in range(w.dimension) if 1.0 / (k + 1) > eps}
-    assert f == expected
-
-
-def test_finite_support_bound_always_holds():
-    from oplab.geometry import region_sites
-
-    w = TruncationWindow.plane(4)
-    region = Ball(3)
-    e_sites = region_sites(region, w)
-    for seed in range(4):
-        a = finite_range_operator(w, 2, seed=seed)
-        for eps in (0.1, 1.0, 5.0):
-            f = finite_support_approx(a, region, eps)
-            assert f <= e_sites
-            rows = [w.index_of(s) for s in e_sites - f]
-            err = np.linalg.norm(a.entries[rows, :], 2) if rows else 0.0
-            assert err <= eps + 1e-12
-
-
-def test_finite_support_rejects_bad_eps():
-    w = TruncationWindow.plane(2)
-    with pytest.raises(PreconditionError):
-        finite_support_approx(Operator.identity(w), FULL_REGION, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from oplab.errors import (
     UnitarityError,
     WindowMismatchError,
 )
-from oplab.geometry import Arc, Ball, Cone, Direction, parse_region
+from oplab.geometry import Arc, Ball, Cone, Direction
 from oplab.homotopy import polar_path
 from oplab.operators import (
     CircleFunction,
@@ -111,8 +112,13 @@ def test_angular_phase_frozen_prefix():
 def test_angular_phase_commutes_exactly_with_region_projections():
     w = TruncationWindow.plane(4)
     u = laughlin_operator(w)
-    for text in ("cone[(1,0)..(0,1)]", "ball[5/2]", "!ball[2] & cone[(0,1)..(0,-1)]"):
-        p = Projection.from_region(parse_region(text), w)
+    regions = (
+        Cone(Arc(Direction(1, 0), Direction(0, 1))),
+        Ball(Fraction(5, 2)),
+        ~Ball(2) & Cone(Arc(Direction(0, 1), Direction(0, -1))),
+    )
+    for region in regions:
+        p = Projection.from_region(region, w)
         left = u.entries @ p.entries
         right = p.entries @ u.entries
         assert np.array_equal(left, right)
@@ -231,15 +237,25 @@ def test_apply_on_diagonal_matches_pointwise():
 
 
 def test_apply_laurent_route_matches_schur_oracle():
-    w = TruncationWindow.line(6)
-    u = shift_operator(w, 1, "periodic")
-    f = CircleFunction.from_coefficients({2: 1.0, 1: -0.5j, -1: 2.0, -3: 0.25})
-    got = apply_circle_function(f, u).entries
-    # independent route: unitary matrices are normal, so the complex Schur
-    # form is diagonal and f acts on the eigenvalues
-    t, q = scipy.linalg.schur(u.entries, output="complex")
-    oracle = q @ np.diag(f(np.diag(t))) @ q.conj().T
-    assert spectral_norm(got - oracle) < 1e-12
+    rng = np.random.default_rng(20240817)
+    cases = [
+        (6, {2: 1.0, 1: -0.5j, -1: 2.0, -3: 0.25}),
+        (20, {n: complex(rng.standard_normal(), rng.standard_normal()) for n in range(-5, 6)}),
+    ]
+    for radius, coefficients in cases:
+        w = TruncationWindow.line(radius)
+        u = shift_operator(w, 1, "periodic")
+        f = CircleFunction.from_coefficients(coefficients)
+        got = apply_circle_function(f, u).entries
+        # independent route: unitary matrices are normal, so the complex Schur
+        # form is diagonal and f acts on the eigenvalues
+        t, q = scipy.linalg.schur(u.entries, output="complex")
+        oracle = q @ np.diag(f(np.diag(t))) @ q.conj().T
+        assert spectral_norm(got - oracle) < 1e-12
+        # the periodic shift is a cyclic permutation, so f of it is a
+        # circulant (in site order) and every column has the same norm
+        norms = np.linalg.norm(got, axis=0)
+        assert norms.max() - norms.min() <= 1e-12
 
 
 def test_apply_is_multiplicative_on_unitaries():
