@@ -26,6 +26,7 @@ from oplab.operators import (
     CircleFunction,
     Operator,
     Projection,
+    apply_circle_function,
     laughlin_operator,
     shift_operator,
 )
@@ -361,3 +362,21 @@ def test_probe_report_serialization():
     assert blob["format"] == "nontrivialityreport v1"
     assert len(blob["records"]) == 2
     assert blob["compact_floor"] == DEFAULT_INDEX_CONFIG.compact_floor
+
+
+# ---------------------------------------------------------------------------
+# translation invariance
+
+
+def test_translation_invariance_random_laurent():
+    # the periodic shift is a cyclic permutation, so f of it is a circulant
+    # and every column norm agrees up to floating-point error
+    rng = np.random.default_rng(20240817)
+    window = TruncationWindow.line(20)
+    coeffs = {
+        n: complex(rng.standard_normal(), rng.standard_normal())
+        for n in range(-5, 6)
+    }
+    base = shift_operator(window, 1, "periodic")
+    norms = np.linalg.norm(apply_circle_function(CircleFunction(coeffs), base).entries, axis=0)
+    assert norms.max() - norms.min() <= 1e-12
