@@ -61,9 +61,6 @@ class Direction:
     def cross(self, other: "Direction") -> int:
         return self.p * other.q - self.q * other.p
 
-    def dot(self, other: "Direction") -> int:
-        return self.p * other.p + self.q * other.q
-
     def antipode(self) -> "Direction":
         return Direction(-self.p, -self.q)
 
@@ -196,10 +193,6 @@ class Arc:
 
     def __repr__(self) -> str:
         return f"Arc[{self.as_text()}]"
-
-
-def arc_contains(arc: Arc, d: Direction) -> bool:
-    return arc.contains(d)
 
 
 def arcs_disjoint(first: Arc, second: Arc) -> bool:

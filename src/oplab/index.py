@@ -29,6 +29,9 @@ from .operators import (
     Operator,
     Projection,
     _laurent_apply,
+    adjoints,
+    block_stacks,
+    components,
     shift_operator,
     spectral_norm,
 )
@@ -190,9 +193,39 @@ def cut_interface(p: Projection) -> tuple:
 
 
 def _defects(entries: np.ndarray) -> tuple:
-    """1 - T*T and 1 - TT*, for the trace formula and the base check."""
-    eye = np.eye(entries.shape[0])
-    return eye - entries.conj().T @ entries, eye - entries @ entries.conj().T
+    """1 - T*T and 1 - TT*, for the trace formula and the base check,
+    formed per connected component of T's row-column pattern.
+
+    Row i and column j are linked when T_ij is nonzero (the components
+    of [[0, T], [0, 0]], rows first).  A component with rows R and
+    columns C holds all of T's mass in those rows and columns, so T*T is
+    block diagonal over the column groups with blocks T[R, C]* T[R, C],
+    and TT* over the row groups with blocks T[R, C] T[R, C]*; an empty
+    column or row is a component on its own and keeps its 1.  Blocks of
+    one shape take one stacked product.  A weighted partial permutation
+    gets 1 x 1 blocks, an irreducible T the whole-window product.
+    """
+    d = entries.shape[0]
+    pattern = np.zeros((2 * d, 2 * d), dtype=bool)
+    pattern[:d, d:] = entries != 0
+    # every row and column lies in one component, so the blocks cover
+    # the whole diagonal; entries between components stay 0
+    right = np.zeros((d, d), dtype=np.result_type(entries, float))
+    left = np.zeros_like(right)
+    for stack in block_stacks(components(pattern)):
+        n_rows = np.count_nonzero(stack < d, axis=1)
+        for r in np.unique(n_rows):
+            part = stack[n_rows == r]  # sorted, so each part's rows come first
+            rows, cols = part[:, :r], part[:, r:] - d
+            blocks = entries[rows[:, :, None], cols[:, None, :]]
+            _fill_defect(right, cols, adjoints(blocks) @ blocks)
+            _fill_defect(left, rows, blocks @ adjoints(blocks))
+    return right, left
+
+
+def _fill_defect(out: np.ndarray, sites: np.ndarray, grams: np.ndarray) -> None:
+    """Write 1 - G onto the diagonal blocks out[s, s] of a stack of site sets."""
+    out[sites[:, :, None], sites[:, None, :]] = np.eye(sites.shape[1]) - grams
 
 
 def _defect_diagnostics(entries: np.ndarray, window, config: IndexConfig) -> dict:
@@ -210,19 +243,24 @@ def _defect_diagnostics(entries: np.ndarray, window, config: IndexConfig) -> dic
     }
 
 
-def _pp_admits(entries: np.ndarray) -> bool:
+def _structural_counts(entries: np.ndarray) -> tuple:
+    """Structural entries (|T_ij| > STRUCTURAL_TOL) per column and per row."""
     structural = np.abs(entries) > STRUCTURAL_TOL
-    return bool(
-        np.all(structural.sum(axis=0) <= 1) and np.all(structural.sum(axis=1) <= 1)
-    )
+    return structural.sum(axis=0), structural.sum(axis=1)
 
 
-def _pp_index(entries: np.ndarray, window, cut_sites, config: IndexConfig) -> IndexResult:
-    if not _pp_admits(entries):
+def _pp_admits(counts: tuple) -> bool:
+    """A weighted partial permutation: at most one structural entry in
+    every column and every row."""
+    return all(bool(np.all(c <= 1)) for c in counts)
+
+
+def _pp_index(counts: tuple, window, cut_sites, config: IndexConfig) -> IndexResult:
+    if not _pp_admits(counts):
         raise PreconditionError(
             "operator has rows or columns with more than one structural entry"
         )
-    structural = np.abs(entries) > STRUCTURAL_TOL
+    per_column, per_row = counts
     radius = config.resolved_cut_radius(window)
     near = _cut_neighborhood_mask(window, tuple(cut_sites), radius)
     sites = window.sites
@@ -233,8 +271,8 @@ def _pp_index(entries: np.ndarray, window, cut_sites, config: IndexConfig) -> In
             (at_cut if near[i] else at_edge).append(sites[int(i)])
         return at_cut, at_edge
 
-    kernel_cut, kernel_edge = split(~structural.any(axis=0))
-    coker_cut, coker_edge = split(~structural.any(axis=1))
+    kernel_cut, kernel_edge = split(per_column == 0)
+    coker_cut, coker_edge = split(per_row == 0)
     value = len(kernel_cut) - len(coker_cut)
     diagnostics = {
         "kernel_sites_cut": tuple(kernel_cut),
@@ -391,9 +429,11 @@ def fredholm_index(
     the trace formula; a mismatch raises rather than guessing.
 
     ``kernel_count`` takes its SVD only on the core left after stripping
-    lone pairs (see ``_kernel_index``).  The defects 1 - T*T and 1 - TT*
-    are formed only where the trace formula runs; the defect
-    diagnostics read their diagonals off the column and row norms of T.
+    lone pairs (see ``_kernel_index``).  The trace formula forms the
+    defects 1 - T*T and 1 - TT* per connected component of T's
+    row-column pattern (see ``_defects``); the defect diagnostics read
+    their diagonals off the column and row norms of T.  ``auto`` decides
+    partial-permutation admission once, from one pass over |T|.
     """
     config = config or DEFAULT_INDEX_CONFIG
     window = t.window
@@ -403,14 +443,15 @@ def fredholm_index(
     cut_sites = tuple(config.cut_sites)
 
     if method == "partial_permutation":
-        result = _pp_index(entries, window, cut_sites, config)
+        result = _pp_index(_structural_counts(entries), window, cut_sites, config)
     elif method == "kernel_count":
         result = _kernel_index(entries, window, cut_sites, config)
     elif method == "trace_formula":
         result = _trace_index(*_defects(entries), window, config)
     elif method == "auto":
-        if _pp_admits(entries):
-            result = _pp_index(entries, window, cut_sites, config)
+        counts = _structural_counts(entries)
+        if _pp_admits(counts):
+            result = _pp_index(counts, window, cut_sites, config)
         else:
             result = _kernel_index(entries, window, cut_sites, config)
         check = _trace_index(*_defects(entries), window, config)

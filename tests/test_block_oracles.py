@@ -41,6 +41,7 @@ from oplab.index import (
     IndexConfig,
     _count_localized,
     _cut_neighborhood_mask,
+    _defects,
     _kernel_index,
     cut_interface,
     fredholm_index,
@@ -200,13 +201,18 @@ def dense_compression(p, base):
     return pe @ base.entries @ pe + (np.eye(p.window.dimension) - pe)
 
 
+def dense_defects_of(t):
+    """1 - T*T and 1 - TT* as two whole-window products."""
+    eye = np.eye(t.shape[0])
+    return eye - t.conj().T @ t, eye - t @ t.conj().T
+
+
 def full_window_traces(t, window):
     """Interior traces of (1 - T*T)^m and (1 - TT*)^m over the whole
     window: the dense reference for the trace formula."""
     inside = interior_mask(window, DEFAULT_INDEX_CONFIG.buffer)
-    eye = np.eye(window.dimension)
     out = []
-    for d in (eye - t.conj().T @ t, eye - t @ t.conj().T):
+    for d in dense_defects_of(t):
         power = np.linalg.matrix_power(d, DEFAULT_INDEX_CONFIG.trace_power)
         out.append(float(np.diag(power)[inside].real.sum()))
     return tuple(out)
@@ -233,6 +239,77 @@ def test_index_defects_on_support_match_full_window(k):
     gram = be.conj().T @ be
     unitarity = float(np.max(np.abs(np.linalg.eigvalsh(gram) - 1.0)))
     assert abs(via_mask.diagnostics["base_unitarity_defect"] - unitarity) <= 1e-12
+
+
+def assert_defects_equal(t):
+    for split, dense in zip(_defects(t), dense_defects_of(t)):
+        assert split.dtype == dense.dtype
+        assert np.array_equal(split, dense)
+
+
+def weighted_partial_permutation(rng, d, fill, weights):
+    """A d x d matrix with one weight in each of about ``fill * d`` rows
+    and columns; the other rows and columns are empty.
+
+    ``real`` weights are standard normal; ``dyadic`` ones are (m + ni)/4
+    for small integers m and n, so every product of two of them, and 1
+    minus such a product, is exact in floating point.  Arbitrary complex
+    weights are left to the rounding test below: there the whole-window
+    BLAS product may round conj(t) t with a fused multiply-add and leave
+    an imaginary part of order 1e-22 where the exact value is 0.
+    """
+    t = np.zeros((d, d), dtype=np.complex128)
+    rows = np.flatnonzero(rng.random(d) < fill)
+    if weights == "real":
+        values = rng.standard_normal(rows.size)
+    else:
+        m, n = rng.integers(-8, 9, size=(2, rows.size))
+        values = (m + 1j * n) / 4
+    t[rows, rng.permutation(d)[: rows.size]] = values
+    return t
+
+
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+@pytest.mark.parametrize("k", range(-3, 4))
+def test_defects_of_shifts_and_compressions_equal_the_dense_products(k, boundary):
+    # each product entry has at most one nonzero term, so the split route
+    # is exact, not merely close
+    w = TruncationWindow.line(16)
+    assert_defects_equal(shift_operator(w, k, boundary).entries)
+    base, p = index_k_projection(k, w)
+    assert_defects_equal(dense_compression(p, base))
+
+
+@given(
+    d=st.integers(1, 24),
+    fill=st.sampled_from([0.0, 0.3, 0.8, 1.0]),
+    weights=st.sampled_from(["real", "dyadic"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(d=9, fill=0.0, weights="real", seed=0)  # the all-zero matrix
+def test_defects_of_partial_permutations_equal_the_dense_products(d, fill, weights, seed):
+    rng = np.random.default_rng(seed)
+    assert_defects_equal(weighted_partial_permutation(rng, d, fill, weights))
+
+
+@given(
+    d=st.integers(1, 14),
+    density=st.sampled_from([0.0, 0.05, 0.2, 0.5, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(d=12, density=1.0, seed=3)  # irreducible: one whole-window block
+@example(d=3, density=0.3, seed=4)  # a complex partial permutation
+def test_defects_of_sparse_matrices_match_the_dense_products(d, density, seed):
+    # both routes sum the same nonzero terms of each entry, in possibly
+    # different orders, so they may differ by the rounding of a d-term
+    # complex inner product (4 d eps |T|*|T|) plus that of the
+    # subtraction from 1 (4 d eps on the diagonal)
+    t = sparse_complex(np.random.default_rng(seed), d, d, density)
+    magnitude = np.abs(t)
+    scale = np.eye(d) + magnitude.T @ magnitude, np.eye(d) + magnitude @ magnitude.T
+    allowance = 4 * d * np.finfo(float).eps
+    for split, dense, size in zip(_defects(t), dense_defects_of(t), scale):
+        assert np.all(np.abs(split - dense) <= allowance * size)
 
 
 @given(

@@ -21,7 +21,6 @@ from oplab.geometry import (
     Explicit,
     RegionIntersection,
     RegionUnion,
-    arc_contains,
     arcs_disjoint,
     direction_of,
     enumerate_directions,
@@ -83,37 +82,37 @@ def test_angle_key_matches_float_order():
 
 def test_arc_contains_quadrant_examples():
     first_quadrant = Arc(Direction(1, 0), Direction(0, 1))
-    assert arc_contains(first_quadrant, Direction(1, 0))
-    assert arc_contains(first_quadrant, Direction(0, 1))
-    assert arc_contains(first_quadrant, Direction(1, 1))
-    assert arc_contains(first_quadrant, Direction(3, 1))
-    assert not arc_contains(first_quadrant, Direction(-1, 1))
-    assert not arc_contains(first_quadrant, Direction(1, -1))
-    assert not arc_contains(first_quadrant, Direction(-1, 0))
+    assert first_quadrant.contains(Direction(1, 0))
+    assert first_quadrant.contains(Direction(0, 1))
+    assert first_quadrant.contains(Direction(1, 1))
+    assert first_quadrant.contains(Direction(3, 1))
+    assert not first_quadrant.contains(Direction(-1, 1))
+    assert not first_quadrant.contains(Direction(1, -1))
+    assert not first_quadrant.contains(Direction(-1, 0))
 
 
 def test_arc_contains_wrapping_and_half_turn():
     # three-quarter arc crossing the branch point
     wide = Arc(Direction(0, 1), Direction(1, -1))
-    assert arc_contains(wide, Direction(-1, 0))
-    assert arc_contains(wide, Direction(0, -1))
-    assert arc_contains(wide, Direction(1, -1))
-    assert not arc_contains(wide, Direction(1, 0))
-    assert not arc_contains(wide, Direction(2, 1))
+    assert wide.contains(Direction(-1, 0))
+    assert wide.contains(Direction(0, -1))
+    assert wide.contains(Direction(1, -1))
+    assert not wide.contains(Direction(1, 0))
+    assert not wide.contains(Direction(2, 1))
     # exact half turn
     half = Arc(Direction(1, 0), Direction(-1, 0))
-    assert arc_contains(half, Direction(0, 1))
-    assert arc_contains(half, Direction(-1, 0))
-    assert arc_contains(half, Direction(1, 0))
-    assert not arc_contains(half, Direction(0, -1))
-    assert not arc_contains(half, Direction(1, -5))
+    assert half.contains(Direction(0, 1))
+    assert half.contains(Direction(-1, 0))
+    assert half.contains(Direction(1, 0))
+    assert not half.contains(Direction(0, -1))
+    assert not half.contains(Direction(1, -5))
 
 
 def test_full_circle_arc():
     full = Arc.full_circle()
     assert full.is_full
     for d in [(1, 0), (0, -1), (-7, 3)]:
-        assert arc_contains(full, Direction.from_vector(*d))
+        assert full.contains(Direction.from_vector(*d))
 
 
 def _arc_contains_oracle(window, arc, d):

@@ -2,9 +2,12 @@
 
 import base64
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from oplab.errors import OpmatDimensionError, OpmatHeaderError, OpmatPayloadError
 from oplab.opmat import dumps_operator, load_operator, loads_operator, save_operator
@@ -34,6 +37,44 @@ def test_round_trip_line_window(tmp_path):
     back = load_operator(save_operator(op, tmp_path / "b.opmat"))
     assert back.window == w
     assert np.array_equal(back.entries, op.entries)
+
+
+def _special_floats(rng, n):
+    """n float64 bit patterns drawn from random bytes, with one in five
+    each forced to a NaN with a random payload, an infinity, a zero or a
+    subnormal, all of random sign."""
+    bits = rng.integers(0, 2**64, size=n, dtype=np.uint64)
+    sign = bits & np.uint64(1 << 63)
+    mantissa = bits & np.uint64((1 << 52) - 1)
+    exponent_ones = np.uint64(0x7FF << 52)
+    kind = rng.integers(0, 5, size=n)
+    special = (
+        bits,
+        sign | exponent_ones | mantissa | np.uint64(1),  # NaN, payload kept
+        sign | exponent_ones,  # +-inf
+        sign,  # +-0.0
+        sign | mantissa | np.uint64(1),  # subnormal
+    )
+    return np.choose(kind, special)
+
+
+@given(
+    representation=st.sampled_from(["Z", "Z2"]),
+    radius=st.sampled_from(["1/2", "1", "3/2", "2", "5/2"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_round_trip_keeps_every_bit_pattern(representation, radius, seed):
+    w = TruncationWindow(representation, Fraction(radius))
+    d = w.dimension
+    bits = _special_floats(np.random.default_rng(seed), 2 * d * d)
+    op = Operator(w, bits.view("<c16").reshape(d, d))
+    text = dumps_operator(op, name="bits")
+    back = loads_operator(text)
+    assert back.window == w
+    # NaN != NaN, so compare the bytes rather than the values
+    assert np.array_equal(back.entries.view(np.uint8), op.entries.view(np.uint8))
+    assert np.array_equal(back.entries.view(np.uint64).ravel(), bits)
+    assert dumps_operator(back, name="bits") == text
 
 
 def test_serialization_is_deterministic():
