@@ -134,10 +134,15 @@ def _cmd_convert(args) -> int:
         print(f"wrote {dst} ({op.window.dimension} x {op.window.dimension})")
         return 0
     if src.suffix == ".json" and dst.suffix == ".opmat":
-        payload = json.loads(src.read_text(encoding="ascii"))
-        if payload.get("format") != "opmat-json v1":
-            raise ConfigError("input is not an opmat-json v1 document")
-        text = json.dumps(payload["header"], sort_keys=True) + "\n" + payload["entries_b64"] + "\n"
+        try:
+            payload = json.loads(src.read_text(encoding="ascii"))
+            if payload.get("format") != "opmat-json v1":
+                raise ConfigError("input is not an opmat-json v1 document")
+            text = json.dumps(payload["header"], sort_keys=True) + "\n" + payload["entries_b64"] + "\n"
+        except (UnicodeDecodeError, json.JSONDecodeError, AttributeError, KeyError, TypeError) as exc:
+            raise ConfigError(f"input is not an opmat-json v1 document: {exc!r}") from exc
+        if not text.isascii():
+            raise ConfigError("input entries_b64 is not ASCII")
         dst.write_text(text, encoding="ascii")
         op = load_operator(dst)
         print(f"wrote {dst} ({op.window.dimension} x {op.window.dimension})")

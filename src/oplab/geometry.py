@@ -61,9 +61,6 @@ class Direction:
     def cross(self, other: "Direction") -> int:
         return self.p * other.q - self.q * other.p
 
-    def antipode(self) -> "Direction":
-        return Direction(-self.p, -self.q)
-
     def rotate_ccw_pow2(self, k: int) -> "Direction":
         """Rotate counter-clockwise by exactly arctan(2^-k).
 

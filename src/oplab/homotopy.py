@@ -2,9 +2,14 @@
 
 A path is a tuple of equally weighted segments.  Each segment is one of
 three closed forms built once from a cached factorization, so sampling
-costs one or two dense products rather than a fresh decomposition:
-affine (1-t) A + t B, spectral L e^{(1-t) z} R + C, and conjugation
-U_t* Q U_t.  Constructors cover the deformation moves used by the full
+needs no fresh decomposition: affine (1-t) A + t B, spectral
+L e^{(1-t) z} R + C, and conjugation U_t* Q U_t.  A sample is formed one
+connected component of the segment's pattern at a time: a spectral
+sample as C + L[S, M] e^{(1-t) z_M} R[M, S] on the block of each
+component (sites S, modes M), one stacked product per block shape, and
+a conjugation sample on the block of sites that move; an irreducible
+segment is one component and one whole-window product.  Constructors
+cover the deformation moves used by the full
 unitary-to-identity pipeline: straight lines, polar interpolation,
 peeling an upper-triangular block factor, logarithmic rotation of a
 unitary, conjugation of a projection along a unitary path, and the
@@ -50,6 +55,7 @@ from .operators import (
     gram_eigenvalues,
     hermitian_part,
     spectral_norm,
+    stacked_blocks,
 )
 from .surgery import (
     GreedyIsometry,
@@ -92,6 +98,20 @@ def _residual_norm(entries: np.ndarray, tol: float) -> float:
     return spectral_norm(entries)
 
 
+def _split_norm(entries: np.ndarray) -> float:
+    """Spectral norm of a square matrix, per connected component of its
+    pattern.  The matrix is block diagonal over them, and the norm of a
+    block-diagonal matrix is the largest norm of its blocks, so this is
+    exact; one component is the whole-window ``spectral_norm``."""
+    parts = components(entries)
+    if len(parts) == 1:
+        return spectral_norm(entries)
+    return max(
+        float(np.linalg.svd(diagonal_blocks(entries, stack), compute_uv=False).max())
+        for stack in block_stacks(parts)
+    )
+
+
 # ---------------------------------------------------------------------------
 # segments
 
@@ -121,6 +141,11 @@ class PathSegment:
     def block(self, t: float, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """X(t)[rows, cols]; forms that can cut it from their factors do."""
         return self.at(t)[np.ix_(rows, cols)]
+
+    def residual(self, t: float, target: np.ndarray, tol: float) -> float:
+        """_residual_norm(X(t) - target, tol); forms that can take its
+        Frobenius norm on their blocks do."""
+        return _residual_norm(self.at(t) - target, tol)
 
     def moving_sites(self) -> np.ndarray:
         """Mask of the sites where some X(t) may differ from the identity;
@@ -186,8 +211,76 @@ class SpectralSegment(PathSegment):
     def _wave(self, t: float) -> np.ndarray:
         return np.exp((1.0 - t) * self.exponents)
 
+    @cached_property
+    def _split(self) -> tuple:
+        """(site components, shape groups, idle modes), found once.
+
+        The pattern is that of C and ``factor``, with mode k joining the
+        rows of L[:, k] and the columns of R[k, :].  Every X(t) is zero
+        between two components and C + L[S, M] e^{(1-t) z_M} R[M, S] on
+        the block of a component with sites S and modes M.  Components
+        of one shape (|S|, |M|) form a group: an (n, |S|) site stack and
+        an (n, |M|) mode stack.  Idle modes (a zero L column and R row)
+        belong to no site and move nothing.
+        """
+        d, k = self.left.shape
+        pattern = np.zeros((d + k, d + k), dtype=bool)
+        pattern[:d, :d] = self.const != 0
+        if self.factor is not None:
+            pattern[:d, :d] |= self.factor != 0
+        pattern[:d, d:] = self.left != 0
+        pattern[d:, :d] = self.right != 0
+        parts = components(pattern)
+        # each part is sorted, so its sites come before its modes
+        sizes = np.fromiter(map(len, parts), dtype=np.intp, count=len(parts))
+        flat = np.concatenate(parts)
+        starts = np.cumsum(sizes) - sizes
+        held = np.add.reduceat(flat < d, starts)
+        shape = held * (k + 1) + sizes - held  # orders groups by (|S|, |M|)
+        groups = []
+        for key in np.unique(shape[held > 0]):
+            picks = np.flatnonzero(shape == key)
+            s, size = held[picks[0]], sizes[picks[0]]
+            stack = flat[starts[picks][:, None] + np.arange(size)]
+            groups.append((stack[:, :s], stack[:, s:] - d))
+        sites = [part[:s] for part, s in zip(parts, held.tolist()) if s]
+        return sites, tuple(groups), int(sizes[held == 0].sum())
+
+    def _blocks(self, t: float):
+        """X(t) on each group of blocks: its (n, s) site stack and the
+        (n, s, s) blocks, one stacked product per group."""
+        wave = self._wave(t)
+        for sites, modes in self._split[1]:
+            lw = stacked_blocks(self.left, sites, modes) * wave[modes][:, None, :]
+            yield sites, lw @ stacked_blocks(self.right, modes, sites) + diagonal_blocks(
+                self.const, sites
+            )
+
     def _at(self, t: float) -> np.ndarray:
-        return (self.left * self._wave(t)[None, :]) @ self.right + self.const
+        d = self.const.shape[0]
+        out = None
+        for sites, x in self._blocks(t):
+            if sites.shape == (1, d):
+                return x[0]  # one component: the whole-window product
+            if out is None:
+                out = np.zeros((d, d), dtype=x.dtype)
+            out[sites[:, :, None], sites[:, None, :]] = x
+        return out
+
+    def residual(self, t: float, target: np.ndarray, tol: float) -> float:
+        """As PathSegment.residual, with the Frobenius norm taken on the
+        blocks: X(t) - target on each block, and target alone between
+        them, where X(t) is zero."""
+        owner = np.zeros(target.shape[0], dtype=np.intp)
+        norms, count = [], 0
+        for sites, x in self._blocks(1.0 - t if self.flip else t):
+            owner[sites] = np.arange(count, count + sites.shape[0])[:, None]
+            count += sites.shape[0]
+            norms.append(_fro(x - diagonal_blocks(target, sites)))
+        rows, cols = np.divmod(np.flatnonzero(target), target.shape[1])
+        between = owner[rows] != owner[cols]
+        fro = math.hypot(*norms, _fro(target[rows[between], cols[between]]))
+        return fro if fro <= tol else super().residual(t, target, tol)
 
     def block(self, t: float, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """X(t)[rows, cols], cut from factor rows and columns."""
@@ -206,14 +299,8 @@ class SpectralSegment(PathSegment):
         )
 
     def components(self) -> list:
-        """Components of C's pattern, with mode k joining the rows of
-        L[:, k] and the columns of R[k, :]."""
-        d, k = self.left.shape
-        pattern = np.zeros((d + k, d + k), dtype=bool)
-        pattern[:d, :d] = self.const != 0
-        pattern[:d, d:] = self.left != 0
-        pattern[d:, :d] = self.right != 0
-        return [part[part < d] for part in components(pattern) if part[0] < d]
+        """The site sets of the segment's components (``_split``)."""
+        return self._split[0]
 
     def spectrum_bound(self) -> "SpectrumBound | None":
         """A rigorous bracket on the singular values of every X(t), or
@@ -238,14 +325,32 @@ class SpectralSegment(PathSegment):
         Both brackets hold for the exact X(t); the bound adds a rounding
         allowance of d eps ||X||^2 (``SpectrumBound.at``) so that it
         also holds for the sample as computed in floating point.
+
+        Every product runs per group of ``_split``, whose pattern holds
+        g: L*L, RR*, L* g and C - g + L L* g are block diagonal over the
+        components, a Frobenius norm is the root sum of squares of the
+        blocks' and g's singular values are the union of the blocks'.
+        An idle mode (a zero column of L) fails either form, as the
+        whole-window formulas do.
         """
-        z, left, right, const = self.exponents, self.left, self.right, self.const
-        d, k = left.shape
+        z = self.exponents
+        d, k = self.left.shape
+        _, groups, idle = self._split
+        if idle:
+            return None
         rounding = d * float(np.finfo(np.float64).eps)
-        eye_k = np.eye(k)
-        if not np.any(z.imag) and not np.any(const) and k == d:
-            a = _fro(left.conj().T @ left - eye_k)
-            b = _fro(right @ right.conj().T - eye_k)
+        blocks = [
+            (
+                sites,
+                stacked_blocks(self.left, sites, modes),
+                stacked_blocks(self.right, modes, sites),
+                np.eye(modes.shape[1]),
+            )
+            for sites, modes in groups
+        ]
+        if not np.any(z.imag) and not np.any(self.const) and k == d:
+            a = math.hypot(*(_fro(adjoints(lb) @ lb - eye) for _, lb, _, eye in blocks))
+            b = math.hypot(*(_fro(rb @ adjoints(rb) - eye) for _, _, rb, eye in blocks))
             if max(a, b) > BOUND_SLACK:
                 return None
             rates = (float(z.real.max()), float(z.real.min()))
@@ -260,29 +365,30 @@ class SpectralSegment(PathSegment):
             )
         if np.any(z.real):
             return None
-        lh = left.conj().T
-        f = _fro(lh @ left - eye_k)
-        base = np.eye(d) if self.factor is None else self.factor
-        target = lh if self.factor is None else lh @ self.factor
-        pairing = np.einsum("ij,ij->i", target.conj(), right)
-        if not np.all(pairing):
-            return None
-        phase = pairing / np.abs(pairing)
-        drift = _fro(right - phase[:, None] * target)
-        offset = _fro(const - base + left @ target)
-        slack = math.sqrt(1.0 + f) * drift + offset
+        fs, drifts, offsets, sings = [], [], [], []
+        for sites, lb, rb, eye in blocks:
+            lh = adjoints(lb)
+            fs.append(_fro(lh @ lb - eye))
+            if self.factor is None:
+                base, target = np.eye(sites.shape[1]), lh
+            else:
+                base = diagonal_blocks(self.factor, sites)
+                target = lh @ base
+                sings.append(np.linalg.svd(base, compute_uv=False).ravel())
+            pairing = np.einsum("nij,nij->ni", target.conj(), rb)
+            if not np.all(pairing):
+                return None
+            phase = pairing / np.abs(pairing)
+            drifts.append(_fro(rb - phase[:, :, None] * target))
+            offsets.append(_fro(diagonal_blocks(self.const, sites) - base + lb @ target))
+        f = math.hypot(*fs)
+        slack = math.sqrt(1.0 + f) * math.hypot(*drifts) + math.hypot(*offsets)
         if max(f, slack) > BOUND_SLACK:
             return None
         delta = 4.0 * f * (1.0 + f)
         scale = (1.0, 1.0)
-        if self.factor is not None:
-            # the singular values of g, one stacked SVD per component size
-            s = np.concatenate(
-                [
-                    np.linalg.svd(diagonal_blocks(self.factor, stack), compute_uv=False).ravel()
-                    for stack in block_stacks(components(self.factor))
-                ]
-            )
+        if sings:
+            s = np.concatenate(sings)
             scale = (float(s.max()), float(s.min()))
         return SpectrumBound(
             math.sqrt(1.0 - delta),
@@ -542,7 +648,7 @@ def _polar_segment(g: Operator, tol: float) -> SpectralSegment:
 def polar_path(g: Operator, tol: float = 1e-8) -> HomotopyPath:
     """t -> U |G|^(1-t) from G to its unitary polar factor U."""
     seg = _polar_segment(g, tol)
-    return HomotopyPath((seg,), g.entries, seg.left @ seg.right)
+    return HomotopyPath((seg,), g.entries, seg.at(1.0))
 
 
 def _log_segment(window: Window, entries, blocks, right=None, flip=False) -> SpectralSegment:
@@ -795,11 +901,11 @@ def _stacked_segments(
         )
     src = _intertwiner_columns(off, v_iso)
 
-    eye_amp = np.eye(amp.dimension, dtype=np.complex128)
-    target = eye_amp.copy()
-    target[: base.dimension, : base.dimension] = ue
-    start_gap = _residual_norm(inner[0].at(0.0) - eye_amp, TOL_BLOCK_FORM)
-    end_gap = _residual_norm(inner[-1].at(1.0) - target, TOL_BLOCK_FORM)
+    # the inner path's ends, each checked on its segment's blocks
+    stacked = np.eye(amp.dimension, dtype=np.complex128)
+    start_gap = inner[0].residual(0.0, stacked, TOL_BLOCK_FORM)
+    stacked[: base.dimension, : base.dimension] = ue  # now U ⊕ 1
+    end_gap = inner[-1].residual(1.0, stacked, TOL_BLOCK_FORM)
     if max(start_gap, end_gap) > TOL_BLOCK_FORM:
         raise PreconditionError(
             "inner path must run from the stacked identity to U ⊕ 1: "
@@ -1119,7 +1225,8 @@ def certify_path(path: HomotopyPath, config: CertifyConfig | None = None) -> Cer
     union of the blocks' eigenvalues is exactly the Gram spectrum; an
     irreducible segment is one component, the whole window.  Each
     segment's stats record ``largest_block``, the largest component
-    measured.
+    measured.  The endpoint errors are spectral norms taken per
+    component of the difference's pattern, which is exact.
 
     The locality defect is always measured: the largest block norm over
     the configured cone pairs, outside the allowance ball, cut from the
@@ -1205,8 +1312,8 @@ def certify_path(path: HomotopyPath, config: CertifyConfig | None = None) -> Cer
         )
 
     endpoint_errors = (
-        spectral_norm(first - path.declared_start),
-        spectral_norm(last.dense() - path.declared_end),
+        _split_norm(first - path.declared_start),
+        _split_norm(last.dense() - path.declared_end),
     )
     return CertificateReport(
         samples=config.samples,
@@ -1286,7 +1393,10 @@ def theorem1_pipeline(
     block_indices = [
         [window.index_of(site) for site in block] for block in plan.ranges
     ]
-    vg = v.entries @ g.entries
+    # V is exactly the identity off the union of the ranges
+    union = np.unique(np.concatenate(block_indices))
+    vg = g.entries.copy()
+    vg[union] = v.entries[np.ix_(union, union)] @ g.entries[union]
     correct = stage(
         "corrective-unitary",
         lambda: _log_segment(window, v.entries, block_indices, right=g.entries, flip=True),
@@ -1309,7 +1419,7 @@ def theorem1_pipeline(
         "block-peel", lambda: _block_peel(Operator(window, peelable), p_centers)
     )
     polar = stage("polar", lambda: _polar_segment(factors[0], 1e-8))
-    w_pol = Operator(window, polar.left @ polar.right)
+    w_pol = Operator(window, polar.at(1.0))
 
     v_iso = stage(
         "greedy-isometry",

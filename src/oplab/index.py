@@ -157,19 +157,16 @@ def _cut_neighborhood_mask(
     return mask
 
 
-def _neighbors(site: Site):
-    if isinstance(site, int):
-        return (site - 1, site + 1)
-    x1, x2 = site
-    return ((x1 - 1, x2), (x1 + 1, x2), (x1, x2 - 1), (x1, x2 + 1))
-
-
 def cut_interface(p: Projection) -> tuple:
     """Sites on either side of the projection's 0/1 boundary.
 
     Only in-window neighbor flips count, so a region edge that coincides
     with the window edge contributes nothing: that boundary is an
-    artifact of truncation, not a cut.
+    artifact of truncation, not a cut.  The window's coordinates are laid
+    on a grid with a one-site border of -1 (no site), so each of the four
+    lattice steps is one lookup for every site at once; a line window
+    sits on one row of the grid, so only its two steps along the row can
+    meet a site.
     """
     mask = p.diagonal_mask()
     if mask is None:
@@ -179,13 +176,15 @@ def cut_interface(p: Projection) -> tuple:
     window = p.window
     if not isinstance(window, TruncationWindow):
         raise PreconditionError("cut interface needs a plain truncation window")
-    interface = []
-    for i, site in enumerate(window.sites):
-        for nb in _neighbors(site):
-            if nb in window and mask[window.index_of(nb)] != mask[i]:
-                interface.append(site)
-                break
-    return window.order(interface)
+    at = window.coordinates - window.coordinates.min(axis=0) + 1
+    grid = np.full(tuple(at.max(axis=0) + 2), -1, dtype=np.intp)
+    grid[at[:, 0], at[:, 1]] = np.arange(window.dimension)
+    flips = np.zeros(window.dimension, dtype=bool)
+    for step in ((-1, 0), (1, 0), (0, -1), (0, 1)):
+        nb = grid[at[:, 0] + step[0], at[:, 1] + step[1]]
+        flips |= (nb >= 0) & (mask[nb] != mask)
+    # basis order is the canonical site order
+    return tuple(window.sites[i] for i in np.flatnonzero(flips))
 
 
 # ---------------------------------------------------------------------------

@@ -159,13 +159,13 @@ def components(pattern: np.ndarray) -> list:
     linked = np.asarray(pattern) != 0
     if not linked.size:
         return []
-    sites = np.arange(linked.shape[0])
+    n = linked.shape[0]
+    sites = np.arange(n)
     parent = np.minimum(sites, np.where(linked.any(axis=1), linked.argmax(axis=1), sites))
     root = _roots(parent)
-    crossing = linked & (root[:, None] != root[None, :])
-    held = np.flatnonzero(crossing.any(axis=1))
-    rows, cols = np.nonzero(crossing[held])
-    rows = held[rows]
+    crossing = np.not_equal.outer(root, root)
+    crossing &= linked
+    rows, cols = np.divmod(np.flatnonzero(crossing), n)
     while rows.size:
         ends = root[rows], root[cols]
         np.minimum.at(parent, ends[0], ends[1])
@@ -174,7 +174,9 @@ def components(pattern: np.ndarray) -> list:
         keep = root[rows] != root[cols]
         rows, cols = rows[keep], cols[keep]
     order = np.argsort(root, kind="stable")
-    return np.split(order, np.flatnonzero(np.diff(root[order])) + 1)
+    cuts = (np.flatnonzero(np.diff(root[order])) + 1).tolist()
+    # views of ``order`` between the cuts, sliced in C
+    return list(map(order.__getitem__, map(slice, [0, *cuts], [*cuts, n])))
 
 
 def _roots(parent: np.ndarray) -> np.ndarray:
@@ -195,9 +197,15 @@ def block_stacks(parts: list) -> tuple:
 
 def diagonal_blocks(entries: np.ndarray, stack: np.ndarray) -> np.ndarray:
     """The (n, s, s) diagonal blocks entries[c, c] of a stack of components."""
-    if stack.shape == (1, entries.shape[0]):
-        return entries[None]  # one component: the whole window, no copy
-    return entries[stack[:, :, None], stack[:, None, :]]
+    return stacked_blocks(entries, stack, stack)
+
+
+def stacked_blocks(entries: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The (n, r, c) blocks entries[rows[i]][:, cols[i]] of an (n, r) row
+    stack and an (n, c) column stack."""
+    if rows.shape == (1, entries.shape[0]) and cols.shape == (1, entries.shape[1]):
+        return entries[None]  # one component: the whole matrix, no copy
+    return entries[rows[:, :, None], cols[:, None, :]]
 
 
 def gram_eigenvalues(entries: np.ndarray, stacks: tuple) -> np.ndarray:

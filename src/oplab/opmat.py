@@ -12,6 +12,7 @@ from __future__ import annotations
 import base64
 import binascii
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -60,7 +61,7 @@ def save_operator(op: Operator, path: str | Path, name: str = "") -> Path:
 def _parse_header(line: str) -> dict:
     try:
         header = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise OpmatHeaderError(f"header line is not valid JSON: {exc}") from exc
     if not isinstance(header, dict):
         raise OpmatHeaderError("header line must be a JSON object")
@@ -73,27 +74,60 @@ def _parse_header(line: str) -> dict:
         raise OpmatHeaderError(f"unknown basis convention {header['basis']!r}")
     if header["representation"] not in ("Z", "Z2"):
         raise OpmatHeaderError(f"unknown representation {header['representation']!r}")
-    if not isinstance(header["dimension"], int) or header["dimension"] <= 0:
+    dimension = header["dimension"]
+    if isinstance(dimension, bool) or not isinstance(dimension, int) or dimension <= 0:
         raise OpmatHeaderError("dimension must be a positive integer")
+    if not isinstance(header["name"], str):
+        raise OpmatHeaderError("name must be a string")
     return header
 
 
-def _window_from_header(header: dict) -> TruncationWindow:
+def _radius(header: dict) -> Fraction:
+    text = header["radius"]
+    if isinstance(text, bool):
+        raise OpmatHeaderError(f"unreadable radius {text!r}")
     try:
-        radius = Fraction(header["radius"])
-    except (ValueError, ZeroDivisionError) as exc:
-        raise OpmatHeaderError(f"unreadable radius {header['radius']!r}") from exc
-    if header["representation"] == "Z":
-        window = TruncationWindow.line(radius)
+        radius = Fraction(text)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise OpmatHeaderError(f"unreadable radius {text!r}") from exc
+    if radius <= 0:
+        raise OpmatHeaderError(f"radius {text!r} is not positive")
+    return radius
+
+
+def _window_from_header(header: dict, payload_chars: int) -> TruncationWindow:
+    """The header's window, once its claimed dimension is the window's
+    site count.  The count is taken without listing the sites: 2n + 1 on
+    the line (n = floor(r)), and on the plane a sum over the 2n + 1
+    columns.  The disc holds the square |x|, |y| <= m with 2 m^2 <= r^2
+    and lies inside |x|, |y| <= n, so a claim outside [(2m + 1)^2,
+    (2n + 1)^2] is wrong at once.  The column sum runs only while it is
+    short next to the payload text: n^2 at most its length, or a claim
+    whose matrix that text can hold (then n^2 is of order the claim).
+    Any other claim is a payload error."""
+    radius = _radius(header)
+    representation, claimed = header["representation"], header["dimension"]
+    n = math.floor(radius)
+    if representation == "Z":
+        low = high = 2 * n + 1
     else:
-        window = TruncationWindow.plane(radius)
-    if window.dimension != header["dimension"]:
+        r2 = math.floor(radius * radius)
+        low, high = (2 * math.isqrt(r2 // 2) + 1) ** 2, (2 * n + 1) ** 2
+        if low <= claimed <= high:
+            if n * n > payload_chars and 16 * claimed * claimed > payload_chars:
+                raise OpmatPayloadError(
+                    f"payload of {payload_chars} characters cannot hold a "
+                    f"{claimed}x{claimed} complex matrix"
+                )
+            low = high = sum(2 * math.isqrt(r2 - x * x) + 1 for x in range(-n, n + 1))
+    if not low <= claimed <= high:
+        count = low if low == high else f"between {low} and {high}"
         raise OpmatDimensionError(
-            f"header claims dimension {header['dimension']} but the "
-            f"{header['representation']} window of radius {header['radius']} "
-            f"has {window.dimension} sites"
+            f"header claims dimension {claimed} but the "
+            f"{representation} window of radius {header['radius']} "
+            f"has {count} sites"
         )
-    return window
+    return TruncationWindow(representation, radius)  # sites are listed lazily
 
 
 def loads_operator(text: str) -> Operator:
@@ -102,9 +136,10 @@ def loads_operator(text: str) -> Operator:
     if not sep:
         raise OpmatHeaderError("file has no header line")
     header = _parse_header(head)
-    window = _window_from_header(header)
+    body = body.strip()
+    window = _window_from_header(header, len(body))
     try:
-        raw = base64.b64decode(body.strip(), validate=True)
+        raw = base64.b64decode(body, validate=True)
     except (binascii.Error, ValueError) as exc:
         raise OpmatPayloadError(f"payload is not valid base64: {exc}") from exc
     d = header["dimension"]
@@ -120,4 +155,10 @@ def loads_operator(text: str) -> Operator:
 
 
 def load_operator(path: str | Path) -> Operator:
-    return loads_operator(Path(path).read_text(encoding="ascii"))
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        error = OpmatPayloadError if b"\n" in data[: exc.start] else OpmatHeaderError
+        raise error(f"byte {exc.start} of the file is not ASCII") from exc
+    return loads_operator(text)

@@ -12,6 +12,7 @@ dense value.
 import dataclasses
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,11 +21,13 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from oplab.errors import BoundaryContaminationError, PreconditionError
-from oplab.geometry import Ball, Explicit
+from oplab.geometry import Arc, Ball, Cone, Direction, Explicit
 import oplab.homotopy
 from oplab.homotopy import (
+    BOUND_SLACK,
     AffineSegment,
     CertifyConfig,
+    SpectralSegment,
     _block_peel,
     _compression,
     _locality_indices,
@@ -361,6 +364,65 @@ def test_masks_match_the_site_loop(representation, radius):
         inside, near = loop_masks(w, buffer, cut_sites, cut_radius)
         assert np.array_equal(interior_mask(w, buffer), inside)
         assert np.array_equal(_cut_neighborhood_mask(w, cut_sites, cut_radius), near)
+
+
+def walked_interface(p):
+    """cut_interface as a walk over the sites: a site is on the cut when
+    one of its lattice neighbours inside the window is on the other side
+    of the mask.  The reference for the grid lookup."""
+    window, mask = p.window, p.diagonal_mask()
+
+    def neighbors(site):
+        if isinstance(site, int):
+            return (site - 1, site + 1)
+        x1, x2 = site
+        return ((x1 - 1, x2), (x1 + 1, x2), (x1, x2 - 1), (x1, x2 + 1))
+
+    interface = [
+        site
+        for i, site in enumerate(window.sites)
+        if any(nb in window and mask[window.index_of(nb)] != mask[i] for nb in neighbors(site))
+    ]
+    return window.order(interface)
+
+
+def interface_cases():
+    """(name, projection): half-lines, intervals, cones, half-planes and
+    balls, regions whose only edge is the window edge, and scattered
+    masks, on line and plane windows."""
+    line, plane = TruncationWindow.line(16), TruncationWindow.plane(7)
+    east = Arc(Direction(1, -1), Direction(1, 1))
+    regions = {
+        "half-line": (line, Explicit(frozenset(x for x in line.sites if x >= 1))),
+        "interval": (line, Explicit(frozenset(range(-3, 5)))),
+        "line-edge": (line, Explicit(frozenset(line.sites))),
+        "right-end": (line, Explicit(frozenset((15, 16)))),
+        "cone": (plane, Cone(east)),
+        "half-plane": (plane, Explicit(frozenset(s for s in plane.sites if s[0] >= 0))),
+        "ball": (plane, Ball(Fraction(3))),
+        "plane-edge": (plane, Ball(Fraction(8))),  # open ball: every site
+        "rim": (plane, ~Ball(Fraction(6))),
+    }
+    for name, (window, region) in regions.items():
+        yield name, Projection.from_region(region, window)
+    rng = np.random.default_rng(30)
+    for window in (line, TruncationWindow.plane("5/2"), plane):
+        mask = rng.random(window.dimension) < 0.4
+        yield f"scattered-{window.representation}-{window.dimension}", Projection(
+            Operator.diagonal(window, mask.astype(float))
+        )
+
+
+INTERFACE_CASES = dict(interface_cases())
+
+
+@pytest.mark.parametrize("case", sorted(INTERFACE_CASES))
+def test_cut_interface_matches_the_site_walk(case):
+    p = INTERFACE_CASES[case]
+    interface = cut_interface(p)
+    assert interface == walked_interface(p)
+    if case in ("line-edge", "plane-edge"):
+        assert interface == ()  # the window edge is no cut
 
 
 def full_svd_kernel_index(entries, window, cut_sites, config):
@@ -889,6 +951,240 @@ def test_pipeline_bounds_hold_and_intertwiner_is_exact(seed, monkeypatch):
     # dense end values with no tolerance on top
     assert all(s["max_bound_excess"] <= 0.0 for s in stats if s["max_bound_excess"] is not None)
     assert sum(s["dense_samples"] for s in stats) <= 26
+
+
+# ---------------------------------------------------------------------------
+# spectral segments per component
+
+
+def dense_spectral_at(seg, t):
+    """X(t) = (L e^{(1-t) z}) R + C as one whole-window product."""
+    s = 1.0 - t if seg.flip else t
+    return (seg.left * np.exp((1.0 - s) * seg.exponents)[None, :]) @ seg.right + seg.const
+
+
+def dense_spectrum_bound(seg):
+    """(alpha, beta, slack, scale, rates) of the segment's SpectrumBound
+    from whole-window products of its factors, or None: the formulas
+    of SpectralSegment.spectrum_bound with no split."""
+    z, left, right, const = seg.exponents, seg.left, seg.right, seg.const
+    d, k = left.shape
+    eye_k = np.eye(k)
+    if not np.any(z.imag) and not np.any(const) and k == d:
+        a = np.linalg.norm(left.conj().T @ left - eye_k)
+        b = np.linalg.norm(right @ right.conj().T - eye_k)
+        if max(a, b) > BOUND_SLACK:
+            return None
+        rates = (float(z.real.max()), float(z.real.min()))
+        return math.sqrt((1 - a) * (1 - b)), math.sqrt((1 + a) * (1 + b)), 0.0, (1.0, 1.0), rates
+    if np.any(z.real):
+        return None
+    lh = left.conj().T
+    f = np.linalg.norm(lh @ left - eye_k)
+    base = np.eye(d) if seg.factor is None else seg.factor
+    target = lh if seg.factor is None else lh @ seg.factor
+    pairing = np.einsum("ij,ij->i", target.conj(), right)
+    if not np.all(pairing):
+        return None
+    phase = pairing / np.abs(pairing)
+    drift = np.linalg.norm(right - phase[:, None] * target)
+    slack = math.sqrt(1.0 + f) * drift + np.linalg.norm(const - base + left @ target)
+    if max(f, slack) > BOUND_SLACK:
+        return None
+    delta = 4.0 * f * (1.0 + f)
+    scale = (1.0, 1.0)
+    if seg.factor is not None:
+        s = np.linalg.svd(seg.factor, compute_uv=False)
+        scale = (float(s.max()), float(s.min()))
+    return math.sqrt(1.0 - delta), math.sqrt(1.0 + delta), slack, scale, (0.0, 0.0)
+
+
+def residual_oracle(x, target, tol):
+    """_residual_norm of X - target from the whole-window difference."""
+    fro = float(np.linalg.norm(x - target))
+    return fro if fro <= tol else spectral_norm(x - target)
+
+
+def hand_built_segments():
+    """Rotations of a right factor g on a seven-site line.  V turns the
+    sites {0, 2, 5} together and spins site 3; g links sites 1 and 4,
+    which have no mode, and leaves site 6 alone, with no mode and no
+    link.  ``idle`` adds a mode whose L column and R row are zero.
+    ``tail`` puts an entry 3e-11 between sites 6 and 1 into g only (C
+    and R keep the g without it), so only a pattern that holds g joins
+    those sites."""
+    w = TruncationWindow.line(3)
+    d = w.dimension
+    rng = np.random.default_rng(31)
+    moved = [0, 2, 5]
+    v = np.eye(d, dtype=np.complex128)
+    v[np.ix_(moved, moved)] = random_unitary(3, rng)
+    v[3, 3] = np.exp(0.7j)
+    g = np.eye(d, dtype=np.complex128)
+    g[np.ix_(moved, moved)] += 0.2 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    g[1, 4], g[4, 1] = 0.3, -0.2j
+    seg = _log_segment(w, v, [moved, [3]], right=g)
+    idle = dataclasses.replace(
+        seg,
+        left=np.hstack([seg.left, np.zeros((d, 1))]),
+        exponents=np.append(seg.exponents, 0.4j),
+        right=np.vstack([seg.right, np.zeros((1, d))]),
+    )
+    tailed_g = g.copy()
+    tailed_g[6, 1] = 3e-11
+    return {"hand": seg, "idle": idle, "tail": dataclasses.replace(seg, factor=tailed_g)}
+
+
+HAND_BUILT = hand_built_segments()
+
+_CAPTURED = {}
+
+
+def captured_pipeline(case, u):
+    """(path, report, inner stacked segments, U) of the radius-12
+    pipeline on u with the default arc pair, run once per case."""
+    if case not in _CAPTURED:
+        calls = []
+        build = oplab.homotopy._stacked_segments
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(
+                oplab.homotopy,
+                "_stacked_segments",
+                lambda *args: calls.append(args) or build(*args),
+            )
+            path, report = oplab.homotopy.theorem1_pipeline(
+                u, 0.5, oplab.homotopy.PipelineConfig(certify=CertifyConfig(arc_pairs=(DEFAULT_ARC_PAIR,)))
+            )
+        ((w_pol, _, _, inner),) = calls
+        _CAPTURED[case] = path, report, inner, w_pol
+    return _CAPTURED[case]
+
+
+@pytest.fixture(params=["seed1", "seed2", "seed3", "tailed"])
+def pipeline_case(request, tailed_pipeline):
+    if request.param == "tailed":
+        u = tailed_pipeline[0]
+    else:
+        u = seeded_local_unitary(TruncationWindow.plane(12), int(request.param[-1]))
+    return request.param, captured_pipeline(request.param, u)
+
+
+def spectral_pieces(segments):
+    """Each spectral segment of the list and its reverse."""
+    spectral = [seg for seg in segments if isinstance(seg, SpectralSegment)]
+    return spectral + [seg.reversed() for seg in spectral]
+
+
+def assert_samples_match_the_dense_product(seg):
+    """at(t) per component against the whole-window product: to the bit
+    when the segment is one component, within 1e-12 otherwise."""
+    for t in (0.0, 0.3, 1.0):
+        x, want = seg.at(t), dense_spectral_at(seg, t)
+        if len(seg.components()) == 1:
+            assert np.array_equal(x, want)
+        else:
+            assert np.max(np.abs(x - want)) <= 1e-12
+
+
+def assert_bound_matches_the_dense_formulas(seg):
+    bound, want = seg.spectrum_bound(), dense_spectrum_bound(seg)
+    if want is None:
+        assert bound is None
+        return
+    got = (bound.alpha, bound.beta, bound.slack, bound.scale, bound.rates)
+    assert bound.flip == seg.flip and bound.rounding == seg.left.shape[0] * np.finfo(float).eps
+    if len(seg.components()) == 1:
+        assert got == want
+    else:
+        assert np.max(np.abs(np.hstack(got) - np.hstack(want))) <= 1e-12
+
+
+def test_spectral_segments_match_the_whole_window_route(pipeline_case):
+    name, (path, _, inner, _) = pipeline_case
+    pieces = spectral_pieces(path.segments + inner)
+    assert [seg.kind for seg in pieces] == ["log", "polar", "block_unitary", "log"] * 2
+    sizes = [max(part.size for part in seg.components()) for seg in pieces]
+    if name == "tailed":  # only the polar climb and the stacked move split
+        d = path.window.dimension
+        assert sizes[:3] == [d, d - 2, d - 2] and len(pieces[0].components()) == 1
+    else:
+        assert max(sizes) == 2
+    for seg in pieces:
+        assert_samples_match_the_dense_product(seg)
+        assert_bound_matches_the_dense_formulas(seg)
+    assert all(seg.spectrum_bound() is not None for seg in pieces[:3])
+
+
+@pytest.mark.parametrize("case", sorted(HAND_BUILT))
+def test_hand_built_segment_matches_the_whole_window_route(case):
+    seg = HAND_BUILT[case]
+    parts = [part.tolist() for part in seg.components()]
+    assert [0, 2, 5] in parts and [3] in parts
+    assert ([1, 4] in parts and [6] in parts) == (case != "tail")
+    for piece in (seg, seg.reversed()):
+        assert_samples_match_the_dense_product(piece)
+        assert_bound_matches_the_dense_formulas(piece)
+    bound = seg.spectrum_bound()
+    assert (bound is None) == (case == "idle")
+    if case == "tail":
+        assert bound.slack >= 2e-11  # the entry only g holds is in the slack
+
+
+def test_endpoint_errors_match_the_whole_window_norm(pipeline_case):
+    name, (path, report, _, _) = pipeline_case
+    diffs = (
+        path.segments[0].at(0.0) - path.declared_start,
+        path.segments[-1].at(1.0) - path.declared_end,
+    )
+    for got, diff in zip(report.endpoint_errors, diffs):
+        want = spectral_norm(diff)
+        if len(components(diff)) == 1:
+            assert got == want
+        else:
+            assert abs(got - want) <= 1e-12
+    assert report.endpoint_errors[0] == 0.0  # the path starts at the input
+
+
+def test_stacked_endpoint_gaps_match_the_whole_window_norm(pipeline_case):
+    _, (_, _, inner, w_pol) = pipeline_case
+    (seg,) = inner
+    d = w_pol.window.dimension
+    eye = np.eye(seg.window.dimension, dtype=np.complex128)
+    target = eye.copy()
+    target[:d, :d] = w_pol.entries
+    # in-block nudges on every diagonal entry, and one entry between blocks
+    rng = np.random.default_rng(32)
+    nudge = np.diag(1e-10 * rng.random(eye.shape[0])).astype(np.complex128)
+    first, second = seg.components()[:2]
+    nudge[first[0], second[0]] = 1e-9
+    tol = oplab.homotopy.TOL_BLOCK_FORM
+    for t, want in ((1.0, eye), (0.0, target)):  # the unflipped ends
+        for shifted in (want, want + nudge, want + 1e5 * nudge):
+            got = seg.residual(t, shifted, tol)
+            oracle = residual_oracle(dense_spectral_at(seg, t), shifted, tol)
+            assert abs(got - oracle) <= 1e-12 * max(1.0, oracle)
+    assert seg.residual(1.0, target + 1e5 * nudge, tol) > tol  # a real gap is reported
+
+
+@pytest.mark.parametrize("case", sorted(HAND_BUILT))
+def test_hand_built_endpoint_error_matches_the_whole_window_norm(case):
+    seg = HAND_BUILT[case]
+    end = seg.at(1.0)
+    end[6, 1] += 4e-10  # between two components
+    end[0, 0] += 3e-10
+    path = oplab.homotopy.HomotopyPath((seg,), seg.at(0.0), end)
+    report = certify_path(path, CertifyConfig(samples=3))
+    assert abs(report.endpoint_errors[1] - spectral_norm(seg.at(1.0) - end)) <= 1e-12
+    assert report.endpoint_errors[1] >= 4e-10
+
+
+def test_split_norm_matches_the_whole_window_norm():
+    rng = np.random.default_rng(33)
+    m, _ = permuted_blocks(rng, (1, 2, 2, 5, 3), unitary=False)
+    for x in (m, 1e-3 * m, np.zeros((6, 6)), np.diag(rng.random(5))):
+        assert abs(oplab.homotopy._split_norm(x) - spectral_norm(x)) <= 1e-12
+    dense = rng.standard_normal((7, 7))
+    assert oplab.homotopy._split_norm(dense) == spectral_norm(dense)  # one component
 
 
 # ---------------------------------------------------------------------------

@@ -428,5 +428,35 @@ def test_cli_convert_roundtrip(tmp_path, capsys):
     assert main(["convert", "--in", str(first), "--out", str(tmp_path / "x.txt")]) == 2
 
 
+def _header_with(path, **fields):
+    head, body = path.read_text(encoding="ascii").splitlines()
+    return json.dumps({**json.loads(head), **fields}) + "\n" + body + "\n"
+
+
+@pytest.mark.parametrize(
+    "name, content",
+    [
+        ("list-radius.opmat", lambda good: _header_with(good, radius=[1])),
+        ("null-radius.opmat", lambda good: _header_with(good, radius=None)),
+        ("negative-radius.opmat", lambda good: _header_with(good, radius="-1")),
+        ("bool-dimension.opmat", lambda good: _header_with(good, dimension=True)),
+        ("non-ascii.opmat", lambda good: "é" + good.read_text(encoding="ascii")),
+        ("list.json", lambda good: "[1, 2]"),
+        ("no-header.json", lambda good: json.dumps({"format": "opmat-json v1"})),
+        ("not-json.json", lambda good: "{"),
+        ("non-ascii.json", lambda good: '{"format": "opmat-json v1", "header": {}, "entries_b64": "é"}'),
+    ],
+)
+def test_cli_convert_rejects_bad_input_with_exit_2(tmp_path, capsys, name, content):
+    good = tmp_path / "good.opmat"
+    save_operator(Operator.identity(TruncationWindow.plane(1)), good)
+    bad = tmp_path / name
+    bad.write_bytes(content(good).encode("utf-8"))
+    out = tmp_path / ("out.json" if name.endswith(".opmat") else "out.opmat")
+    assert main(["convert", "--in", str(bad), "--out", str(out)]) == 2
+    assert "error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_unknown_verb_exits_2():
     assert main(["frobnicate"]) == 2

@@ -6,10 +6,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oplab.errors import OpmatDimensionError, OpmatHeaderError, OpmatPayloadError
+from oplab.errors import OplabError, OpmatDimensionError, OpmatHeaderError, OpmatPayloadError
 from oplab.opmat import dumps_operator, load_operator, loads_operator, save_operator
 from oplab.operators import Operator, laughlin_operator
 from oplab.windows import AmplifiedWindow, TruncationWindow
@@ -154,3 +154,138 @@ def test_rejects_corrupt_payload():
 def test_rejects_headerless_text():
     with pytest.raises(OpmatHeaderError):
         loads_operator("just one line no newline")
+
+
+def _identity_text(window):
+    head, body = dumps_operator(Operator.identity(window), name="id").splitlines()
+    return json.loads(head), body
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("radius", [1]),
+        ("radius", None),
+        ("radius", "-1"),
+        ("radius", "0"),
+        ("radius", True),
+        ("radius", "1/0"),
+        ("radius", float("inf")),
+        ("radius", float("nan")),
+        ("dimension", True),
+        ("dimension", 2.5),
+        ("name", 5),
+    ],
+)
+def test_rejects_bad_header_values(field, value):
+    head, body = _identity_text(TruncationWindow.plane(1))
+    head[field] = value
+    with pytest.raises(OpmatHeaderError):
+        loads_operator(json.dumps(head) + "\n" + body + "\n")
+
+
+@pytest.mark.parametrize("representation", ["Z", "Z2"])
+@pytest.mark.parametrize("radius", ["1/3", "1/2", "1", "7/5", "3/2", "2", "7/3", "5", "37/4", "12"])
+def test_site_count_matches_the_enumeration(representation, radius):
+    window = TruncationWindow(representation, Fraction(radius))
+    head, body = _identity_text(window)
+    assert loads_operator(json.dumps(head) + "\n" + body + "\n").window == window
+    for wrong in {max(window.dimension - 1, 1), window.dimension + 1} - {window.dimension}:
+        head["dimension"] = wrong
+        with pytest.raises(OpmatDimensionError):
+            loads_operator(json.dumps(head) + "\n" + body + "\n")
+
+
+@pytest.mark.parametrize(
+    "representation, radius, dimension, error",
+    [
+        ("Z2", "1000000000000", 5, OpmatDimensionError),  # below the inscribed square
+        ("Z2", "1000000000000", 10**30, OpmatDimensionError),  # above the bounding square
+        ("Z2", "1000000", 3 * 10**12, OpmatPayloadError),  # plausible, but no payload holds it
+        ("Z", "1000000000000000", 7, OpmatDimensionError),
+    ],
+)
+def test_huge_radius_is_rejected_without_listing_sites(monkeypatch, representation, radius, dimension, error):
+    head, body = _identity_text(TruncationWindow.plane(1))
+
+    def listed(window):
+        raise AssertionError("the window's sites were listed")
+
+    monkeypatch.setattr(TruncationWindow, "sites", property(listed))
+    head.update(representation=representation, radius=radius, dimension=dimension)
+    with pytest.raises(error):
+        loads_operator(json.dumps(head) + "\n" + body + "\n")
+
+
+@pytest.mark.parametrize("where", ["header", "payload"])
+def test_non_ascii_file_is_an_opmat_error(tmp_path, where):
+    text = dumps_operator(Operator.identity(TruncationWindow.line(1)))
+    head, body = text.splitlines()
+    if where == "header":
+        head = head.replace('"id"', '"é"').replace('"name": ""', '"name": "é"')
+    else:
+        body = body[:4] + "é" + body[4:]
+    path = tmp_path / "bad.opmat"
+    path.write_bytes((head + "\n" + body + "\n").encode("utf-8"))
+    error = OpmatHeaderError if where == "header" else OpmatPayloadError
+    with pytest.raises(error, match="not ASCII"):
+        load_operator(path)
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+_FIELD_VALUES = {
+    "format": st.sampled_from(["opmat v1", "opmat v2", ""]),
+    "representation": st.sampled_from(["Z", "Z2", "Z3", "z"]),
+    "radius": st.sampled_from(["1", "3/2", "2", "-1", "0", "1/0", "nan", "1e400", "10", "x"])
+    | st.integers(-3, 10**15)
+    | st.floats(),
+    "basis": st.sampled_from(["radial-angular-lex/v1", "lex"]),
+    "name": st.sampled_from(["", "u", "é"]),
+    "dimension": st.sampled_from([1, 3, 5, 9, 13, 0, -5, True, 10**40]) | st.integers(),
+}
+
+
+@st.composite
+def mutated_files(draw):
+    """The text of a small saved operator with some header fields
+    replaced, dropped or mangled and the payload cut, edited or padded."""
+    window = draw(st.sampled_from([TruncationWindow.line(1), TruncationWindow.plane(1)]))
+    head, body = _identity_text(window)
+    for name in draw(st.lists(st.sampled_from(sorted(head)), max_size=2, unique=True)):
+        action = draw(st.sampled_from(["field", "field", "any", "drop"]))
+        if action == "field":
+            head[name] = draw(_FIELD_VALUES[name])
+        elif action == "any":
+            head[name] = draw(_JSON_VALUES)
+        else:
+            del head[name]
+    header = json.dumps(head)
+    if draw(st.integers(0, 9)) == 0:
+        header = draw(st.sampled_from(["", "[]", "{", header[:-1], header + "x", "null"]))
+    edit = draw(st.sampled_from(["keep", "keep", "keep", "cut", "char", "pad", "text"]))
+    at = draw(st.integers(0, len(body)))
+    if edit == "cut":
+        body = body[:at]
+    elif edit == "char":
+        body = body[:at] + draw(st.characters()) + body[at:]
+    elif edit == "pad":
+        body = body + draw(st.sampled_from(["AAAA", "====", "A"]))
+    elif edit == "text":
+        body = draw(st.text(max_size=40))
+    return header + draw(st.sampled_from(["\n", "\r\n", ""])) + body + "\n"
+
+
+@settings(max_examples=300)
+@given(mutated_files())
+def test_loads_operator_fails_only_with_opmat_errors(text):
+    try:
+        op = loads_operator(text)
+    except OplabError:
+        return
+    head = json.loads(text.partition("\n")[0])
+    assert op.window.dimension == head["dimension"]
+    assert op.entries.shape == (head["dimension"],) * 2
