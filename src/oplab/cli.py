@@ -139,7 +139,14 @@ def _cmd_convert(args) -> int:
             if payload.get("format") != "opmat-json v1":
                 raise ConfigError("input is not an opmat-json v1 document")
             text = json.dumps(payload["header"], sort_keys=True) + "\n" + payload["entries_b64"] + "\n"
-        except (UnicodeDecodeError, json.JSONDecodeError, AttributeError, KeyError, TypeError) as exc:
+        except (
+            UnicodeDecodeError,
+            json.JSONDecodeError,
+            RecursionError,
+            AttributeError,
+            KeyError,
+            TypeError,
+        ) as exc:
             raise ConfigError(f"input is not an opmat-json v1 document: {exc!r}") from exc
         if not text.isascii():
             raise ConfigError("input entries_b64 is not ASCII")

@@ -50,6 +50,7 @@ from .operators import (
     Projection,
     adjoints,
     block_stacks,
+    component_order,
     components,
     diagonal_blocks,
     gram_eigenvalues,
@@ -142,11 +143,6 @@ class PathSegment:
         """X(t)[rows, cols]; forms that can cut it from their factors do."""
         return self.at(t)[np.ix_(rows, cols)]
 
-    def residual(self, t: float, target: np.ndarray, tol: float) -> float:
-        """_residual_norm(X(t) - target, tol); forms that can take its
-        Frobenius norm on their blocks do."""
-        return _residual_norm(self.at(t) - target, tol)
-
     def moving_sites(self) -> np.ndarray:
         """Mask of the sites where some X(t) may differ from the identity;
         forms that can read it off their factors narrow it."""
@@ -230,20 +226,18 @@ class SpectralSegment(PathSegment):
             pattern[:d, :d] |= self.factor != 0
         pattern[:d, d:] = self.left != 0
         pattern[d:, :d] = self.right != 0
-        parts = components(pattern)
-        # each part is sorted, so its sites come before its modes
-        sizes = np.fromiter(map(len, parts), dtype=np.intp, count=len(parts))
-        flat = np.concatenate(parts)
-        starts = np.cumsum(sizes) - sizes
-        held = np.add.reduceat(flat < d, starts)
+        order, starts = component_order(pattern)
+        # each component is sorted, so its sites come before its modes
+        sizes = np.diff(starts, append=order.size)
+        held = np.add.reduceat(order < d, starts)
         shape = held * (k + 1) + sizes - held  # orders groups by (|S|, |M|)
         groups = []
         for key in np.unique(shape[held > 0]):
             picks = np.flatnonzero(shape == key)
             s, size = held[picks[0]], sizes[picks[0]]
-            stack = flat[starts[picks][:, None] + np.arange(size)]
+            stack = order[starts[picks][:, None] + np.arange(size)]
             groups.append((stack[:, :s], stack[:, s:] - d))
-        sites = [part[:s] for part, s in zip(parts, held.tolist()) if s]
+        sites = [order[a : a + s] for a, s in zip(starts.tolist(), held.tolist()) if s]
         return sites, tuple(groups), int(sizes[held == 0].sum())
 
     def _blocks(self, t: float):
@@ -266,21 +260,6 @@ class SpectralSegment(PathSegment):
                 out = np.zeros((d, d), dtype=x.dtype)
             out[sites[:, :, None], sites[:, None, :]] = x
         return out
-
-    def residual(self, t: float, target: np.ndarray, tol: float) -> float:
-        """As PathSegment.residual, with the Frobenius norm taken on the
-        blocks: X(t) - target on each block, and target alone between
-        them, where X(t) is zero."""
-        owner = np.zeros(target.shape[0], dtype=np.intp)
-        norms, count = [], 0
-        for sites, x in self._blocks(1.0 - t if self.flip else t):
-            owner[sites] = np.arange(count, count + sites.shape[0])[:, None]
-            count += sites.shape[0]
-            norms.append(_fro(x - diagonal_blocks(target, sites)))
-        rows, cols = np.divmod(np.flatnonzero(target), target.shape[1])
-        between = owner[rows] != owner[cols]
-        fro = math.hypot(*norms, _fro(target[rows[between], cols[between]]))
-        return fro if fro <= tol else super().residual(t, target, tol)
 
     def block(self, t: float, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """X(t)[rows, cols], cut from factor rows and columns."""
@@ -901,11 +880,10 @@ def _stacked_segments(
         )
     src = _intertwiner_columns(off, v_iso)
 
-    # the inner path's ends, each checked on its segment's blocks
     stacked = np.eye(amp.dimension, dtype=np.complex128)
-    start_gap = inner[0].residual(0.0, stacked, TOL_BLOCK_FORM)
+    start_gap = _residual_norm(inner[0].at(0.0) - stacked, TOL_BLOCK_FORM)
     stacked[: base.dimension, : base.dimension] = ue  # now U ⊕ 1
-    end_gap = inner[-1].residual(1.0, stacked, TOL_BLOCK_FORM)
+    end_gap = _residual_norm(inner[-1].at(1.0) - stacked, TOL_BLOCK_FORM)
     if max(start_gap, end_gap) > TOL_BLOCK_FORM:
         raise PreconditionError(
             "inner path must run from the stacked identity to U ⊕ 1: "

@@ -147,7 +147,17 @@ def components(pattern: np.ndarray) -> list:
     the union (the direct sum) of its diagonal blocks': factorizing the
     blocks one at a time is exact.  An irreducible pattern is one
     component, the whole window.  Components come in the order of their
-    smallest site.
+    smallest site.  They are views of ``component_order``'s list.
+    """
+    order, starts = component_order(pattern)
+    ends = [*starts[1:].tolist(), order.size]
+    # views of ``order`` between the starts, sliced in C
+    return list(map(order.__getitem__, map(slice, starts.tolist(), ends)))
+
+
+def component_order(pattern: np.ndarray) -> tuple:
+    """(order, starts): the sites of ``components(pattern)`` listed one
+    component after another, and where each component starts in order.
 
     The walk keeps a parent for every site, never larger than the site,
     so following parents ends at the smallest site of a tree.  First
@@ -158,7 +168,7 @@ def components(pattern: np.ndarray) -> list:
     """
     linked = np.asarray(pattern) != 0
     if not linked.size:
-        return []
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
     n = linked.shape[0]
     sites = np.arange(n)
     parent = np.minimum(sites, np.where(linked.any(axis=1), linked.argmax(axis=1), sites))
@@ -174,9 +184,8 @@ def components(pattern: np.ndarray) -> list:
         keep = root[rows] != root[cols]
         rows, cols = rows[keep], cols[keep]
     order = np.argsort(root, kind="stable")
-    cuts = (np.flatnonzero(np.diff(root[order])) + 1).tolist()
-    # views of ``order`` between the cuts, sliced in C
-    return list(map(order.__getitem__, map(slice, [0, *cuts], [*cuts, n])))
+    ranked = root[order]
+    return order, np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
 
 
 def _roots(parent: np.ndarray) -> np.ndarray:

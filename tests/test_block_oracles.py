@@ -32,6 +32,7 @@ from oplab.homotopy import (
     _compression,
     _locality_indices,
     _log_segment,
+    _residual_norm,
     block_unitary_homotopy,
     certify_path,
     conjugation_path,
@@ -1160,10 +1161,10 @@ def test_stacked_endpoint_gaps_match_the_whole_window_norm(pipeline_case):
     tol = oplab.homotopy.TOL_BLOCK_FORM
     for t, want in ((1.0, eye), (0.0, target)):  # the unflipped ends
         for shifted in (want, want + nudge, want + 1e5 * nudge):
-            got = seg.residual(t, shifted, tol)
+            got = _residual_norm(seg.at(t) - shifted, tol)  # as _stacked_segments checks
             oracle = residual_oracle(dense_spectral_at(seg, t), shifted, tol)
             assert abs(got - oracle) <= 1e-12 * max(1.0, oracle)
-    assert seg.residual(1.0, target + 1e5 * nudge, tol) > tol  # a real gap is reported
+    assert _residual_norm(seg.at(1.0) - (target + 1e5 * nudge), tol) > tol  # a real gap
 
 
 @pytest.mark.parametrize("case", sorted(HAND_BUILT))
@@ -1347,6 +1348,11 @@ def whole_window(pattern):
     return [np.arange(np.asarray(pattern).shape[0])]
 
 
+def whole_window_order(pattern):
+    """component_order with the split turned off."""
+    return np.arange(np.asarray(pattern).shape[0]), np.zeros(1, dtype=np.intp)
+
+
 def test_tailed_input_runs_the_whole_window_route_bit_for_bit(tailed_pipeline, monkeypatch):
     """An irreducible input is one component: wherever a segment is one
     component, the split route is the whole-window route, to the bit.
@@ -1359,6 +1365,7 @@ def test_tailed_input_runs_the_whole_window_route_bit_for_bit(tailed_pipeline, m
     split_log_report = certify_path(split_log, certify)
     monkeypatch.setattr(oplab.homotopy, "components", whole_window)
     monkeypatch.setattr(oplab.operators, "components", whole_window)
+    monkeypatch.setattr(oplab.homotopy, "component_order", whole_window_order)
     whole_log = log_path(u)
     for name in ("left", "exponents", "right", "const"):
         assert np.array_equal(getattr(whole_log.segments[0], name), getattr(split_log.segments[0], name))

@@ -444,6 +444,7 @@ def _header_with(path, **fields):
         ("list.json", lambda good: "[1, 2]"),
         ("no-header.json", lambda good: json.dumps({"format": "opmat-json v1"})),
         ("not-json.json", lambda good: "{"),
+        ("deeply-nested.json", lambda good: "[" * 100_000 + "]" * 100_000),
         ("non-ascii.json", lambda good: '{"format": "opmat-json v1", "header": {}, "entries_b64": "é"}'),
     ],
 )
