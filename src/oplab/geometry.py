@@ -19,8 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from itertools import compress
+from math import gcd
 from typing import Iterator, Union
+
+import numpy as np
 
 from .errors import RepresentationError
 
@@ -185,6 +188,36 @@ class Arc:
             return ad >= 0 or db >= 0
         return ad >= 0  # b is the antipode of a
 
+    def mask(self, coords) -> np.ndarray:
+        """``contains`` for every row (x, y) of an (n, 2) integer array, as
+        a boolean array; False at the origin.
+
+        A site g (p, q) with g > 0 has the cross products of its
+        direction (p, q) times g, so the same sign tests decide it
+        exactly.  They run in int64 when no product can overflow, and
+        in Python integers otherwise (a widened arc, or a config arc
+        with huge components).
+        """
+        coords = np.asarray(coords)
+        x, y = coords[:, 0], coords[:, 1]
+        nonzero = (x != 0) | (y != 0)
+        a, b = self.start, self.end
+        if a == b:
+            return nonzero
+        reach = max(abs(a.p), abs(a.q), abs(b.p), abs(b.q))
+        if 2 * reach * max(int(np.abs(coords).max(initial=0)), 1) >= 2**63:
+            x, y = x.astype(object), y.astype(object)
+        c = a.cross(b)
+        ad = np.asarray(a.p * y - a.q * x >= 0, dtype=bool)
+        db = np.asarray(x * b.q - y * b.p >= 0, dtype=bool)
+        if c > 0:
+            inside = ad & db
+        elif c < 0:
+            inside = ad | db
+        else:
+            inside = ad  # b is the antipode of a
+        return nonzero & inside
+
     def as_text(self) -> str:
         return f"{self.start.as_text()}..{self.end.as_text()}"
 
@@ -335,10 +368,7 @@ def region_sites(region: Region, window) -> frozenset:
     if isinstance(region, Cone):
         if window.representation != "Z2":
             raise RepresentationError("cones are defined on the planar lattice only")
-        arc = region.arc
-        return frozenset(
-            x for x in all_sites if x != ORIGIN and arc.contains(window.direction_at(x))
-        )
+        return frozenset(compress(window.sites, region.arc.mask(window.coordinates)))
     if isinstance(region, Ball):
         r2 = region.radius * region.radius
         return frozenset(x for x in all_sites if _norm_sq(x) < r2)

@@ -43,7 +43,7 @@ from .errors import (
     UnitarityError,
     WindowMismatchError,
 )
-from .geometry import Arc, Direction, Explicit, ORIGIN, arcs_disjoint
+from .geometry import Arc, Direction, Explicit, arcs_disjoint
 from .index import IndexConfig, fredholm_index
 from .operators import (
     Operator,
@@ -262,9 +262,12 @@ class SpectralSegment(PathSegment):
         return out
 
     def block(self, t: float, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """X(t)[rows, cols], cut from factor rows and columns."""
+        """X(t)[rows, cols], cut from factor rows and columns over the
+        modes whose L column meets ``rows`` (the others add zero)."""
         wave = self._wave(1.0 - t if self.flip else t)
-        return (self.left[rows] * wave[None, :]) @ self.right[:, cols] + self.const[
+        left = self.left[rows]
+        modes = np.flatnonzero(np.any(left, axis=0))
+        return (left[:, modes] * wave[modes]) @ self.right[np.ix_(modes, cols)] + self.const[
             np.ix_(rows, cols)
         ]
 
@@ -995,15 +998,11 @@ class CertificateReport:
 
 
 def _locality_indices(window, arc: Arc, allowance) -> np.ndarray:
-    rho2 = Fraction(allowance) * Fraction(allowance)
-    picks = [
-        i
-        for i, x in enumerate(window.sites)
-        if x != ORIGIN
-        and Fraction(x[0] * x[0] + x[1] * x[1]) >= rho2
-        and arc.contains(window.direction_at(x))
-    ]
-    return np.array(picks, dtype=np.intp)
+    """Sites of cone(arc) with |x| >= allowance; an integer norm clears a
+    rational square exactly when it clears its ceiling."""
+    coords = window.coordinates
+    far = np.sum(coords * coords, axis=1) >= math.ceil(Fraction(allowance) ** 2)
+    return np.flatnonzero(far & arc.mask(coords))
 
 
 def _gram_defects(eigs: np.ndarray) -> tuple:
@@ -1109,6 +1108,16 @@ class _AffineSampler(_DenseSampler):
         )
 
 
+    def measure(self, t: float, end: bool, entries: np.ndarray | None) -> tuple:
+        """As the dense measurement, with the Gram spectrum from the terms
+        and the locality blocks cut by ``AffineSegment.block``; the sample
+        itself is never formed (``certify_path`` forms the path's last)."""
+        self.dense += 1
+        unit, sv = _gram_defects(self.eigenvalues(t, None))
+        loc = _locality(lambda rows, cols: self.seg.block(t, rows, cols), self.pair_indices)
+        return None, unit, sv, loc, "dense", None
+
+
 class _ConstantSampler(_DenseSampler):
     """A segment with start = end: one measurement serves every sample."""
 
@@ -1186,8 +1195,10 @@ def certify_path(path: HomotopyPath, config: CertifyConfig | None = None) -> Cer
       densely at their first and last sample, where the certificate
       records how far the measured value lies inside the bound;
     - affine segments are measured densely, with the Gram matrix a
-      quadratic in t from three products per segment, or once when
-      start and end are equal;
+      quadratic in t from three products per segment and the locality
+      blocks cut from start and end, so no sample is formed (the path's
+      last sample is formed for the endpoint error), or once when start
+      and end are equal;
     - conjugation segments are measured exactly on the block of sites
       that move (see :class:`ConjugationSegment`): off it the sample is
       the diagonal of Q;
@@ -1271,7 +1282,7 @@ def certify_path(path: HomotopyPath, config: CertifyConfig | None = None) -> Cer
                     index_trace.append(result.value)
             if over is not None:
                 excesses.append(over)
-            last = sample
+            last = sampler, t * n_segs - i, sample
             rows.append((t, unit, sv, loc, idem_defect, sample_index, measure))
         series.extend(rows)
         stats.append(
@@ -1289,9 +1300,12 @@ def certify_path(path: HomotopyPath, config: CertifyConfig | None = None) -> Cer
             }
         )
 
+    end_sampler, end_t, end_sample = last
+    if end_sample is None:  # measured without being formed
+        end_sample = end_sampler.sample(end_t, None)
     endpoint_errors = (
         _split_norm(first - path.declared_start),
-        _split_norm(last.dense() - path.declared_end),
+        _split_norm(end_sample.dense() - path.declared_end),
     )
     return CertificateReport(
         samples=config.samples,

@@ -6,12 +6,18 @@ against ball cutoffs, and the two workhorse constructions that later
 surgery steps consume, cone splitting and annulus confinement.
 
 Every bound any routine promises is recomputed from the raw matrix
-before being returned; nothing is trusted from the construction.
+before being returned; nothing is trusted from the construction.  A
+test of a block norm against a budget is a decision, not a value: the
+Frobenius norm from above and the largest row or column norm from
+below settle it, and an SVD runs only when that bracket straddles the
+budget (``operators.norm_at_most``).  Cone membership is one
+integer-exact mask over the window's coordinates (``Arc.mask``).
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -25,15 +31,13 @@ from .errors import (
     WindowExhaustedError,
 )
 from .geometry import (
-    ORIGIN,
     Arc,
     Direction,
-    Site,
     arcs_disjoint,
     site_sort_key,
     widen_arc,
 )
-from .operators import Operator, spectral_norm
+from .operators import Operator, norm_at_most, spectral_norm, squared_moduli
 from .windows import TruncationWindow
 
 
@@ -172,21 +176,13 @@ def _require_plane(window, what: str) -> TruncationWindow:
 
 
 def _cone_indices(window: TruncationWindow, arc: Arc) -> np.ndarray:
-    hits = [
-        i
-        for i, site in enumerate(window.sites)
-        if site != ORIGIN and arc.contains(window.direction_at(site))
-    ]
-    return np.asarray(hits, dtype=np.intp)
+    return np.flatnonzero(arc.mask(window.coordinates))
 
 
-def _open_complement_indices(window: TruncationWindow, arc: Arc) -> list:
+def _open_complement_indices(window: TruncationWindow, arc: Arc) -> np.ndarray:
     """Window indices of sites whose direction lies strictly outside the arc."""
-    return [
-        i
-        for i, site in enumerate(window.sites)
-        if site != ORIGIN and not arc.contains(window.direction_at(site))
-    ]
+    coords = window.coordinates
+    return np.flatnonzero(np.any(coords, axis=1) & ~arc.mask(coords))
 
 
 def block_norm(a: Operator, i: Arc, j: Arc) -> float:
@@ -203,22 +199,36 @@ def _shortest_prefix(entries, ordered_rows, cols, budget: float) -> int:
     """Smallest prefix length m with ‖rows[m:] block‖ <= budget.
 
     The tail norm is nonincreasing in m (dropping rows cannot grow a
-    norm), so a binary search finds the greedy growth point.
+    norm), so a binary search finds the greedy growth point.  Each probe
+    is a ``norm_at_most`` decision on a view of the rows x cols block,
+    gathered once: the tail's Frobenius norm and column norms come from
+    suffix sums of the squared moduli down the rows, its largest row
+    norm from a suffix maximum, so a probe costs O(columns) and takes
+    an SVD only when the bracket straddles the budget.  The sums add
+    nonnegative numbers, so they do not cancel.
     """
     rows = np.asarray(ordered_rows, dtype=np.intp)
     cols = np.asarray(cols, dtype=np.intp)
+    if rows.size == 0 or cols.size == 0:
+        return 0
+    block = entries[np.ix_(rows, cols)]
+    sq = squared_moduli(block)
+    col_tails = np.cumsum(sq[::-1], axis=0)[::-1]
+    row_tails = np.maximum.accumulate(sq.sum(axis=1)[::-1])[::-1]
 
-    def tail(m: int) -> float:
-        if m >= rows.size or cols.size == 0:
-            return 0.0
-        return spectral_norm(entries[np.ix_(rows[m:], cols)])
+    def fits(m: int) -> bool:
+        if m >= rows.size:
+            return True
+        col_sq = col_tails[m]
+        bracket = math.sqrt(col_sq.sum()), math.sqrt(max(row_tails[m], col_sq.max()))
+        return norm_at_most(block[m:], budget, bracket)
 
-    if tail(0) <= budget:
+    if fits(0):
         return 0
     lo, hi = 0, rows.size
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if tail(mid) <= budget:
+        if fits(mid):
             hi = mid
         else:
             lo = mid
@@ -259,46 +269,39 @@ def cone_split(a: Operator, j: Arc, eps: float) -> ConeSplit:
 
     Walks shrinking widened neighborhoods of the arc; sites leaving the
     neighborhood at stage k form a shell whose block is trimmed to the
-    stage budget eps/2^k by shortest-prefix capture.
+    stage budget eps/2^k by shortest-prefix capture, whose probes the
+    Frobenius/row-column bracket settles (``_shortest_prefix``).  The
+    achieved bound is the measured norm of the remainder block.
     """
     w = _require_plane(a.window, "cone_split")
     if eps <= 0:
         raise PreconditionError("eps must be positive")
+    coords = w.coordinates
     j_cols = _cone_indices(w, j)
-    remaining = _open_complement_indices(w, j)
-    good: list = []
-    if j.is_full:
-        remaining = []
+    complement = _open_complement_indices(w, j)
+    captured = np.zeros(w.dimension, dtype=bool)
+    remaining = complement
     k = 1
-    while remaining:
+    while remaining.size:
         if k > 200:
             raise StageError(
                 "cone-split",
-                f"{len(remaining)} complement sites still uncaptured after "
+                f"{remaining.size} complement sites still uncaptured after "
                 f"{k - 1} widening stages",
             )
-        hood = widen_arc(j, k)
-        shell = [
-            idx
-            for idx in remaining
-            if not hood.contains(w.direction_at(w.sites[idx]))
-        ]
-        if shell:
-            budget = eps / 2.0**k
-            m = _shortest_prefix(a.entries, shell, j_cols, budget)
-            for idx in shell[:m]:
-                if j_cols.size and np.any(a.entries[idx, j_cols]):
-                    good.append(idx)
-            shell_set = set(shell)
-            remaining = [idx for idx in remaining if idx not in shell_set]
+        leaving = ~widen_arc(j, k).mask(coords[remaining])
+        shell = remaining[leaving]
+        if shell.size:
+            m = _shortest_prefix(a.entries, shell, j_cols, eps / 2.0**k)
+            if j_cols.size:
+                captured[shell[:m]] = np.any(a.entries[np.ix_(shell[:m], j_cols)], axis=1)
+            remaining = remaining[~leaving]
         k += 1
-    bad_idx = sorted(
-        set(_open_complement_indices(w, j)) - set(good)
-    ) if not j.is_full else []
-    good_sites = frozenset(w.sites[i] for i in good)
+    bad_idx = complement[~captured[complement]]
+    good_sites = frozenset(w.sites[i] for i in np.flatnonzero(captured))
     bad_sites = frozenset(w.sites[i] for i in bad_idx)
-    if bad_idx and j_cols.size:
-        achieved = spectral_norm(a.entries[np.ix_(np.asarray(bad_idx), j_cols)])
+    if bad_idx.size and j_cols.size:
+        achieved = spectral_norm(a.entries[np.ix_(bad_idx, j_cols)])
     else:
         achieved = 0.0
     return ConeSplit(good_sites, bad_sites, achieved)

@@ -8,6 +8,7 @@ isometry with open boundary).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Callable, Mapping
@@ -25,6 +26,11 @@ from .windows import AmplifiedWindow, TruncationWindow, Window
 
 TOL_IDEMPOTENT = 1e-10
 TOL_INVERTIBLE = 1e-8
+# ``norm_at_most``: its rounding band, this many max(m, n) eps relative,
+# and the bounds its bracket decides (outside them the SVD does)
+BRACKET_SLACK = 4
+BRACKET_RANGE = (1e-100, 1e100)
+_EPS = float(np.finfo(np.float64).eps)
 
 
 def _freeze(entries: np.ndarray) -> np.ndarray:
@@ -123,6 +129,51 @@ def spectral_norm(entries: np.ndarray) -> float:
     if rows.size < entries.shape[0] or cols.size < entries.shape[1]:
         entries = entries[np.ix_(rows, cols)]
     return float(np.linalg.norm(entries, 2))
+
+
+def squared_moduli(entries: np.ndarray) -> np.ndarray:
+    """|x_ij|^2 of every entry, as re^2 + im^2 (no square root); a square
+    past the float range is inf, one under it is subnormal or 0."""
+    with np.errstate(over="ignore", under="ignore"):
+        return entries.real * entries.real + entries.imag * entries.imag
+
+
+def norm_bracket(block: np.ndarray) -> tuple:
+    """(Frobenius norm, largest row or column norm) of a block: an upper
+    and a lower bound on its spectral norm."""
+    sq = squared_moduli(block)
+    edge = max(sq.sum(axis=1).max(initial=0.0), sq.sum(axis=0).max(initial=0.0))
+    return math.sqrt(sq.sum()), math.sqrt(edge)
+
+
+def norm_at_most(block: np.ndarray, bound: float, bracket: tuple | None = None) -> bool:
+    """Whether ``spectral_norm(block) <= bound``, a decision and never a value.
+
+    The largest row or column norm bounds ‖X‖₂ from below and the
+    Frobenius norm bounds it from above (Horn & Johnson, *Matrix
+    Analysis*, §5.6), so "yes" when ‖X‖_F (1 + slack) <= bound, "no"
+    when max(row norm, column norm) (1 - slack) > bound, and otherwise
+    ``spectral_norm`` decides.  The slack, ``BRACKET_SLACK`` max(m, n)
+    eps relative, covers the rounding of the sums and of the SVD, so
+    the bracket's answer is the one the SVD would give; within the
+    slack of either end (a rank-one block has ‖X‖_F = ‖X‖₂) the SVD
+    decides.  ``bracket`` is ``norm_bracket(block)`` (or the same two
+    norms summed another way), passed when the caller already has it.
+
+    The squares behind the bracket lose at most a few subnormal units
+    to underflow and overflow only past 1e154, so the bracket decides
+    only bounds in ``BRACKET_RANGE``, where neither can turn a decision;
+    other bounds go to the SVD.
+    """
+    if not BRACKET_RANGE[0] <= bound <= BRACKET_RANGE[1]:
+        return spectral_norm(block) <= bound
+    fro, edge = norm_bracket(block) if bracket is None else bracket
+    slack = BRACKET_SLACK * max(block.shape, default=1) * _EPS
+    if fro * (1.0 + slack) <= bound:
+        return True
+    if edge * (1.0 - slack) > bound:
+        return False
+    return spectral_norm(block) <= bound
 
 
 def unitarity_defect(entries: np.ndarray) -> float:

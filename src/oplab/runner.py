@@ -57,6 +57,14 @@ DEFAULT_ARC_PAIR = (
 )
 
 
+def _vector(raw) -> tuple:
+    """Two JSON integers; true and false are not integers here."""
+    x1, x2 = raw
+    if type(x1) is not int or type(x2) is not int:
+        raise TypeError(f"{raw!r} is not a pair of integers")
+    return x1, x2
+
+
 def _parse_arc_pairs(raw) -> tuple:
     pairs = []
     try:
@@ -64,8 +72,8 @@ def _parse_arc_pairs(raw) -> tuple:
             (a_start, a_end), (b_start, b_end) = pair
             pairs.append(
                 (
-                    Arc.from_vectors(tuple(a_start), tuple(a_end)),
-                    Arc.from_vectors(tuple(b_start), tuple(b_end)),
+                    Arc.from_vectors(_vector(a_start), _vector(a_end)),
+                    Arc.from_vectors(_vector(b_start), _vector(b_end)),
                 )
             )
     except (TypeError, ValueError) as exc:
@@ -174,12 +182,20 @@ class ExperimentConfig:
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
+    """Read and validate a JSON config; every bad input is a ConfigError.
+
+    A byte that is not UTF-8, malformed JSON and an integer literal past
+    Python's digit limit are ValueErrors; nesting deeper than the
+    interpreter's recursion limit is a RecursionError.
+    """
     path = Path(path)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        data = path.read_bytes()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    try:
+        raw = json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return ExperimentConfig.from_json_dict(raw)
 

@@ -37,7 +37,14 @@ from .geometry import (
     site_sort_key,
 )
 from .locality import CentersPlan, annulus_confine, cone_split
-from .operators import Operator, Projection, spectral_norm, unitarity_defect
+from .operators import (
+    Operator,
+    Projection,
+    norm_at_most,
+    norm_bracket,
+    spectral_norm,
+    unitarity_defect,
+)
 from .windows import AmplifiedWindow, TruncationWindow
 
 __all__ = [
@@ -83,23 +90,17 @@ def _block_of(p: Projection, q: Projection) -> tuple | None:
     return np.ix_(np.flatnonzero(pm), np.flatnonzero(qm))
 
 
-def _masked_product(pair: ProjectionPair, m: np.ndarray) -> np.ndarray:
-    """P M Q, using index masks when both projections are 0/1 diagonals."""
-    block = _block_of(pair.p, pair.q)
-    if block is not None:
-        out = np.zeros_like(m)
-        out[block] = m[block]
-        return out
-    return pair.p.entries @ m @ pair.q.entries
+def _masked_block(p: Projection, q: Projection, m: np.ndarray) -> np.ndarray:
+    """The part of P M Q that can be nonzero: M on the index block when
+    both projections are 0/1 diagonals (the rest of P M Q is structurally
+    zero), else the dense product P M Q."""
+    block = _block_of(p, q)
+    return p.entries @ m @ q.entries if block is None else m[block]
 
 
 def _masked_norm(p: Projection, q: Projection, m: np.ndarray) -> float:
-    """‖P M Q‖, taken on the index block when both projections are 0/1
-    diagonals (the rest of P M Q is structurally zero)."""
-    block = _block_of(p, q)
-    if block is None:
-        return spectral_norm(p.entries @ m @ q.entries)
-    return spectral_norm(m[block])
+    """‖P M Q‖, taken on the index block when there is one."""
+    return spectral_norm(_masked_block(p, q, m))
 
 
 def deletion_series(a: Operator, pairs: Sequence[ProjectionPair], eps: float) -> Operator:
@@ -111,10 +112,19 @@ def deletion_series(a: Operator, pairs: Sequence[ProjectionPair], eps: float) ->
     vanishes; blocks cut by diagonal projections are snapped to exact
     zeros once verified small, so later containment arguments can rely
     on structural zeros rather than tolerances.
+
+    When both projections of a pair carry 0/1 masks, P S Q is S on the
+    index block, so the step writes A into that block of S in place:
+    S is A on the union of the blocks and exactly 0 off it.  Only pairs
+    without a mask take the dense products.  The checks ‖S‖ <= cap,
+    ‖S‖ <= eps and residual <= tolerance are ``norm_at_most`` decisions:
+    an SVD runs only when the Frobenius/row-column bracket straddles the
+    bound, or to put the measured value into the error.
     """
     if eps <= 0:
         raise PreconditionError("eps must be positive")
     pairs = list(pairs)
+    blocks = [_block_of(pair.p, pair.q) for pair in pairs]
     norms = []
     for k, pair in enumerate(pairs, start=1):
         budget = eps / 2.0 ** (2 * k - 1)
@@ -127,29 +137,34 @@ def deletion_series(a: Operator, pairs: Sequence[ProjectionPair], eps: float) ->
         norms.append(norm_k)
 
     s = np.zeros_like(a.entries)
-    for pair in pairs:
-        s = s + _masked_product(pair, a.entries) - _masked_product(pair, s)
+    for pair, block in zip(pairs, blocks):
+        if block is None:
+            p, q = pair.p.entries, pair.q.entries
+            s = s + p @ a.entries @ q - p @ s @ q
+        else:
+            s[block] = a.entries[block]
 
-    series_norm = spectral_norm(s)
+    bracket = norm_bracket(s)
     series_cap = sum(2.0 ** (k - 1) * n for k, n in enumerate(norms, start=1))
-    if series_norm > series_cap + TOL_RESIDUAL:
+    if not norm_at_most(s, series_cap + TOL_RESIDUAL, bracket):
         raise StageError(
             "deletion-series",
-            f"series norm {series_norm:.3e} exceeds its cap {series_cap:.3e}",
+            f"series norm {spectral_norm(s):.3e} exceeds its cap {series_cap:.3e}",
         )
-    if series_norm > eps + TOL_RESIDUAL:
+    if not norm_at_most(s, eps + TOL_RESIDUAL, bracket):
         raise StageError(
-            "deletion-series", f"total perturbation {series_norm:.3e} exceeds eps {eps:.3e}"
+            "deletion-series",
+            f"total perturbation {spectral_norm(s):.3e} exceeds eps {eps:.3e}",
         )
 
     b = a.entries - s
-    for k, pair in enumerate(pairs, start=1):
-        residual = _masked_norm(pair.p, pair.q, b)
-        if residual > TOL_RESIDUAL:
+    for k, (pair, block) in enumerate(zip(pairs, blocks), start=1):
+        residual = _masked_block(pair.p, pair.q, b)
+        if not norm_at_most(residual, TOL_RESIDUAL):
             raise StageError(
-                "deletion-series", f"pair {k}: residual block norm {residual:.3e}"
+                "deletion-series",
+                f"pair {k}: residual block norm {spectral_norm(residual):.3e}",
             )
-        block = _block_of(pair.p, pair.q)
         if block is not None:
             b[block] = 0.0
     return Operator(a.window, b, dict(a.tags, name="deleted"))

@@ -16,7 +16,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import RepresentationError
-from .geometry import Direction, ORIGIN, Site, direction_of, site_sort_key
+from .geometry import ORIGIN, Site, direction_of, site_sort_key
 
 BASIS_TAG = "radial-angular-lex/v1"
 
@@ -100,11 +100,6 @@ class TruncationWindow:
 
     def __contains__(self, site: Site) -> bool:
         return site in self.site_set
-
-    def direction_at(self, site: Site) -> Direction:
-        if self.representation != "Z2":
-            raise RepresentationError("directions exist on the planar lattice only")
-        return self._directions[site]
 
     def direction_classes(self) -> frozenset:
         """All direction classes realized by this window's nonzero sites."""

@@ -21,8 +21,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from oplab.errors import BoundaryContaminationError, PreconditionError
-from oplab.geometry import Arc, Ball, Cone, Direction, Explicit
+from oplab.geometry import Arc, Ball, Cone, Direction, Explicit, widen_arc
 import oplab.homotopy
+import oplab.locality
 from oplab.homotopy import (
     BOUND_SLACK,
     AffineSegment,
@@ -55,17 +56,20 @@ from oplab.index import (
 )
 import oplab.operators
 from oplab.operators import (
+    BRACKET_SLACK,
     Operator,
     Projection,
     block_stacks,
     components,
     gram_eigenvalues,
+    norm_at_most,
+    norm_bracket,
     shift_operator,
     spectral_norm,
     unitarity_defect,
 )
 from oplab.runner import DEFAULT_ARC_PAIR, ExperimentConfig, run, seeded_local_unitary
-from oplab.surgery import ProjectionPair, deletion_series, greedy_isometry
+from oplab.surgery import ProjectionPair, _center_arc, deletion_series, greedy_isometry
 from oplab.windows import TruncationWindow
 
 
@@ -108,6 +112,57 @@ def test_spectral_norm_of_a_single_entry(rows, cols, seed):
     m[rng.integers(rows), rng.integers(cols)] = value
     assert abs(spectral_norm(m) - abs(value)) <= 1e-15 * max(1.0, abs(value))
     assert abs(spectral_norm(m) - dense_norm(m)) <= 1e-12 * max(1.0, abs(value))
+
+
+def ulps_from(value, steps):
+    """value moved by ``steps`` units in the last place (either way)."""
+    toward = math.inf if steps > 0 else -math.inf
+    for _ in range(abs(steps)):
+        value = float(np.nextafter(value, toward))
+    return value
+
+
+def assert_decision_is_the_svd(m):
+    """norm_at_most against spectral_norm at bounds on and around the
+    norm, and far from it on both sides."""
+    norm = spectral_norm(m)
+    bounds = [norm * f for f in (0.0, 0.5, 0.99, 1.01, 2.0)] + [1e-50, 1.0, 1e50]
+    bounds += [ulps_from(norm, k) for k in range(-4, 5)]
+    for bound in bounds:
+        assert norm_at_most(m, bound) == (spectral_norm(m) <= bound), (norm, bound)
+
+
+@given(
+    rows=st.integers(0, 12),
+    cols=st.integers(0, 12),
+    density=st.sampled_from([0.0, 0.05, 0.3, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(rows=0, cols=5, density=1.0, seed=0)
+@example(rows=6, cols=6, density=0.0, seed=0)
+def test_norm_at_most_is_the_svd_decision(rows, cols, density, seed):
+    assert_decision_is_the_svd(sparse_complex(np.random.default_rng(seed), rows, cols, density))
+
+
+@given(
+    rows=st.integers(1, 12),
+    cols=st.integers(1, 12),
+    scale=st.sampled_from([1e-300, 1e-200, 1e-12, 1.0, 3.0, 1e12, 1e170]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_norm_at_most_on_rank_one_blocks(rows, cols, scale, seed):
+    # ‖X‖_F = ‖X‖_2 for rank one, so bounds within a few ulp of the norm
+    # fall inside the bracket's band and the SVD must decide
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(rows) + 1j * rng.standard_normal(rows)
+    v = rng.standard_normal(cols) + 1j * rng.standard_normal(cols)
+    m = scale * np.outer(u, v.conj())
+    if 1e-100 < scale < 1e100:  # the squares neither underflow nor overflow
+        fro, edge = norm_bracket(m)
+        norm = spectral_norm(m)
+        slack = BRACKET_SLACK * max(rows, cols) * np.finfo(float).eps
+        assert edge <= norm * (1 + slack) and norm <= fro * (1 + slack)
+    assert_decision_is_the_svd(m)
 
 
 def scanned_mask(entries):
@@ -165,18 +220,23 @@ def dense_only(pair):
 @given(
     radius=st.integers(2, 4),
     n_pairs=st.integers(1, 3),
+    overlap=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_deletion_series_block_route_matches_dense_route(radius, n_pairs, seed):
+def test_deletion_series_block_route_matches_dense_route(radius, n_pairs, overlap, seed):
     w = TruncationWindow.plane(radius)
     rng = np.random.default_rng(seed)
     a = Operator(w, sparse_complex(rng, w.dimension, w.dimension, 0.5))
-    # disjoint row sets keep the cut blocks disjoint, so every bound the
+    # disjoint row sets keep the cut blocks disjoint; overlapping ones make
+    # a later block rewrite entries an earlier one already wrote into S.
+    # Either way the series stays under its cap (removing k - 1 rectangles
+    # from a block at most doubles its norm each time), so every bound the
     # series checks holds by construction
     owner = rng.integers(0, n_pairs + 1, size=w.dimension)
     region_pairs, operator_pairs, scale = [], [], 0.0
     for k in range(1, n_pairs + 1):
-        rows = Explicit(frozenset(s for i, s in enumerate(w.sites) if owner[i] == k))
+        taken = rng.random(w.dimension) < 0.5 if overlap else owner == k
+        rows = Explicit(frozenset(s for i, s in enumerate(w.sites) if taken[i]))
         cols = Explicit(frozenset(s for s in w.sites if rng.random() < 0.5))
         p, q = Projection.from_region(rows, w), Projection.from_region(cols, w)
         region_pairs.append(ProjectionPair.for_operator(p, q, a))
@@ -194,6 +254,73 @@ def test_deletion_series_block_route_matches_dense_route(radius, n_pairs, seed):
         assert abs(region.bound - dense_norm(pe @ a.entries @ qe)) <= 1e-12
     dense = deletion_series(a, [dense_only(pair) for pair in region_pairs], eps)
     assert np.max(np.abs(dense.entries - b.entries)) <= 1e-12
+    # B is A off the union of the blocks and exactly zero on it
+    cut = np.zeros(a.entries.shape, dtype=bool)
+    for pair in region_pairs:
+        cut[np.ix_(pair.p.diagonal_mask(), pair.q.diagonal_mask())] = True
+    assert np.array_equal(b.entries, np.where(cut, 0.0, a.entries))
+
+
+def svd_shortest_prefix(entries, ordered_rows, cols, budget, probes):
+    """The binary search of ``_shortest_prefix`` with an SVD at every
+    probe; each probe is appended to ``probes``."""
+    rows = np.asarray(ordered_rows, dtype=np.intp)
+    cols = np.asarray(cols, dtype=np.intp)
+
+    def tail(m):
+        if m >= rows.size or cols.size == 0:
+            return 0.0
+        probes.append(m)
+        return dense_norm(entries[np.ix_(rows[m:], cols)])
+
+    if tail(0) <= budget:
+        return 0
+    lo, hi = 0, rows.size
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if tail(mid) <= budget:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def cone_split_cases():
+    """(operator, arc, eps): tailed unitaries, whose blocks have no zero
+    entry, and sparse random operators, against the centers' arcs."""
+    from conftest import tailed_unitary
+
+    cases = []
+    for radius, seed in ((6, 1), (8, 2), (10, 3)):
+        u = tailed_unitary(TruncationWindow.plane(radius), seed)
+        for k, theta in enumerate((Direction(1, 0), Direction(0, 1), Direction(-2, 1)), start=1):
+            for eps in (0.5 / 2.0 ** (4 * k - 3), 0.05, 1e-6):
+                cases.append((f"tailed-r{radius}-k{k}-{eps:g}", u, _center_arc(theta, k), eps))
+    w = TruncationWindow.plane(5)
+    rng = np.random.default_rng(5)
+    for density in (0.05, 0.3):
+        a = Operator(w, sparse_complex(rng, w.dimension, w.dimension, density))
+        cases.append((f"sparse-{density}", a, Arc(Direction(1, -1), Direction(1, 1)), 0.3))
+    return cases
+
+
+@pytest.mark.parametrize("case", cone_split_cases(), ids=lambda case: case[0])
+def test_cone_split_matches_the_svd_only_prefix_search(case, monkeypatch):
+    _, a, arc, eps = case
+    svds = []
+    norm = oplab.operators.spectral_norm
+    monkeypatch.setattr(oplab.operators, "spectral_norm", lambda x: svds.append(x.shape) or norm(x))
+    split = oplab.locality.cone_split(a, arc, eps)
+    probes = []
+    monkeypatch.setattr(
+        oplab.locality, "_shortest_prefix", lambda *args: svd_shortest_prefix(*args, probes)
+    )
+    oracle = oplab.locality.cone_split(a, arc, eps)
+    assert split.good == oracle.good and split.bad == oracle.bad
+    assert split.achieved_bound == oracle.achieved_bound
+    # one SVD is the achieved bound; the probes take one only where the
+    # bracket straddles the budget
+    assert len(svds) - 1 <= len(probes)
 
 
 # ---------------------------------------------------------------------------
@@ -1114,6 +1241,53 @@ def test_spectral_segments_match_the_whole_window_route(pipeline_case):
         assert_samples_match_the_dense_product(seg)
         assert_bound_matches_the_dense_formulas(seg)
     assert all(seg.spectrum_bound() is not None for seg in pieces[:3])
+
+
+def test_spectral_blocks_match_the_all_mode_product(pipeline_case):
+    """SpectralSegment.block sums over the modes whose L column meets the
+    rows; the product over all modes is the reference."""
+    _, (path, _, inner, _) = pipeline_case
+    window = path.window
+    allowance = window.radius / 2
+    locality = [
+        (_locality_indices(window, row, allowance), _locality_indices(window, col, allowance))
+        for row, col in (DEFAULT_ARC_PAIR,)
+    ]
+    rng = np.random.default_rng(0)
+    for seg in spectral_pieces(path.segments + inner):
+        d = seg.const.shape[0]
+        cuts = [(np.sort(rng.choice(d, d // 3, replace=False)), np.arange(0, d, 4))]
+        cuts += locality if d == window.dimension else []
+        for t in (0.0, 0.3, 1.0):
+            whole = dense_spectral_at(seg, t)
+            for rows, cols in cuts:
+                got = seg.block(t, rows, cols)
+                assert np.max(np.abs(got - whole[np.ix_(rows, cols)])) <= 1e-12
+
+
+def certify_forming_every_affine_sample(path, config, monkeypatch):
+    """certify_path with affine samples formed and cut densely, the
+    route before ``_AffineSampler.measure``."""
+    with monkeypatch.context() as mp:
+        mp.setattr(oplab.homotopy._AffineSampler, "measure", oplab.homotopy._DenseSampler.measure)
+        return certify_path(path, config)
+
+
+def test_affine_samples_are_measured_without_being_formed(tailed_pipeline, monkeypatch):
+    u, path, report, certify = tailed_pipeline
+    line = straight_line(u, Operator.identity(u.window))
+    formed = []
+    at = AffineSegment._at
+    monkeypatch.setattr(AffineSegment, "_at", lambda seg, t: formed.append(t) or at(seg, t))
+    for p in (line, path):
+        formed.clear()
+        got = certify_path(p, certify)
+        # the path's first sample, and its last when an affine segment ends it
+        assert formed == ([0.0, 1.0] if p is line else [0.0])
+        want = certify_forming_every_affine_sample(p, certify, monkeypatch)
+        assert got.series == want.series and got.endpoint_errors == want.endpoint_errors
+        assert got.segment_stats == want.segment_stats
+    assert got.series == report.series
 
 
 @pytest.mark.parametrize("case", sorted(HAND_BUILT))

@@ -6,6 +6,8 @@ import re
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oplab.homotopy
 from oplab.cli import main
@@ -193,6 +195,100 @@ def test_load_config_bad_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ConfigError, match="not valid JSON"):
         load_config(path)
+
+
+_GOOD_CONFIG = json.dumps(
+    {
+        "experiment": "theorem1",
+        "representation": "Z2",
+        "radius": 4,
+        "seed": 3,
+        "out_dir": "out",
+        "samples": 8,
+        "eps": 0.5,
+        "arc_pairs": [[[[1, -1], [1, 1]], [[-1, 1], [-1, -1]]]],
+    }
+).encode()
+_CONFIG_TOKENS = [
+    b"true",
+    b"false",
+    b"null",
+    b"1e400",
+    b"NaN",
+    b"-0",
+    b"10" * 20,
+    b"9" * 4400,
+    b"[" * 5000,
+    b"\xff",
+    b"\xc3",
+    b"\xef\xbb\xbf",
+    b'"\\ud800"',
+    b'"\x00"',
+    b"[[1,2],[3,4]]",
+    b"{}",
+    b",",
+    b":",
+    b"]",
+    b"}",
+]
+
+
+@st.composite
+def mutated_configs(draw):
+    """The bytes of a good config with a few bytes replaced, deleted or
+    inserted, or with JSON tokens (deep nesting, long integers, invalid
+    UTF-8) spliced in."""
+    data = bytearray(_GOOD_CONFIG)
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(data)))
+        action = draw(st.sampled_from(["byte", "delete", "insert", "token", "token"]))
+        if action == "byte" and at < len(data):
+            data[at] = draw(st.integers(0, 255))
+        elif action == "delete":
+            del data[at : at + draw(st.integers(1, 12))]
+        elif action == "insert":
+            data[at:at] = draw(st.binary(min_size=1, max_size=6))
+        else:
+            span = draw(st.integers(0, 8))
+            data[at : at + span] = draw(st.sampled_from(_CONFIG_TOKENS))
+    return bytes(data)
+
+
+@settings(max_examples=200)
+@given(mutated_configs())
+@example(_GOOD_CONFIG)
+@example(_GOOD_CONFIG[:-1] + b"\xff}")
+@example(b'{"experiment": ' + b"[" * 100_000 + b"]" * 100_000 + b"}")
+@example(_GOOD_CONFIG[:-1] + b', "seed": ' + b"9" * 5000 + b"}")
+@example(_GOOD_CONFIG.replace(b"[[1, -1]", b"[[true, 0]"))
+def test_config_loader_accepts_or_raises_config_error(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzzed-config.json"
+    path.write_bytes(data)
+    try:
+        config = load_config(path)
+    except ConfigError:
+        assert main(["run", "--config", str(path)]) == 2
+    else:
+        assert isinstance(config, ExperimentConfig)
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (_GOOD_CONFIG[:-1] + b"\xff}", "utf-8"),
+        (b"[" * 100_000 + b"]" * 100_000, "recursion"),
+        (_GOOD_CONFIG[:-1] + b', "seed": ' + b"9" * 5000 + b"}", "digits"),
+        (_GOOD_CONFIG.replace(b"[[1, -1]", b"[[true, 0]"), "arc_pairs"),
+        (_GOOD_CONFIG.replace(b"[1, 1]]", b"[1, false]]"), "arc_pairs"),
+    ],
+)
+def test_config_loader_rejects_what_used_to_escape(tmp_path, capsys, data, message):
+    path = tmp_path / "config.json"
+    path.write_bytes(data)
+    with pytest.raises(ConfigError, match=message):
+        load_config(path)
+    assert main(["run", "--config", str(path)]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from oplab.errors import RepresentationError
 from oplab.geometry import (
@@ -18,6 +20,7 @@ from oplab.geometry import (
     Complement,
     Cone,
     Direction,
+    ORIGIN,
     Explicit,
     RegionIntersection,
     RegionUnion,
@@ -139,6 +142,31 @@ def test_arc_contains_against_cyclic_oracle():
     for arc in probe_arcs:
         for d in dirs:
             assert arc.contains(d) == _arc_contains_oracle(window, arc, d), (arc, d)
+
+
+_COMPONENTS = st.integers(-7, 7) | st.integers(-(10**40), 10**40)
+
+
+@given(
+    start=st.tuples(_COMPONENTS, _COMPONENTS).filter(any),
+    end=st.tuples(_COMPONENTS, _COMPONENTS).filter(any),
+    k=st.integers(0, 80),
+    radius=st.integers(1, 7),
+)
+@example(start=(10**30, 1), end=(1, 10**30), k=0, radius=5)
+@example(start=(1, -1), end=(1, 1), k=80, radius=7)
+@example(start=(1, 0), end=(-1, 0), k=0, radius=3)
+@example(start=(2, 1), end=(2, 1), k=0, radius=2)
+def test_arc_mask_matches_contains_on_every_site(start, end, k, radius):
+    arc = Arc.from_vectors(start, end)
+    if k:
+        arc = widen_arc(arc, k)
+    window = TruncationWindow.plane(radius)
+    mask = arc.mask(window.coordinates)
+    assert mask.dtype == bool
+    assert mask.tolist() == [
+        x != ORIGIN and arc.contains(direction_of(x)) for x in window.sites
+    ]
 
 
 def test_arcs_disjoint_examples():

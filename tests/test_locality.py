@@ -14,7 +14,7 @@ from oplab.errors import (
     StageError,
     WindowExhaustedError,
 )
-from oplab.geometry import Arc, Direction
+from oplab.geometry import Arc, Direction, direction_of
 from oplab.locality import (
     CentersPlan,
     ConeSplit,
@@ -123,13 +123,13 @@ def test_profile_nonincreasing_and_matches_direct_masks():
             w.index_of(s)
             for s in w.sites
             if s != (0, 0)
-            and LEFT.contains(w.direction_at(s))
+            and LEFT.contains(direction_of(s))
             and s[0] ** 2 + s[1] ** 2 >= r * r
         ]
         cols = [
             w.index_of(s)
             for s in w.sites
-            if s != (0, 0) and RIGHT.contains(w.direction_at(s))
+            if s != (0, 0) and RIGHT.contains(direction_of(s))
         ]
         oracle = (
             np.linalg.norm(a.entries[np.ix_(rows, cols)], 2) if rows and cols else 0.0
@@ -178,7 +178,7 @@ def test_cone_split_diagonal_all_bad():
     complement = {
         s
         for s in w.sites
-        if s != (0, 0) and not RIGHT.contains(w.direction_at(s))
+        if s != (0, 0) and not RIGHT.contains(direction_of(s))
     }
     assert split.bad == complement
 
@@ -199,7 +199,7 @@ def test_cone_split_partitions_complement():
     eps = 0.5 * a.norm()
     split = cone_split(a, RIGHT, eps)
     complement = {
-        s for s in w.sites if s != (0, 0) and not RIGHT.contains(w.direction_at(s))
+        s for s in w.sites if s != (0, 0) and not RIGHT.contains(direction_of(s))
     }
     assert split.good | split.bad == complement
     assert not (split.good & split.bad)
@@ -208,7 +208,7 @@ def test_cone_split_partitions_complement():
     cols = [
         w.index_of(s)
         for s in w.sites
-        if s != (0, 0) and RIGHT.contains(w.direction_at(s))
+        if s != (0, 0) and RIGHT.contains(direction_of(s))
     ]
     direct = np.linalg.norm(a.entries[np.ix_(rows, cols)], 2) if rows and cols else 0.0
     assert direct <= eps + 1e-12
