@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from math import gcd
+from math import ceil, gcd
 from typing import Iterator, Union
 
 import numpy as np
@@ -356,37 +356,53 @@ EMPTY_REGION = Explicit(frozenset())
 FULL_REGION = Complement(EMPTY_REGION)
 
 
-def _norm_sq(x: Site):
-    if isinstance(x, int):
-        return x * x
-    return x[0] * x[0] + x[1] * x[1]
+def _below(window, bound: Fraction) -> np.ndarray:
+    """|x| < bound for every site: an integer |x|^2 clears the rational
+    square exactly when it stays under its ceiling.  The ceiling is a
+    Python integer, cut down to one past the largest |x|^2 so that the
+    comparison runs in int64 with no change of outcome."""
+    norms_sq = np.sum(window.coordinates**2, axis=1)
+    return norms_sq < min(ceil(bound * bound), int(norms_sq.max(initial=0)) + 1)
+
+
+def region_mask(region: Region, window) -> np.ndarray:
+    """Read-only boolean mask of the region's sites in the window, in
+    basis order: the one place where region membership is decided.
+
+    Cones use ``Arc.mask``; balls and annuli compare the integer |x|^2
+    of ``window.coordinates`` with the ceiling of the exact rational
+    square; explicit sets mark their in-window sites by index; the
+    complement, union and intersection are ``~``, ``|`` and ``&``.
+    """
+    if isinstance(region, Cone):
+        if window.representation != "Z2":
+            raise RepresentationError("cones are defined on the planar lattice only")
+        mask = region.arc.mask(window.coordinates)
+    elif isinstance(region, Ball):
+        mask = _below(window, region.radius)
+    elif isinstance(region, Annulus):
+        mask = _below(window, region.outer) & ~_below(window, region.inner)
+    elif isinstance(region, Explicit):
+        mask = np.zeros(window.dimension, dtype=bool)
+        mask[[window.index_of(x) for x in region.sites if x in window]] = True
+    elif isinstance(region, Complement):
+        mask = ~region_mask(region.region, window)
+    elif isinstance(region, RegionUnion):
+        mask = region_mask(region.left, window) | region_mask(region.right, window)
+    elif isinstance(region, RegionIntersection):
+        mask = region_mask(region.left, window) & region_mask(region.right, window)
+    else:
+        raise TypeError(f"not a region: {region!r}")
+    mask.setflags(write=False)
+    return mask
 
 
 def region_sites(region: Region, window) -> frozenset:
     """Realize a region inside a window as a frozenset of sites."""
-    all_sites = window.site_set
-    if isinstance(region, Cone):
-        if window.representation != "Z2":
-            raise RepresentationError("cones are defined on the planar lattice only")
-        return frozenset(compress(window.sites, region.arc.mask(window.coordinates)))
-    if isinstance(region, Ball):
-        r2 = region.radius * region.radius
-        return frozenset(x for x in all_sites if _norm_sq(x) < r2)
-    if isinstance(region, Annulus):
-        lo = region.inner * region.inner
-        hi = region.outer * region.outer
-        return frozenset(x for x in all_sites if lo <= _norm_sq(x) < hi)
-    if isinstance(region, Explicit):
-        return region.sites & all_sites
-    if isinstance(region, Complement):
-        return all_sites - region_sites(region.region, window)
-    if isinstance(region, RegionUnion):
-        return region_sites(region.left, window) | region_sites(region.right, window)
-    if isinstance(region, RegionIntersection):
-        return region_sites(region.left, window) & region_sites(region.right, window)
-    raise TypeError(f"not a region: {region!r}")
+    return frozenset(compress(window.sites, region_mask(region, window)))
 
 
 def realize_region(region: Region, window) -> tuple:
-    """Region sites in the window's canonical enumeration order."""
-    return window.order(region_sites(region, window))
+    """Region sites in the window's canonical enumeration order (its
+    basis order)."""
+    return tuple(compress(window.sites, region_mask(region, window)))

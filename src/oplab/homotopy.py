@@ -43,7 +43,7 @@ from .errors import (
     UnitarityError,
     WindowMismatchError,
 )
-from .geometry import Arc, Direction, Explicit, arcs_disjoint
+from .geometry import Arc, Ball, Cone, Direction, Explicit, arcs_disjoint, region_mask
 from .index import IndexConfig, fredholm_index
 from .operators import (
     Operator,
@@ -55,6 +55,7 @@ from .operators import (
     diagonal_blocks,
     gram_eigenvalues,
     hermitian_part,
+    norm_at_most,
     spectral_norm,
     stacked_blocks,
 )
@@ -88,15 +89,6 @@ def _fro(entries: np.ndarray) -> float:
 def _support(entries: np.ndarray) -> np.ndarray:
     """Site mask of the rows and columns where a square matrix is nonzero."""
     return np.any(entries, axis=0) | np.any(entries, axis=1)
-
-
-def _residual_norm(entries: np.ndarray, tol: float) -> float:
-    """Spectral norm of a residual, skipping the SVD when the Frobenius
-    norm (an upper bound on it) already lands at or under tol."""
-    fro = _fro(entries)
-    if fro <= tol:
-        return fro
-    return spectral_norm(entries)
 
 
 def _split_norm(entries: np.ndarray) -> float:
@@ -766,9 +758,9 @@ def _block_peel(m: Operator, p: Projection) -> tuple:
         raise WindowMismatchError("operator and projection on different windows")
     on, off = _mask_sites(p, "block peel")
     me = m.entries
-    r_fix = _residual_norm(me[np.ix_(on, on)] - np.eye(on.size), TOL_BLOCK_FORM)
-    r_low = _residual_norm(me[np.ix_(off, on)], TOL_BLOCK_FORM)
-    if max(r_fix, r_low) > TOL_BLOCK_FORM:
+    blocks = (me[np.ix_(on, on)] - np.eye(on.size), me[np.ix_(off, on)])
+    if not all(norm_at_most(block, TOL_BLOCK_FORM) for block in blocks):
+        r_fix, r_low = map(spectral_norm, blocks)
         raise PreconditionError(
             "operator is not in block form over the projection: "
             f"|PMP - P| = {r_fix:.3e}, |P~MP| = {r_low:.3e}"
@@ -790,12 +782,11 @@ def conjugation_path(q: Projection | Operator, upath: HomotopyPath) -> HomotopyP
     window = q.window
     if window != upath.window:
         raise WindowMismatchError("projection and unitary path on different windows")
-    eye = np.eye(window.dimension, dtype=np.complex128)
-    start_gap = _residual_norm(upath.at(0.0) - eye, TOL_BLOCK_FORM)
-    if start_gap > TOL_BLOCK_FORM:
+    start = upath.at(0.0) - np.eye(window.dimension, dtype=np.complex128)
+    if not norm_at_most(start, TOL_BLOCK_FORM):
         raise PreconditionError(
             f"conjugation needs a unitary path from the identity; "
-            f"start is {start_gap:.3e} away"
+            f"start is {spectral_norm(start):.3e} away"
         )
     seg = ConjugationSegment("conjugation", window, q_entries, upath)
     return HomotopyPath((seg,), q_entries, seg.at(1.0))
@@ -872,25 +863,27 @@ def _stacked_segments(
 
     on, off = _mask_sites(p, "stacked move")
     ue = u.entries
-    r_fix = _residual_norm(ue[np.ix_(on, on)] - np.eye(on.size), TOL_BLOCK_FORM)
-    r_up = _residual_norm(ue[np.ix_(on, off)], TOL_BLOCK_FORM)
-    r_low = _residual_norm(ue[np.ix_(off, on)], TOL_BLOCK_FORM)
-    worst = max(r_fix, r_up, r_low)
-    if worst > TOL_BLOCK_FORM:
+    blocks = (ue[np.ix_(on, on)] - np.eye(on.size), ue[np.ix_(on, off)], ue[np.ix_(off, on)])
+    if not all(norm_at_most(block, TOL_BLOCK_FORM) for block in blocks):
+        r_fix, r_up, r_low = map(spectral_norm, blocks)
         raise PreconditionError(
             "operator does not act as the identity on the projection range: "
             f"|PUP - P| = {r_fix:.3e}, |PUP~| = {r_up:.3e}, |P~UP| = {r_low:.3e}"
         )
     src = _intertwiner_columns(off, v_iso)
 
-    stacked = np.eye(amp.dimension, dtype=np.complex128)
-    start_gap = _residual_norm(inner[0].at(0.0) - stacked, TOL_BLOCK_FORM)
-    stacked[: base.dimension, : base.dimension] = ue  # now U ⊕ 1
-    end_gap = _residual_norm(inner[-1].at(1.0) - stacked, TOL_BLOCK_FORM)
-    if max(start_gap, end_gap) > TOL_BLOCK_FORM:
+    def gap(t: float) -> np.ndarray:
+        """The inner path's end at t minus the stacked identity (t = 0)
+        or U ⊕ 1 (t = 1); one stacked difference is alive at a time."""
+        target = np.eye(amp.dimension, dtype=np.complex128)
+        if t:
+            target[: base.dimension, : base.dimension] = ue
+        return inner[-1 if t else 0].at(t) - target
+
+    if not (norm_at_most(gap(0.0), TOL_BLOCK_FORM) and norm_at_most(gap(1.0), TOL_BLOCK_FORM)):
         raise PreconditionError(
-            "inner path must run from the stacked identity to U ⊕ 1: "
-            f"endpoint gaps ({start_gap:.3e}, {end_gap:.3e})"
+            "inner path must run from the stacked identity to U ⊕ 1: endpoint gaps "
+            f"({spectral_norm(gap(0.0)):.3e}, {spectral_norm(gap(1.0)):.3e})"
         )
 
     return tuple(seg.intertwined(base, src) for seg in inner)
@@ -998,11 +991,8 @@ class CertificateReport:
 
 
 def _locality_indices(window, arc: Arc, allowance) -> np.ndarray:
-    """Sites of cone(arc) with |x| >= allowance; an integer norm clears a
-    rational square exactly when it clears its ceiling."""
-    coords = window.coordinates
-    far = np.sum(coords * coords, axis=1) >= math.ceil(Fraction(allowance) ** 2)
-    return np.flatnonzero(far & arc.mask(coords))
+    """Sites of cone(arc) with |x| >= allowance."""
+    return np.flatnonzero(region_mask(Cone(arc) & ~Ball(allowance), window))
 
 
 def _gram_defects(eigs: np.ndarray) -> tuple:
@@ -1018,13 +1008,9 @@ def _locality(block, pair_indices) -> float:
 
 
 def _is_projection(x: np.ndarray, tol: float) -> bool:
-    """Hermitian and idempotent within tol.  max |entry| <= ||.||_2, so an
-    entry above tol settles "no" before any SVD or product."""
-    skew = x - x.conj().T
-    if np.max(np.abs(skew), initial=0.0) > tol or _residual_norm(skew, tol) > tol:
-        return False
-    idem = x @ x - x
-    return np.max(np.abs(idem), initial=0.0) <= tol and _residual_norm(idem, tol) <= tol
+    """Hermitian and idempotent within tol; a skew part over tol settles
+    "no" before the product is formed."""
+    return norm_at_most(x - x.conj().T, tol) and norm_at_most(x @ x - x, tol)
 
 
 class _DenseSampler:
@@ -1374,10 +1360,11 @@ def theorem1_pipeline(
             raise StageError(name, f"{type(exc).__name__}: {exc}") from exc
 
     g, plan = stage("localized-centers", lambda: localized_centers(u, config.thetas, eps))
-    delta = _residual_norm(u.entries - g.entries, 1.0 - 1e-12)
-    if delta >= 1.0:
+    # ‖U - G‖ < 1 is ‖U - G‖ <= the double below 1
+    if not norm_at_most(u.entries - g.entries, np.nextafter(1.0, 0.0)):
         raise StageError(
-            "localized-centers", f"deformation size {delta:.3e} reaches 1"
+            "localized-centers",
+            f"deformation size {spectral_norm(u.entries - g.entries):.3e} reaches 1",
         )
     line = AffineSegment("straight_line", window, u.entries, g.entries, label="onto-deformed")
 

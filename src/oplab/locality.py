@@ -10,13 +10,12 @@ before being returned; nothing is trusted from the construction.  A
 test of a block norm against a budget is a decision, not a value: the
 Frobenius norm from above and the largest row or column norm from
 below settle it, and an SVD runs only when that bracket straddles the
-budget (``operators.norm_at_most``).  Cone membership is one
-integer-exact mask over the window's coordinates (``Arc.mask``).
+budget (``operators.norm_at_most``).  Cone, ball and shell membership
+is one integer-exact mask over the window (``geometry.region_mask``).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,8 +31,11 @@ from .errors import (
 )
 from .geometry import (
     Arc,
+    Ball,
+    Cone,
     Direction,
     arcs_disjoint,
+    region_mask,
     site_sort_key,
     widen_arc,
 )
@@ -162,36 +164,17 @@ class CentersPlan:
 # masking helpers
 
 
-@functools.lru_cache(maxsize=None)
-def _norm2_array(window: TruncationWindow) -> np.ndarray:
-    if window.representation == "Z":
-        return np.array([x * x for x in window.sites], dtype=np.int64)
-    return np.array([x[0] * x[0] + x[1] * x[1] for x in window.sites], dtype=np.int64)
-
-
 def _require_plane(window, what: str) -> TruncationWindow:
     if not isinstance(window, TruncationWindow) or window.representation != "Z2":
         raise RepresentationError(f"{what} needs a planar window")
     return window
 
 
-def _cone_indices(window: TruncationWindow, arc: Arc) -> np.ndarray:
-    return np.flatnonzero(arc.mask(window.coordinates))
-
-
-def _open_complement_indices(window: TruncationWindow, arc: Arc) -> np.ndarray:
-    """Window indices of sites whose direction lies strictly outside the arc."""
-    coords = window.coordinates
-    return np.flatnonzero(np.any(coords, axis=1) & ~arc.mask(coords))
-
-
 def block_norm(a: Operator, i: Arc, j: Arc) -> float:
     """Cross-cone block norm: rows from cone(j), columns from cone(i)."""
     w = _require_plane(a.window, "block_norm")
-    rows = _cone_indices(w, j)
-    cols = _cone_indices(w, i)
-    if rows.size == 0 or cols.size == 0:
-        return 0.0
+    rows = np.flatnonzero(region_mask(Cone(j), w))
+    cols = np.flatnonzero(region_mask(Cone(i), w))
     return spectral_norm(a.entries[np.ix_(rows, cols)])
 
 
@@ -249,17 +232,11 @@ def compactness_profile(a: Operator, i: Arc, j: Arc, cutoffs: Sequence) -> Decay
     if not arcs_disjoint(i, j):
         raise PreconditionError("profile arcs must be disjoint")
     radii = [Fraction(r) for r in cutoffs]
-    rows = _cone_indices(w, j)
-    cols = _cone_indices(w, i)
-    norms2 = _norm2_array(w)
+    cols = np.flatnonzero(region_mask(Cone(i), w))
     values = []
-    for r in radii:
-        # outside the open ball: |x|^2 >= r^2, exact in integers
-        keep = [idx for idx in rows if Fraction(int(norms2[idx])) >= r * r]
-        if not keep or cols.size == 0:
-            values.append(0.0)
-            continue
-        values.append(spectral_norm(a.entries[np.ix_(np.asarray(keep), cols)]))
+    for r in radii:  # the cone rows outside the open ball
+        rows = np.flatnonzero(region_mask(Cone(j) & ~Ball(r), w))
+        values.append(spectral_norm(a.entries[np.ix_(rows, cols)]))
     return DecayProfile(tuple(radii), tuple(values))
 
 
@@ -277,8 +254,9 @@ def cone_split(a: Operator, j: Arc, eps: float) -> ConeSplit:
     if eps <= 0:
         raise PreconditionError("eps must be positive")
     coords = w.coordinates
-    j_cols = _cone_indices(w, j)
-    complement = _open_complement_indices(w, j)
+    j_cols = np.flatnonzero(region_mask(Cone(j), w))
+    # the open complement: nonzero sites whose direction is off the arc
+    complement = np.flatnonzero(region_mask(~(Cone(j) | Ball(1)), w))
     captured = np.zeros(w.dimension, dtype=bool)
     remaining = complement
     k = 1
@@ -293,8 +271,7 @@ def cone_split(a: Operator, j: Arc, eps: float) -> ConeSplit:
         shell = remaining[leaving]
         if shell.size:
             m = _shortest_prefix(a.entries, shell, j_cols, eps / 2.0**k)
-            if j_cols.size:
-                captured[shell[:m]] = np.any(a.entries[np.ix_(shell[:m], j_cols)], axis=1)
+            captured[shell[:m]] = np.any(a.entries[np.ix_(shell[:m], j_cols)], axis=1)
             remaining = remaining[~leaving]
         k += 1
     bad_idx = complement[~captured[complement]]
@@ -339,20 +316,19 @@ def annulus_confine(
     if any(e <= 0 for e in epsilons):
         raise PreconditionError("budgets must be positive")
 
-    norms2 = _norm2_array(w)
     entries = a.entries
     centers: list = []
     radii: list = []
-    r_prev = 0  # integer shell radius, squared compares stay exact
+    r_prev = 0  # integer shell radius
 
     for i, (theta, eps_i) in enumerate(zip(thetas, epsilons), start=1):
         inner_budget = None if i == 1 else eps_i / 2.0
         outer_budget = eps_i if i == 1 else eps_i / 2.0
-        inner_rows = np.flatnonzero(norms2 < r_prev * r_prev)
+        inner = region_mask(Ball(r_prev), w)
+        inner_rows = np.flatnonzero(inner)
         chosen = None
         for site in _ray_sites(w, theta):
-            n2 = site[0] * site[0] + site[1] * site[1]
-            if n2 < r_prev * r_prev:
+            if inner[w.index_of(site)]:
                 continue
             if inner_budget is not None and inner_rows.size:
                 col = entries[inner_rows, w.index_of(site)]
@@ -365,13 +341,11 @@ def annulus_confine(
                 f"no admissible center for index {i} along ({theta.p},{theta.q}) "
                 f"beyond radius {r_prev}"
             )
-        n2 = chosen[0] * chosen[0] + chosen[1] * chosen[1]
         col_idx = w.index_of(chosen)
-        rho = max(r_prev, 0)
-        while rho * rho <= n2:
-            rho += 1
+        # the least integer radius past r_prev whose open ball holds the center
+        rho = max(r_prev, math.isqrt(chosen[0] ** 2 + chosen[1] ** 2) + 1)
         while True:
-            outer_rows = np.flatnonzero(norms2 >= rho * rho)
+            outer_rows = np.flatnonzero(region_mask(~Ball(rho), w))
             if outer_rows.size == 0:
                 break
             tail = float(np.linalg.norm(entries[outer_rows, col_idx]))

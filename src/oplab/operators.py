@@ -21,7 +21,7 @@ from .errors import (
     UnitarityError,
     WindowMismatchError,
 )
-from .geometry import ORIGIN, Region, realize_region, region_sites
+from .geometry import ORIGIN, Region, region_mask
 from .windows import AmplifiedWindow, TruncationWindow, Window
 
 TOL_IDEMPOTENT = 1e-10
@@ -158,7 +158,8 @@ def norm_at_most(block: np.ndarray, bound: float, bracket: tuple | None = None) 
     the bracket's answer is the one the SVD would give; within the
     slack of either end (a rank-one block has ‖X‖_F = ‖X‖₂) the SVD
     decides.  ``bracket`` is ``norm_bracket(block)`` (or the same two
-    norms summed another way), passed when the caller already has it.
+    norms summed another way), passed when the caller already has it;
+    without it, a cheap Frobenius test settles most "yes" answers first.
 
     The squares behind the bracket lose at most a few subnormal units
     to underflow and overflow only past 1e154, so the bracket decides
@@ -167,8 +168,16 @@ def norm_at_most(block: np.ndarray, bound: float, bracket: tuple | None = None) 
     """
     if not BRACKET_RANGE[0] <= bound <= BRACKET_RANGE[1]:
         return spectral_norm(block) <= bound
-    fro, edge = norm_bracket(block) if bracket is None else bracket
     slack = BRACKET_SLACK * max(block.shape, default=1) * _EPS
+    if bracket is None:
+        # the bracket's "yes" on a BLAS Frobenius norm, which forms no
+        # squares; summed in any order it is within size eps of its value
+        with np.errstate(over="ignore", under="ignore"):
+            fro = np.linalg.norm(block)
+        if fro * (1.0 + slack + block.size * _EPS) <= bound:
+            return True
+        bracket = norm_bracket(block)
+    fro, edge = bracket
     if fro * (1.0 + slack) <= bound:
         return True
     if edge * (1.0 - slack) > bound:
@@ -303,40 +312,42 @@ def _diagonal_mask_of(a: np.ndarray) -> np.ndarray | None:
     return diag.real == 1.0
 
 
-@dataclass(frozen=True)
 class Projection:
     """An orthogonal projection, optionally backed by a diagonal region.
 
     ``mask`` is the single source of truth for diagonal structure: the
     0/1 site mask when the projection is an exact 0/1 diagonal, else
-    None.  ``from_region`` stores the mask it builds, ``perp`` carries
-    the complement, and any other construction derives it once here.
-    Code that can work on index blocks instead of dense products reads
-    it through :meth:`diagonal_mask`.
+    None.  A projection built ``from_region`` holds only its mask and
+    forms the dense diagonal the first time ``operator`` or ``entries``
+    is read; ``perp`` and ``trace`` read the mask.  A projection built
+    from an operator derives the mask once here.  Code that can work on
+    index blocks instead of dense products reads it through
+    :meth:`diagonal_mask`.
     """
 
-    operator: Operator
-    region: Region | None = None
-    mask: np.ndarray | None = field(default=None, compare=False, repr=False)
+    def __init__(self, operator: Operator, region: Region | None = None) -> None:
+        self._operator = operator
+        self.window = operator.window
+        self.region = region
+        self.mask = _diagonal_mask_of(operator.entries)
+        if self.mask is not None:
+            self.mask.setflags(write=False)
 
-    def __post_init__(self) -> None:
-        mask = self.mask
-        if mask is None:
-            mask = _diagonal_mask_of(self.operator.entries)
-        if mask is not None:
-            mask = np.array(mask, dtype=bool)
-            mask.setflags(write=False)
-        object.__setattr__(self, "mask", mask)
+    @classmethod
+    def _of_mask(cls, window: Window, mask: np.ndarray, region: Region | None) -> "Projection":
+        """The 0/1 diagonal projection onto a site mask, made read-only."""
+        mask.setflags(write=False)
+        out = cls.__new__(cls)
+        out._operator = None
+        out.window, out.region, out.mask = window, region, mask
+        return out
 
     @classmethod
     def from_region(cls, region: Region, window: Window) -> "Projection":
         """Exact 0/1 diagonal projection onto the region's window sites."""
         if isinstance(window, AmplifiedWindow):
             raise RepresentationError("region projections live on plain windows")
-        mask = np.zeros(window.dimension, dtype=bool)
-        for site in region_sites(region, window):
-            mask[window.index_of(site)] = True
-        return cls(Operator.diagonal(window, mask), region, mask)
+        return cls._of_mask(window, region_mask(region, window), region)
 
     @classmethod
     def from_operator(
@@ -356,8 +367,10 @@ class Projection:
         return cls(operator, region)
 
     @property
-    def window(self) -> Window:
-        return self.operator.window
+    def operator(self) -> Operator:
+        if self._operator is None:
+            self._operator = Operator.diagonal(self.window, self.mask)
+        return self._operator
 
     @property
     def entries(self) -> np.ndarray:
@@ -365,20 +378,18 @@ class Projection:
 
     def perp(self) -> "Projection":
         region = None if self.region is None else self.region.complement()
-        mask = None if self.mask is None else ~self.mask
-        return Projection(Operator.identity(self.window) - self.operator, region, mask)
+        if self.mask is None:
+            return Projection(Operator.identity(self.window) - self.operator, region)
+        return Projection._of_mask(self.window, ~self.mask, region)
 
     def diagonal_mask(self) -> np.ndarray | None:
         """Boolean site mask when the projection is an exact 0/1 diagonal."""
         return self.mask
 
-    def sites(self) -> tuple:
-        if self.region is None:
-            raise ValueError("projection has no region descriptor")
-        return realize_region(self.region, self.window)
-
     def trace(self) -> float:
-        return float(np.trace(self.entries).real)
+        if self.mask is None:
+            return float(np.trace(self.entries).real)
+        return float(np.count_nonzero(self.mask))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ so reruns can be compared byte for byte.
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -51,6 +52,8 @@ _INTEGER_MINIMUMS = {
 }
 _POSITIVE_FIELDS = ("sv_threshold", "buffer", "eps")
 
+MAX_WINDOW_DIMENSION = 2**13  # sites; one d x d complex matrix at the cap is 1 GiB
+
 DEFAULT_ARC_PAIR = (
     Arc(Direction(1, -1), Direction(1, 1)),
     Arc(Direction(-1, 1), Direction(-1, -1)),
@@ -63,6 +66,16 @@ def _vector(raw) -> tuple:
     if type(x1) is not int or type(x2) is not int:
         raise TypeError(f"{raw!r} is not a pair of integers")
     return x1, x2
+
+
+def _window_too_large(representation: str, radius: int) -> bool:
+    """Whether the window holds more than MAX_WINDOW_DIMENSION sites,
+    counted without building it: the 2r + 1 sites of one axis settle a
+    huge radius at once, and a smaller plane is counted by columns."""
+    if representation == "Z" or 2 * radius + 1 > MAX_WINDOW_DIMENSION:
+        return 2 * radius + 1 > MAX_WINDOW_DIMENSION
+    columns = (2 * math.isqrt(radius**2 - x * x) + 1 for x in range(-radius, radius + 1))
+    return sum(columns) > MAX_WINDOW_DIMENSION
 
 
 def _parse_arc_pairs(raw) -> tuple:
@@ -137,6 +150,11 @@ class ExperimentConfig:
                     f"field 'representation': experiment '{self.experiment}' "
                     f"runs on {expected}"
                 )
+        if not problems and _window_too_large(self.representation, self.radius):
+            problems.append(
+                f"field 'radius': the window would hold more than "
+                f"{MAX_WINDOW_DIMENSION} sites, the cap on window dimension"
+            )
         if problems:
             raise ConfigError(problems)
 

@@ -16,6 +16,7 @@ run time; violations raise instead of propagating silently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Sequence
 
 import numpy as np
@@ -33,8 +34,7 @@ from .geometry import (
     RegionUnion,
     arcs_disjoint,
     direction_of,
-    region_sites,
-    site_sort_key,
+    region_mask,
 )
 from .locality import CentersPlan, annulus_confine, cone_split
 from .operators import (
@@ -224,13 +224,11 @@ def localized_centers(
 
     b = deletion_series(a, pairs, eps)
 
-    ranges = []
-    for k, center in enumerate(plan0.centers):
-        col = b.entries[:, w.index_of(center)]
-        support = {w.sites[i] for i in np.flatnonzero(col)}
-        ranges.append(frozenset(support | {center}))
+    ranges = tuple(  # each center with the sites where its column of B is nonzero
+        frozenset(compress(w.sites, b.entries[:, w.index_of(c)])) | {c} for c in plan0.centers
+    )
     plan = plan0.with_ranges(
-        tuple(ranges), source=f"localized-centers(n={len(thetas)},arc-width=2^-k)"
+        ranges, source=f"localized-centers(n={len(thetas)},arc-width=2^-k)"
     )
     return b, plan
 
@@ -241,13 +239,8 @@ def mixing_indices(plan: CentersPlan, i: Arc, j: Arc) -> tuple:
         raise PreconditionError("mixing check needs disjoint arcs")
     if plan.ranges is None:
         raise PreconditionError("plan has no ranges yet")
-    out = []
-    for k, y in enumerate(plan.ranges):
-        hits_i = any(s != ORIGIN and i.contains(direction_of(s)) for s in y)
-        hits_j = any(s != ORIGIN and j.contains(direction_of(s)) for s in y)
-        if hits_i and hits_j:
-            out.append(k)
-    return tuple(out)
+    coords = [np.array(list(y)).reshape(-1, 2) for y in plan.ranges]
+    return tuple(k for k, c in enumerate(coords) if i.mask(c).any() and j.mask(c).any())
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +288,7 @@ def corrective_unitary(b: Operator, plan: CentersPlan) -> Operator:
         norm = float(np.linalg.norm(col))
         if norm == 0.0:
             raise PreconditionError(f"center {k} has a zero column")
-        y_idx = [w.index_of(s) for s in sorted(y, key=site_sort_key)]
+        y_idx = sorted(w.index_of(s) for s in y)  # basis order
         outside = np.linalg.norm(np.delete(col, y_idx))
         if outside > TOL_RESIDUAL:
             raise PreconditionError(
@@ -334,15 +327,14 @@ class GreedyMatch:
 
 @dataclass(frozen=True)
 class GreedyIsometry:
-    """Partial permutation between stacked copies and the base window."""
+    """Partial permutation between stacked copies and the base window,
+    held as its matches: V sends the stacked basis vector (stack, source)
+    of each match onto its target site in stack 0, and every other
+    basis vector to 0."""
 
-    operator: Operator
+    window: AmplifiedWindow
     matches: tuple
     unmatched: tuple
-
-    @property
-    def window(self) -> AmplifiedWindow:
-        return self.operator.window
 
 
 def greedy_isometry(
@@ -364,7 +356,9 @@ def greedy_isometry(
         raise PreconditionError("n must be non-negative")
     if window.representation != "Z2":
         raise PreconditionError("greedy matching needs a planar window")
-    s_sites = region_sites(s, window)
+    s_mask = region_mask(s, window)
+    s_ordered = tuple(compress(window.sites, s_mask))  # canonical = nondecreasing norm
+    s_sites = frozenset(s_ordered)
     if require_ray_dense:
         covered = {direction_of(x) for x in s_sites if x != ORIGIN}
         missing = sorted(
@@ -378,13 +372,15 @@ def greedy_isometry(
                 + (" ..." if len(missing) > 5 else "")
             )
 
-    amp = AmplifiedWindow(window, n + 1)
-    sources = [(0, site) for site in window.order(s_sites)]
-    for stack in range(1, n + 1):
-        sources.extend((stack, site) for site in window.sites)
-    sources.sort(key=lambda p: (site_sort_key(p[1]), p[0]))
+    # basis order is the canonical order, so walking the window once
+    # and the stacks within each site merges them canonically
+    sources = [
+        (stack, site)
+        for site, in_s in zip(window.sites, s_mask)
+        for stack in range(n + 1)
+        if stack or in_s
+    ]
 
-    s_ordered = window.order(s_sites)  # canonical = nondecreasing norm
     # beyond this index, the arc is too narrow to contain any second
     # direction class of the window, so only exact ray matches remain
     k_star = int(2 * float(window.radius) ** 2 + 2).bit_length() + 1
@@ -392,7 +388,6 @@ def greedy_isometry(
     used: set = set()
     matches = []
     unmatched = []
-    entries = np.zeros((amp.dimension, amp.dimension), dtype=np.complex128)
     for k, (stack, source) in enumerate(sources, start=1):
         chosen = None
         exact = False
@@ -425,8 +420,6 @@ def greedy_isometry(
             unmatched.append((stack, source))
             continue
         used.add(chosen)
-        entries[amp.index_of(0, chosen), amp.index_of(stack, source)] = 1.0
         matches.append(GreedyMatch(k, stack, source, chosen, exact))
 
-    op = Operator(amp, entries, {"name": f"greedy[{n + 1} copies]"})
-    return GreedyIsometry(op, tuple(matches), tuple(unmatched))
+    return GreedyIsometry(AmplifiedWindow(window, n + 1), tuple(matches), tuple(unmatched))

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable
 
 import numpy as np
 
@@ -104,10 +103,6 @@ class TruncationWindow:
     def direction_classes(self) -> frozenset:
         """All direction classes realized by this window's nonzero sites."""
         return frozenset(self._directions.values())
-
-    def order(self, sites: Iterable[Site]) -> tuple:
-        """Sort a site collection into canonical enumeration order."""
-        return tuple(sorted(sites, key=site_sort_key))
 
     def radius_text(self) -> str:
         r = self.radius

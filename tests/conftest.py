@@ -41,6 +41,16 @@ def tailed_unitary(window, seed):
     return Operator(window, laughlin_operator(window).entries @ scipy.linalg.expm(1j * h))
 
 
+def greedy_operator(iso):
+    """The dense 0/1 matrix V of a greedy isometry, built from its
+    matches: column (stack, source) holds a 1 in row (0, target)."""
+    amp = iso.window
+    v = np.zeros((amp.dimension, amp.dimension), dtype=np.complex128)
+    for m in iso.matches:
+        v[amp.index_of(0, m.target), amp.index_of(m.stack, m.source)] = 1.0
+    return v
+
+
 TAILED_ARCS = ((Arc(Direction(1, -1), Direction(1, 1)), Arc(Direction(-1, 1), Direction(-1, -1))),)
 
 

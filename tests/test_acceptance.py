@@ -59,6 +59,8 @@ from oplab.surgery import (
 )
 from oplab.windows import TruncationWindow
 
+from conftest import greedy_operator
+
 
 def half_line_projection(window):
     region = Explicit(frozenset(x for x in window.sites if x >= 1))
@@ -499,8 +501,8 @@ def test_criterion_11_greedy_isometry_exactness():
     region_set = set(region.sites)
     for n in (1, 2):
         out = greedy_isometry(region, n, window)
-        amp = out.operator.window
-        v = out.operator.entries
+        amp = out.window
+        v = greedy_operator(out)
         matched = np.zeros(amp.dimension)
         for m in out.matches:
             matched[amp.index_of(m.stack, m.source)] = 1.0

@@ -33,7 +33,6 @@ from oplab.homotopy import (
     _compression,
     _locality_indices,
     _log_segment,
-    _residual_norm,
     block_unitary_homotopy,
     certify_path,
     conjugation_path,
@@ -511,7 +510,7 @@ def walked_interface(p):
         for i, site in enumerate(window.sites)
         if any(nb in window and mask[window.index_of(nb)] != mask[i] for nb in neighbors(site))
     ]
-    return window.order(interface)
+    return tuple(interface)  # window.sites is in basis order
 
 
 def interface_cases():
@@ -1127,12 +1126,6 @@ def dense_spectrum_bound(seg):
     return math.sqrt(1.0 - delta), math.sqrt(1.0 + delta), slack, scale, (0.0, 0.0)
 
 
-def residual_oracle(x, target, tol):
-    """_residual_norm of X - target from the whole-window difference."""
-    fro = float(np.linalg.norm(x - target))
-    return fro if fro <= tol else spectral_norm(x - target)
-
-
 def hand_built_segments():
     """Rotations of a right factor g on a seven-site line.  V turns the
     sites {0, 2, 5} together and spins site 3; g links sites 1 and 4,
@@ -1335,10 +1328,11 @@ def test_stacked_endpoint_gaps_match_the_whole_window_norm(pipeline_case):
     tol = oplab.homotopy.TOL_BLOCK_FORM
     for t, want in ((1.0, eye), (0.0, target)):  # the unflipped ends
         for shifted in (want, want + nudge, want + 1e5 * nudge):
-            got = _residual_norm(seg.at(t) - shifted, tol)  # as _stacked_segments checks
-            oracle = residual_oracle(dense_spectral_at(seg, t), shifted, tol)
-            assert abs(got - oracle) <= 1e-12 * max(1.0, oracle)
-    assert _residual_norm(seg.at(1.0) - (target + 1e5 * nudge), tol) > tol  # a real gap
+            gap = seg.at(t) - shifted  # as _stacked_segments checks
+            oracle = spectral_norm(dense_spectral_at(seg, t) - shifted)
+            assert abs(spectral_norm(gap) - oracle) <= 1e-12 * max(1.0, oracle)
+            assert norm_at_most(gap, tol) == (oracle <= tol)
+    assert not norm_at_most(seg.at(1.0) - (target + 1e5 * nudge), tol)  # a real gap
 
 
 @pytest.mark.parametrize("case", sorted(HAND_BUILT))

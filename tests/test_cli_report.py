@@ -2,6 +2,7 @@
 
 import json
 import re
+import time
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oplab.homotopy
+import oplab.runner
 from oplab.cli import main
 from oplab.errors import ConfigError, PreconditionError, StageError
 from oplab.homotopy import CertifyConfig, certify_path, straight_line
@@ -17,7 +19,14 @@ from oplab.locality import DecayProfile
 from oplab.operators import Operator, laughlin_operator
 from oplab.opmat import load_operator, save_operator
 from oplab.reports import bar_chart_svg, emit_plots, line_plot_svg, write_csv
-from oplab.runner import ExperimentConfig, load_config, run, seeded_local_unitary
+from oplab.runner import (
+    MAX_WINDOW_DIMENSION,
+    ExperimentConfig,
+    _window_too_large,
+    load_config,
+    run,
+    seeded_local_unitary,
+)
 from oplab.windows import TruncationWindow
 
 
@@ -169,6 +178,38 @@ def test_config_value_checks():
         ExperimentConfig("theorem2", "Z", 8, 1, 5)
     with pytest.raises(ConfigError, match="experiment"):
         ExperimentConfig(["theorem1"], "Z2", 8, 1, "x")
+
+
+def test_config_caps_the_window_dimension(tmp_path, capsys):
+    # the largest windows the lab runs still load: a radius-40 plane
+    # (5025 sites) and the index sweep's radius-256 line
+    for experiment, representation, radius in (("theorem1", "Z2", 40), ("index-sweep", "Z", 256)):
+        path = write_config(
+            tmp_path, experiment=experiment, representation=representation, radius=radius
+        )
+        assert load_config(path).radius == radius
+    # a huge radius is refused from its digits alone, long before a
+    # window could be built, and the command exits with code 2
+    for experiment, representation in (("theorem1", "Z2"), ("index-sweep", "Z")):
+        for radius in (10**9, int("7" * 4000)):
+            path = write_config(
+                tmp_path, experiment=experiment, representation=representation, radius=radius
+            )
+            start = time.perf_counter()
+            with pytest.raises(ConfigError, match=f"more than {MAX_WINDOW_DIMENSION} sites"):
+                load_config(path)
+            assert main(["run", "--config", str(path)]) == 2
+            assert time.perf_counter() - start < 1.0
+            assert f"{MAX_WINDOW_DIMENSION} sites" in capsys.readouterr().err
+
+
+def test_window_cap_counts_the_sites_exactly(monkeypatch):
+    for representation, radius in (("Z2", 1), ("Z2", 2), ("Z2", 5), ("Z2", 12), ("Z", 7)):
+        d = TruncationWindow(representation, radius).dimension
+        monkeypatch.setattr(oplab.runner, "MAX_WINDOW_DIMENSION", d)
+        assert not _window_too_large(representation, radius)
+        monkeypatch.setattr(oplab.runner, "MAX_WINDOW_DIMENSION", d - 1)
+        assert _window_too_large(representation, radius)
 
 
 def test_config_arc_pairs_parse_and_snapshot():

@@ -28,6 +28,7 @@ from oplab.geometry import (
     direction_of,
     enumerate_directions,
     realize_region,
+    region_mask,
     region_sites,
     site_sort_key,
     widen_arc,
@@ -363,5 +364,87 @@ def test_realize_region_idempotent_and_ordered():
     window = TruncationWindow.plane(4)
     region = RegionUnion(Ball(2), Explicit(frozenset({(3, 1), (0, 3)})))
     once = realize_region(region, window)
-    assert once == window.order(once)
+    assert once == tuple(sorted(once, key=site_sort_key))
     assert realize_region(region, window) == once
+
+
+def old_region_sites(region, window) -> frozenset:
+    """The per-site rule that ``region_mask`` replaced, as a brute-force
+    oracle: exact ``Fraction`` comparisons of |x|^2, arc membership by
+    direction, and set algebra on frozensets."""
+    full = window.site_set
+
+    def norm_sq(x):
+        return x * x if isinstance(x, int) else x[0] * x[0] + x[1] * x[1]
+
+    if isinstance(region, Cone):
+        return frozenset(x for x in full if x != ORIGIN and region.arc.contains(direction_of(x)))
+    if isinstance(region, Ball):
+        return frozenset(x for x in full if norm_sq(x) < region.radius * region.radius)
+    if isinstance(region, Annulus):
+        lo, hi = region.inner * region.inner, region.outer * region.outer
+        return frozenset(x for x in full if lo <= norm_sq(x) < hi)
+    if isinstance(region, Explicit):
+        return region.sites & full
+    if isinstance(region, Complement):
+        return full - old_region_sites(region.region, window)
+    if isinstance(region, RegionUnion):
+        return old_region_sites(region.left, window) | old_region_sites(region.right, window)
+    return old_region_sites(region.left, window) & old_region_sites(region.right, window)
+
+
+@st.composite
+def _radii(draw):
+    """Rationals in [0, 9]; the large denominators put the squared
+    numerator far past int64."""
+    den = draw(st.integers(1, 12) | st.integers(2**31, 2**70))
+    return Fraction(draw(st.integers(0, 9 * den)), den)
+
+
+@st.composite
+def _annuli(draw):
+    inner, outer = sorted((draw(_radii()), draw(_radii())))
+    return Annulus(inner, outer)
+
+
+def _regions(planar: bool):
+    site = st.tuples(st.integers(-9, 9), st.integers(-9, 9)) if planar else st.integers(-12, 12)
+    leaves = [
+        st.builds(Ball, _radii()),
+        _annuli(),
+        st.builds(Explicit, st.frozensets(site, max_size=12)),
+    ]
+    if planar:
+        vector = st.tuples(st.integers(-5, 5), st.integers(-5, 5)).filter(any)
+        leaves.append(st.builds(lambda a, b: Cone(Arc.from_vectors(a, b)), vector, vector))
+    return st.recursive(
+        st.one_of(leaves),
+        lambda kids: st.builds(Complement, kids)
+        | st.builds(RegionUnion, kids, kids)
+        | st.builds(RegionIntersection, kids, kids),
+        max_leaves=6,
+    )
+
+
+@st.composite
+def _window_and_region(draw):
+    planar = draw(st.booleans())
+    radius = Fraction(draw(st.integers(2, 14)), 2) if planar else draw(st.integers(1, 10))
+    window = TruncationWindow.plane(radius) if planar else TruncationWindow.line(radius)
+    return window, draw(_regions(planar))
+
+
+@given(case=_window_and_region())
+@example(case=(TruncationWindow.plane(5), Ball(5)))  # 3^2 + 4^2 sits on the bound
+@example(case=(TruncationWindow.plane(5), Annulus(5, Fraction(2**70 * 5 + 1, 2**70))))
+@example(case=(TruncationWindow.line(6), Complement(Annulus(2, 4))))
+@example(case=(TruncationWindow.plane(3), Ball(Fraction(10**40, 3))))
+def test_region_mask_matches_the_per_site_fraction_rule(case):
+    window, region = case
+    want = old_region_sites(region, window)
+    mask = region_mask(region, window)
+    assert mask.dtype == bool and mask.shape == (window.dimension,)
+    assert not mask.flags.writeable
+    assert mask.tolist() == [x in want for x in window.sites]
+    assert region_sites(region, window) == want
+    assert realize_region(region, window) == tuple(sorted(want, key=site_sort_key))

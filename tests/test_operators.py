@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +16,7 @@ from oplab.errors import (
     UnitarityError,
     WindowMismatchError,
 )
-from oplab.geometry import Arc, Ball, Cone, Direction
+from oplab.geometry import Arc, Ball, Cone, Direction, realize_region
 from oplab.homotopy import polar_path
 from oplab.operators import (
     CircleFunction,
@@ -181,8 +182,31 @@ def test_region_projection_is_exact_diagonal():
     assert p.trace() == 9.0  # 1 + 4 + 4 sites with |x|^2 < 4
     mask = p.diagonal_mask()
     assert mask is not None
-    assert [w.sites[i] for i in np.flatnonzero(mask)] == list(p.sites())
+    assert [w.sites[i] for i in np.flatnonzero(mask)] == list(realize_region(p.region, w))
     assert p.perp().trace() == w.dimension - 9.0
+
+
+def test_region_projection_forms_no_dense_array_until_entries_are_read():
+    w = TruncationWindow.plane(20)
+    d = w.dimension
+    region = Cone(Arc(Direction(1, -1), Direction(1, 1)))
+    Projection.from_region(region, w)  # fills the window's cached sites
+    dense = d * d * 16  # one d x d complex array
+    tracemalloc.start()
+    try:
+        p = Projection.from_region(region, w)
+        q = p.perp()
+        assert p.trace() + q.trace() == d
+        held = tracemalloc.get_traced_memory()[1]
+        entries = p.entries
+        formed = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert held < dense / 100
+    assert formed >= dense
+    assert p.entries is entries  # formed once
+    assert np.array_equal(entries, np.diag(p.diagonal_mask()).astype(complex))
+    assert np.array_equal(q.entries, np.eye(d) - entries)
 
 
 def test_projection_validation_rejects_junk():

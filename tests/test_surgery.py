@@ -1,7 +1,11 @@
 """Deletion series, localized centers, corrective unitary, greedy matching."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from oplab.errors import PreconditionError
 from oplab.geometry import (
@@ -26,6 +30,8 @@ from oplab.surgery import (
 )
 from oplab.surgery import _center_arc
 from oplab.windows import TruncationWindow
+
+from conftest import greedy_operator
 
 RIGHT = Arc(Direction(1, -1), Direction(1, 1))
 LEFT = Arc(Direction(-1, 1), Direction(-1, -1))
@@ -122,6 +128,57 @@ def test_deletion_budget_recheck_names_offender():
         with pytest.raises(PreconditionError) as err:
             deletion_series(a, [pair1, pair2], eps)
         assert "pair 2" in str(err.value)
+
+
+@given(
+    radius=st.integers(2, 4),
+    n_pairs=st.integers(1, 4),
+    density=st.floats(0.05, 0.6),
+    eps=st.floats(1e-3, 0.9),
+    excess=st.floats(1e-6, 4.0),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_deletion_budget_check_on_random_sparse_operators(
+    radius, n_pairs, density, eps, excess, seed, data
+):
+    """Pair k's block just over eps/2^(2k-1) raises a PreconditionError
+    naming pair k; the same block scaled just under its budget passes."""
+    offender = data.draw(st.integers(1, n_pairs))
+    w = TruncationWindow.plane(radius)
+    d = w.dimension
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    entries = np.where(rng.random((d, d)) < density, values, 0.0)
+    # pair k cuts the rows and the columns that draw owner k, so the
+    # blocks share no row and no column; each pair owns one of each
+    owners = rng.integers(0, n_pairs + 1, size=(2, d))
+    owners[0, :n_pairs] = owners[1, d - n_pairs :] = np.arange(1, n_pairs + 1)
+    pairs, blocks = [], []
+    for k in range(1, n_pairs + 1):
+        rows, cols = (np.flatnonzero(o == k) for o in owners)
+        block = np.ix_(rows, cols)
+        if not np.any(entries[block]):
+            entries[rows[0], cols[0]] = 1.0
+        entries[block] *= 0.5 / spectral_norm(entries[block])  # half its budget
+        masks = [Explicit(frozenset(w.sites[i] for i in idx)) for idx in (rows, cols)]
+        pairs.append(ProjectionPair(*(Projection.from_region(m, w) for m in masks)))
+        blocks.append(block)
+    budgets = [eps / 2.0 ** (2 * k - 1) for k in range(1, n_pairs + 1)]
+    for block, budget in zip(blocks, budgets):
+        entries[block] *= budget
+    cut = blocks[offender - 1]
+
+    over = entries.copy()
+    over[cut] *= 2.0 * (1.0 + excess)
+    with pytest.raises(PreconditionError, match=f"pair {offender}:"):
+        deletion_series(Operator(w, over), pairs, eps)
+
+    under = entries.copy()
+    under[cut] *= 2.0 * (1.0 - 1e-9)
+    b = deletion_series(Operator(w, under), pairs, eps)
+    for block in blocks:
+        assert not np.any(b.entries[block])
 
 
 def test_deletion_residuals_are_structural_zeros():
@@ -287,7 +344,7 @@ def test_greedy_self_match_is_identity_on_s():
     w = TruncationWindow.plane(4)
     out = greedy_isometry(FULL_REGION, 0, w)
     assert out.unmatched == ()
-    assert np.array_equal(out.operator.entries, np.eye(w.dimension))
+    assert np.array_equal(greedy_operator(out), np.eye(w.dimension))
     for m in out.matches:
         assert m.source == m.target and m.stack == 0
 
@@ -295,11 +352,11 @@ def test_greedy_self_match_is_identity_on_s():
 def test_greedy_structure_with_one_extra_copy():
     w = TruncationWindow.plane(4)
     out = greedy_isometry(FULL_REGION, 1, w)
-    v = out.operator.entries
+    v = greedy_operator(out)
     gram = v.conj().T @ v
     # V*V is the exact 0/1 diagonal of matched sources
     expected = np.zeros_like(gram)
-    amp = out.operator.window
+    amp = out.window
     for m in out.matches:
         i = amp.index_of(m.stack, m.source)
         expected[i, i] = 1.0
@@ -316,6 +373,20 @@ def test_greedy_structure_with_one_extra_copy():
     # deterministic rerun
     again = greedy_isometry(FULL_REGION, 1, w)
     assert again.matches == out.matches and again.unmatched == out.unmatched
+
+
+def test_greedy_isometry_holds_only_its_matches():
+    w = TruncationWindow.plane(20)
+    greedy_isometry(FULL_REGION, 1, w)  # fills the window's cached sites
+    tracemalloc.start()
+    try:
+        out = greedy_isometry(FULL_REGION, 1, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    stacked = (2 * w.dimension) ** 2 * 16  # one dense (2d) x (2d) complex array
+    assert peak < stacked / 20
+    assert len(out.matches) + len(out.unmatched) == 2 * w.dimension
 
 
 def test_greedy_matches_respect_their_arcs():
