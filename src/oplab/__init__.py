@@ -68,7 +68,6 @@ from .operators import (
     CircleFunction,
     Operator,
     Projection,
-    apply_circle_function,
     laughlin_operator,
     shift_operator,
     spectral_norm,

@@ -3,12 +3,15 @@
 A path is a tuple of equally weighted segments.  Each segment is one of
 three closed forms built once from a cached factorization, so sampling
 needs no fresh decomposition: affine (1-t) A + t B, spectral
-L e^{(1-t) z} R + C, and conjugation U_t* Q U_t.  A sample is formed one
-connected component of the segment's pattern at a time: a spectral
-sample as C + L[S, M] e^{(1-t) z_M} R[M, S] on the block of each
-component (sites S, modes M), one stacked product per block shape, and
-a conjugation sample on the block of sites that move; an irreducible
-segment is one component and one whole-window product.  Constructors
+L e^{(1-t) z} R + C, and conjugation U_t* Q U_t.  A spectral segment
+keeps L, R and C only as stacks of the connected components of their
+pattern (sites S, modes M), grouped by block shape; off the components
+X(t) is implicit, the identity or the right factor g.  Its sample is
+C + L[S, M] e^{(1-t) z_M} R[M, S] on the block of each component, one
+stacked product per block shape; an irreducible segment is one
+component and one whole-window product.  An affine segment keeps A and
+only the rows or columns where B differs from A, and a conjugation
+sample is formed on the block of sites that move.  Constructors
 cover the deformation moves used by the full
 unitary-to-identity pipeline: straight lines, polar interpolation,
 peeling an upper-triangular block factor, logarithmic rotation of a
@@ -31,6 +34,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -91,6 +95,13 @@ def _support(entries: np.ndarray) -> np.ndarray:
     return np.any(entries, axis=0) | np.any(entries, axis=1)
 
 
+def _off_identity(entries: np.ndarray) -> np.ndarray:
+    """The pattern of entries - 1 for a square matrix, with no identity formed."""
+    pattern = entries != 0
+    np.fill_diagonal(pattern, entries.diagonal() != 1)
+    return pattern
+
+
 def _split_norm(entries: np.ndarray) -> float:
     """Spectral norm of a square matrix, per connected component of its
     pattern.  The matrix is block diagonal over them, and the norm of a
@@ -103,6 +114,9 @@ def _split_norm(entries: np.ndarray) -> float:
         float(np.linalg.svd(diagonal_blocks(entries, stack), compute_uv=False).max())
         for stack in block_stacks(parts)
     )
+
+
+_NO_SITES = np.empty(0, dtype=np.intp)
 
 
 # ---------------------------------------------------------------------------
@@ -144,137 +158,337 @@ class PathSegment:
         return dataclasses.replace(self, flip=not self.flip)
 
 
+def _positions(d: int, idx: np.ndarray) -> np.ndarray:
+    """where[i] = the position of site i in ``idx``, or -1."""
+    where = np.full(d, -1, dtype=np.intp)
+    where[idx] = np.arange(idx.size)
+    return where
+
+
 @dataclass(frozen=True)
 class AffineSegment(PathSegment):
-    """X(t) = (1 - t) A + t B, with A = ``start`` and B = ``end``."""
+    """X(t) = (1 - t) A + t B, with A = ``start``.
+
+    B is kept only on the rows ``rows`` (entries ``row_entries``) and the
+    columns ``cols`` (``col_entries``) where it differs from A; elsewhere
+    it is A.  B and every sample are A overwritten there, never A plus a
+    difference, so each entry is the one the dense B would give.
+    """
 
     start: np.ndarray
-    end: np.ndarray
+    rows: np.ndarray
+    row_entries: np.ndarray
+    cols: np.ndarray
+    col_entries: np.ndarray
+
+    @classmethod
+    def between(cls, kind: str, window: Window, a: np.ndarray, b: np.ndarray, **kw):
+        """The segment from A to B, keeping B's rows where it differs from
+        A, or its columns if those are fewer."""
+        differ = a != b
+        rows = np.flatnonzero(differ.any(axis=1))
+        cols = np.flatnonzero(differ.any(axis=0))
+        if rows.size <= cols.size:
+            entries = b if rows.size == b.shape[0] else b[rows]
+            return cls(kind, window, a, rows, entries, _NO_SITES, a[:, :0], **kw)
+        return cls(kind, window, a, _NO_SITES, a[:0], cols, b[:, cols], **kw)
 
     def _at(self, t: float) -> np.ndarray:
-        return (1.0 - t) * self.start + t * self.end
+        a, rows, cols = self.start, self.rows, self.cols
+        out = (1.0 - t) * a
+        out += t * a  # B is A off its rows and columns
+        out[rows] = (1.0 - t) * a[rows] + t * self.row_entries
+        out[:, cols] = (1.0 - t) * a[:, cols] + t * self.col_entries
+        return out
+
+    def _end(self, ri: np.ndarray, ci: np.ndarray) -> np.ndarray:
+        """B[ri, ci] for broadcastable index arrays: A's entries,
+        overwritten on B's rows and columns."""
+        ri, ci = np.broadcast_arrays(ri, ci)
+        out = self.start[ri, ci]
+        d = self.start.shape[0]
+        at = _positions(d, self.rows)[ri]
+        hit = at >= 0
+        out[hit] = self.row_entries[at[hit], ci[hit]]
+        at = _positions(d, self.cols)[ci]
+        hit = at >= 0
+        out[hit] = self.col_entries[ri[hit], at[hit]]
+        return out
 
     def block(self, t: float, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         s = 1.0 - t if self.flip else t
         ix = np.ix_(rows, cols)
-        return (1.0 - s) * self.start[ix] + s * self.end[ix]
+        return (1.0 - s) * self.start[ix] + s * self._end(*ix)
+
+    def dense_end(self) -> np.ndarray:
+        """B as a d x d array: A overwritten on B's rows and columns."""
+        b = self.start.copy()
+        b[self.rows] = self.row_entries
+        b[:, self.cols] = self.col_entries
+        return b
+
+    def is_constant(self) -> bool:
+        """Whether B = A."""
+        return np.array_equal(self.start[self.rows], self.row_entries) and np.array_equal(
+            self.start[:, self.cols], self.col_entries
+        )
 
     def moving_sites(self) -> np.ndarray:
         """Sites whose row or column of A or B differs from the identity."""
-        eye = np.eye(self.start.shape[0])
-        return _support(self.start - eye) | _support(self.end - eye)
+        moved = _support(_off_identity(self.start))
+        n = np.arange(self.rows.size)
+        off = self.row_entries != 0
+        off[n, self.rows] = self.row_entries[n, self.rows] != 1
+        moved[self.rows] |= off.any(axis=1)
+        moved |= off.any(axis=0)
+        n = np.arange(self.cols.size)
+        off = self.col_entries != 0
+        off[self.cols, n] = self.col_entries[self.cols, n] != 1
+        moved[self.cols] |= off.any(axis=0)
+        moved |= off.any(axis=1)
+        return moved
 
     def components(self) -> list:
         """Site sets over which every X(t) is block diagonal: the
         components of the pattern of A | B."""
-        return components((self.start != 0) | (self.end != 0))
+        linked = self.start != 0
+        linked[self.rows] |= self.row_entries != 0
+        linked[:, self.cols] |= self.col_entries != 0
+        return components(linked)
 
     def intertwined(self, window: Window, src: np.ndarray):
         """The segment t -> V X(t) V* on ``window``, unflipped.  Row i of
         the 0/1 intertwiner V holds its one 1 in column src[i], so V X V*
-        is X[src][:, src] entry for entry."""
-        a, b = (self.end, self.start) if self.flip else (self.start, self.end)
-        ix = np.ix_(src, src)
-        return AffineSegment("block_unitary", window, a[ix], b[ix])
+        is X[src][:, src] entry for entry: A gathered, with B's rows and
+        columns that src reaches.  A flip swaps A and B."""
+        d = self.start.shape[0]
+        a = self.start[np.ix_(src, src)]
+        at = _positions(d, self.rows)[src]
+        rows = np.flatnonzero(at >= 0)
+        row_entries = self.row_entries[np.ix_(at[rows], src)]
+        at = _positions(d, self.cols)[src]
+        cols = np.flatnonzero(at >= 0)
+        col_entries = self.col_entries[np.ix_(src, at[cols])]
+        seg = AffineSegment("block_unitary", window, a, rows, row_entries, cols, col_entries)
+        if self.flip:
+            seg = dataclasses.replace(seg, start=seg.dense_end(), row_entries=a[rows], col_entries=a[:, cols])
+        return seg
+
+
+class Stack(NamedTuple):
+    """Components of one shape (|S| sites, |M| modes), stacked: their
+    (n, |S|) ``sites`` and (n, |M|) ``modes``, each ascending, and the
+    (n, ...) blocks L[S, M] (``left``), R[M, S] (``right``) and C[S, S]
+    (``const``, None when it is zero)."""
+
+    sites: np.ndarray
+    modes: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    const: np.ndarray | None
+
+
+def _stacked(parts) -> tuple:
+    """Stacks of one shape joined, ordered by shape (|S|, |M|) and within
+    a shape by smallest site: the order in which samples, bounds and
+    norms run over them."""
+    by_shape = {}
+    for part in parts:
+        if part.sites.shape[0]:
+            by_shape.setdefault((part.sites.shape[1], part.modes.shape[1]), []).append(part)
+    out = []
+    for (s, _), same in sorted(by_shape.items(), key=lambda item: item[0]):
+        part = same[0]
+        if len(same) > 1:
+            const = None
+            if any(p.const is not None for p in same):
+                const = np.concatenate(
+                    [
+                        np.zeros((p.sites.shape[0], s, s), dtype=np.complex128)
+                        if p.const is None
+                        else p.const
+                        for p in same
+                    ]
+                )
+            part = Stack(*(np.concatenate([p[i] for p in same]) for i in range(4)), const)
+        first = part.sites[:, 0]
+        if np.any(first[1:] < first[:-1]):
+            order = np.argsort(first)
+            part = Stack(*(None if x is None else x[order] for x in part))
+        out.append(part)
+    return tuple(out)
+
+
+def _local_parts(sites, modes, left, right, const) -> list:
+    """The connected components of one block, as one-component stacks.
+
+    The block has sites S and modes M (both ascending) with L[S, M],
+    R[M, S] and C[S, S] (None for zero); mode k links the sites of its L
+    column and R row.  A mode that reaches no site is dropped (idle).
+    """
+    s, m = left.shape
+    pattern = np.zeros((s + m, s + m), dtype=bool)
+    if const is not None:
+        pattern[:s, :s] = const != 0
+    pattern[:s, s:] = left != 0
+    pattern[s:, :s] = right != 0
+    order, starts = component_order(pattern)
+    parts = []
+    for nodes in np.split(order, starts[1:]):  # each ascending
+        own, mm = nodes[nodes < s], nodes[nodes >= s] - s
+        if own.size:
+            parts.append(
+                Stack(
+                    sites[own][None],
+                    modes[mm][None],
+                    left[np.ix_(own, mm)][None],
+                    right[np.ix_(mm, own)][None],
+                    None if const is None else const[np.ix_(own, own)][None],
+                )
+            )
+    return parts
 
 
 @dataclass(frozen=True)
 class SpectralSegment(PathSegment):
-    """X(t) = L diag(exp((1 - t) z)) R + C.
+    """X(t) = L diag(exp((1 - t) z)) R + C, kept one component at a time.
 
-    L (``left``, d x k), z (``exponents``, k) and R (``right``, k x d)
-    hold only the columns that move; everything constant in t is in C
-    (``const``).  A polar climb has L = U, z = log s, R = V*, C = 0; a
-    logarithmic rotation has a Schur basis and z = i theta.  A rotation
-    applied to a right factor g keeps g as ``factor`` (R = L* g and
-    C = (1 - LL*) g), so its spectrum can be bounded from g's.
+    L (d x k), z (``exponents``, k) and R (k x d) hold only the modes
+    that move; everything constant in t is in C.  A polar climb has
+    L = U, z = log s, R = V*, C = 0; a logarithmic rotation has a Schur
+    basis and z = i theta.  A rotation applied to a right factor g keeps
+    g as ``factor`` (R = L* g and C = (1 - LL*) g), so its spectrum can
+    be bounded from g's.
+
+    L, R and C are kept only as ``stacks`` (see :class:`Stack`): the
+    connected components of their pattern, with mode k joining the rows
+    of L[:, k] and the columns of R[k, :], grouped by shape.  Every X(t)
+    is C + L[S, M] e^{(1-t) z_M} R[M, S] on the block of a component
+    with sites S and modes M, and zero between components.  Off the
+    stacks X(t) is implicit: the identity, or g when there is one (the
+    components hold g's pattern, so g links no stacked site to another
+    site).  A mode in no stack has a zero L column and R row: it is idle
+    and moves nothing.  An irreducible segment is one stack of shape
+    (1, d), the whole-window factors.
     """
 
-    left: np.ndarray
     exponents: np.ndarray
-    right: np.ndarray
-    const: np.ndarray
+    stacks: tuple
     factor: np.ndarray | None = field(default=None, kw_only=True)
 
     def _wave(self, t: float) -> np.ndarray:
         return np.exp((1.0 - t) * self.exponents)
 
     @cached_property
-    def _split(self) -> tuple:
-        """(site components, shape groups, idle modes), found once.
+    def _index(self) -> np.ndarray:
+        """(stack, component, slot) of every site, a 3 x d array; -1 off
+        the stacks."""
+        where = np.full((3, self.window.dimension), -1, dtype=np.intp)
+        for i, st in enumerate(self.stacks):
+            where[0, st.sites] = i
+            where[1, st.sites] = np.arange(st.sites.shape[0])[:, None]
+            where[2, st.sites] = np.arange(st.sites.shape[1])[None, :]
+        return where
 
-        The pattern is that of C and ``factor``, with mode k joining the
-        rows of L[:, k] and the columns of R[k, :].  Every X(t) is zero
-        between two components and C + L[S, M] e^{(1-t) z_M} R[M, S] on
-        the block of a component with sites S and modes M.  Components
-        of one shape (|S|, |M|) form a group: an (n, |S|) site stack and
-        an (n, |M|) mode stack.  Idle modes (a zero L column and R row)
-        belong to no site and move nothing.
-        """
-        d, k = self.left.shape
-        pattern = np.zeros((d + k, d + k), dtype=bool)
-        pattern[:d, :d] = self.const != 0
-        if self.factor is not None:
-            pattern[:d, :d] |= self.factor != 0
-        pattern[:d, d:] = self.left != 0
-        pattern[d:, :d] = self.right != 0
-        order, starts = component_order(pattern)
-        # each component is sorted, so its sites come before its modes
-        sizes = np.diff(starts, append=order.size)
-        held = np.add.reduceat(order < d, starts)
-        shape = held * (k + 1) + sizes - held  # orders groups by (|S|, |M|)
-        groups = []
-        for key in np.unique(shape[held > 0]):
-            picks = np.flatnonzero(shape == key)
-            s, size = held[picks[0]], sizes[picks[0]]
-            stack = order[starts[picks][:, None] + np.arange(size)]
-            groups.append((stack[:, :s], stack[:, s:] - d))
-        sites = [order[a : a + s] for a, s in zip(starts.tolist(), held.tolist()) if s]
-        return sites, tuple(groups), int(sizes[held == 0].sum())
+    @cached_property
+    def _rest(self) -> list:
+        """The components off the stacks: single sites, or with a factor
+        g the components of g's pattern there."""
+        rest = np.flatnonzero(self._index[0] < 0)
+        if self.factor is None:
+            return list(rest[:, None])
+        if not rest.size:
+            return []
+        return [rest[part] for part in components((self.factor != 0)[np.ix_(rest, rest)])]
 
     def _blocks(self, t: float):
-        """X(t) on each group of blocks: its (n, s) site stack and the
-        (n, s, s) blocks, one stacked product per group."""
+        """X(t) on each stack: its (n, s) sites and (n, s, s) blocks, one
+        stacked product per stack."""
         wave = self._wave(t)
-        for sites, modes in self._split[1]:
-            lw = stacked_blocks(self.left, sites, modes) * wave[modes][:, None, :]
-            yield sites, lw @ stacked_blocks(self.right, modes, sites) + diagonal_blocks(
-                self.const, sites
-            )
+        for st in self.stacks:
+            lw = st.left * wave[st.modes][:, None, :]
+            yield st.sites, lw @ st.right + (0.0 if st.const is None else st.const)
 
     def _at(self, t: float) -> np.ndarray:
-        d = self.const.shape[0]
-        out = None
-        for sites, x in self._blocks(t):
-            if sites.shape == (1, d):
-                return x[0]  # one component: the whole-window product
-            if out is None:
-                out = np.zeros((d, d), dtype=x.dtype)
+        d = self.window.dimension
+        blocks = list(self._blocks(t))
+        if len(blocks) == 1 and blocks[0][0].shape == (1, d):
+            return blocks[0][1][0]  # one component: the whole-window product
+        if self.factor is None:
+            out = np.eye(d, dtype=np.complex128)
+        else:
+            out = self.factor.astype(np.complex128)
+        for sites, x in blocks:
             out[sites[:, :, None], sites[:, None, :]] = x
         return out
 
     def block(self, t: float, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """X(t)[rows, cols], cut from factor rows and columns over the
-        modes whose L column meets ``rows`` (the others add zero)."""
+        """X(t)[rows, cols] = (L[rows] e^z) R[:, cols] + C[rows, cols] over
+        the modes whose L column meets ``rows`` (the others add zero),
+        gathered from the components that ``rows`` and ``cols`` meet."""
         wave = self._wave(1.0 - t if self.flip else t)
-        left = self.left[rows]
-        modes = np.flatnonzero(np.any(left, axis=0))
-        return (left[:, modes] * wave[modes]) @ self.right[np.ix_(modes, cols)] + self.const[
-            np.ix_(rows, cols)
-        ]
+        site = self._index
+        in_rows = [np.flatnonzero(site[0, rows] == i) for i in range(len(self.stacks))]
+        in_cols = [np.flatnonzero(site[0, cols] == i) for i in range(len(self.stacks))]
+        modes = np.unique(
+            np.concatenate(
+                [_NO_SITES]
+                + [st.modes[site[1, rows[r]]].ravel() for st, r in zip(self.stacks, in_rows)]
+            )
+        )
+        left = np.zeros((rows.size, modes.size), dtype=np.complex128)
+        for st, r in zip(self.stacks, in_rows):
+            comp, slot = site[1, rows[r]], site[2, rows[r]]
+            left[r[:, None], np.searchsorted(modes, st.modes[comp])] = st.left[comp, slot]
+        live = np.any(left, axis=0)
+        if not live.all():
+            modes, left = modes[live], left[:, live]
+        right = np.zeros((modes.size, cols.size), dtype=np.complex128)
+        for st, c in zip(self.stacks, in_cols):
+            comp, slot = site[1, cols[c]], site[2, cols[c]]
+            pos = np.searchsorted(modes, st.modes[comp])
+            hit = pos < modes.size
+            hit[hit] = modes[pos[hit]] == st.modes[comp][hit]
+            right[pos[hit], np.broadcast_to(c[:, None], pos.shape)[hit]] = st.right[comp, :, slot][hit]
+        left *= wave[modes]
+        out = left @ right
+        del left, right  # the product is the largest array alive from here on
+        if self.factor is None:
+            const = (rows[:, None] == cols[None, :]).astype(np.complex128)
+        else:
+            const = self.factor[np.ix_(rows, cols)].astype(np.complex128)
+        for st, r, c in zip(self.stacks, in_rows, in_cols):
+            # C's block on each component; g and C are zero between components
+            comp = site[1, cols[c]]
+            i, j = np.nonzero(site[1, rows[r]][:, None] == comp[None, :])
+            const[r[i], c[j]] = (
+                0.0 if st.const is None else st.const[comp[j], site[2, rows[r[i]]], site[2, cols[c[j]]]]
+            )
+        out += const
+        return out
 
     def moving_sites(self) -> np.ndarray:
         """Sites in a row of L, a column of R or the support of C - 1."""
-        eye = np.eye(self.const.shape[0])
-        return (
-            np.any(self.left, axis=1)
-            | np.any(self.right, axis=0)
-            | _support(self.const - eye)
-        )
+        moved = np.zeros(self.window.dimension, dtype=bool)
+        for st in self.stacks:
+            n, size = st.sites.shape
+            off = (np.zeros((n, size, size)) if st.const is None else st.const) - np.eye(size)
+            moved[st.sites] = (
+                np.any(st.left, axis=2)
+                | np.any(st.right, axis=1)
+                | np.any(off, axis=1)
+                | np.any(off, axis=2)
+            )
+        if self.factor is not None:
+            moved |= (self._index[0] < 0) & _support(_off_identity(self.factor))
+        return moved
 
     def components(self) -> list:
-        """The site sets of the segment's components (``_split``)."""
-        return self._split[0]
+        """Site sets over which every X(t) is block diagonal: the stacked
+        components and those off the stacks, by smallest site."""
+        parts = [sites for st in self.stacks for sites in st.sites] + self._rest
+        order = np.argsort([part[0] for part in parts], kind="stable")
+        return [parts[i] for i in order]
 
     def spectrum_bound(self) -> "SpectrumBound | None":
         """A rigorous bracket on the singular values of every X(t), or
@@ -297,34 +511,29 @@ class SpectralSegment(PathSegment):
         of g, computed once.
 
         Both brackets hold for the exact X(t); the bound adds a rounding
-        allowance of d eps ||X||^2 (``SpectrumBound.at``) so that it
-        also holds for the sample as computed in floating point.
+        allowance of d eps ||X||^2 (``SpectrumBound.at``), d the window
+        dimension, so that it also holds for the sample as computed in
+        floating point.
 
-        Every product runs per group of ``_split``, whose pattern holds
-        g: L*L, RR*, L* g and C - g + L L* g are block diagonal over the
-        components, a Frobenius norm is the root sum of squares of the
-        blocks' and g's singular values are the union of the blocks'.
-        An idle mode (a zero column of L) fails either form, as the
-        whole-window formulas do.
+        Every product runs per stack: L*L, RR*, L* g and C - g + L L* g
+        are block diagonal over the components, a Frobenius norm is the
+        root sum of squares of the blocks', and g's singular values are
+        the union of its blocks' on the stacks and off them.  Off the
+        stacks every term is zero.  An idle mode (a zero column of L)
+        fails either form, as the whole-window formulas do.
         """
         z = self.exponents
-        d, k = self.left.shape
-        _, groups, idle = self._split
-        if idle:
-            return None
+        d, k = self.window.dimension, z.size
+        if k != sum(st.modes.size for st in self.stacks):
+            return None  # an idle mode
         rounding = d * float(np.finfo(np.float64).eps)
-        blocks = [
-            (
-                sites,
-                stacked_blocks(self.left, sites, modes),
-                stacked_blocks(self.right, modes, sites),
-                np.eye(modes.shape[1]),
-            )
-            for sites, modes in groups
-        ]
-        if not np.any(z.imag) and not np.any(self.const) and k == d:
-            a = math.hypot(*(_fro(adjoints(lb) @ lb - eye) for _, lb, _, eye in blocks))
-            b = math.hypot(*(_fro(rb @ adjoints(rb) - eye) for _, _, rb, eye in blocks))
+        blocks = [(st, np.eye(st.modes.shape[1])) for st in self.stacks]
+        zero_const = not self._rest and not any(
+            st.const is not None and np.any(st.const) for st in self.stacks
+        )
+        if not np.any(z.imag) and zero_const and k == d:
+            a = math.hypot(*(_fro(adjoints(st.left) @ st.left - eye) for st, eye in blocks))
+            b = math.hypot(*(_fro(st.right @ adjoints(st.right) - eye) for st, eye in blocks))
             if max(a, b) > BOUND_SLACK:
                 return None
             rates = (float(z.real.max()), float(z.real.min()))
@@ -340,13 +549,14 @@ class SpectralSegment(PathSegment):
         if np.any(z.real):
             return None
         fs, drifts, offsets, sings = [], [], [], []
-        for sites, lb, rb, eye in blocks:
+        for st, eye in blocks:
+            lb, rb = st.left, st.right
             lh = adjoints(lb)
             fs.append(_fro(lh @ lb - eye))
             if self.factor is None:
-                base, target = np.eye(sites.shape[1]), lh
+                base, target = np.eye(st.sites.shape[1]), lh
             else:
-                base = diagonal_blocks(self.factor, sites)
+                base = diagonal_blocks(self.factor, st.sites)
                 target = lh @ base
                 sings.append(np.linalg.svd(base, compute_uv=False).ravel())
             pairing = np.einsum("nij,nij->ni", target.conj(), rb)
@@ -354,7 +564,13 @@ class SpectralSegment(PathSegment):
                 return None
             phase = pairing / np.abs(pairing)
             drifts.append(_fro(rb - phase[:, :, None] * target))
-            offsets.append(_fro(diagonal_blocks(self.const, sites) - base + lb @ target))
+            const = 0.0 if st.const is None else st.const
+            offsets.append(_fro(const - base + lb @ target))
+        if self.factor is not None:
+            sings += [
+                np.linalg.svd(diagonal_blocks(self.factor, stack), compute_uv=False).ravel()
+                for stack in block_stacks(self._rest)
+            ]
         f = math.hypot(*fs)
         slack = math.sqrt(1.0 + f) * math.hypot(*drifts) + math.hypot(*offsets)
         if max(f, slack) > BOUND_SLACK:
@@ -375,13 +591,42 @@ class SpectralSegment(PathSegment):
         )
 
     def intertwined(self, window: Window, src: np.ndarray):
-        """The segment t -> V X(t) V* on ``window``, unflipped, as L[src],
-        R[:, src] and C[src][:, src]: a flip becomes L e^z with exponents -z."""
-        left, z = self.left, self.exponents
-        if self.flip:
-            left, z = left * np.exp(z)[None, :], -z
-        const = self.const[np.ix_(src, src)]
-        return SpectralSegment("block_unitary", window, left[src], z, self.right[:, src], const)
+        """The segment t -> V X(t) V* on ``window``, unflipped: row i of
+        the 0/1 intertwiner V holds its 1 in column src[i], so V X V* is
+        X[src][:, src], gathered per component.  Each component's sites
+        are relabelled through src, and only its part inside src's image
+        is kept (split again if that part falls apart; a mode left with
+        no site is idle).  Off the stacks both sides are the identity.  A
+        flip becomes L e^z with exponents -z."""
+        if self.factor is not None:
+            raise PreconditionError("the stacked move cannot carry a rotation of a right factor")
+        z = self.exponents
+        where = _positions(self.window.dimension, src)
+        parts = []
+        for st in self.stacks:
+            left = st.left * np.exp(z)[st.modes][:, None, :] if self.flip else st.left
+            order = np.argsort(where[st.sites], axis=1)  # sites src misses (-1) first
+            sites = np.take_along_axis(where[st.sites], order, axis=1)
+            left = np.take_along_axis(left, order[:, :, None], axis=1)
+            right = np.take_along_axis(st.right, order[:, None, :], axis=2)
+            const = st.const
+            if const is not None:
+                const = np.take_along_axis(const, order[:, :, None], axis=1)
+                const = np.take_along_axis(const, order[:, None, :], axis=2)
+            whole = sites[:, 0] >= 0
+            parts.append(
+                Stack(*(None if x is None else x[whole] for x in (sites, st.modes, left, right, const)))
+            )
+            for i in np.flatnonzero(~whole):
+                keep = sites[i] >= 0
+                parts += _local_parts(
+                    sites[i][keep],
+                    st.modes[i],
+                    left[i][keep],
+                    right[i][:, keep],
+                    None if const is None else const[i][np.ix_(keep, keep)],
+                )
+        return SpectralSegment("block_unitary", window, -z if self.flip else z, _stacked(parts))
 
 
 @dataclass(frozen=True)
@@ -522,7 +767,9 @@ class HomotopyPath:
             if seg.window != window:
                 raise WindowMismatchError("segments live on different windows")
         for i in range(len(self.segments) - 1):
-            gap = _fro(self.segments[i].at(1.0) - self.segments[i + 1].at(0.0))
+            joint = self.segments[i].at(1.0)
+            joint -= self.segments[i + 1].at(0.0)
+            gap = _fro(joint)
             if gap > TOL_JOINT:
                 raise PreconditionError(
                     f"segments {i} and {i + 1} disagree at their joint: {gap:.3e}"
@@ -587,7 +834,7 @@ def straight_line(a0: Operator, a1: Operator, label: str = "") -> HomotopyPath:
     """Linear interpolation t -> (1-t) a0 + t a1."""
     if a0.window != a1.window:
         raise WindowMismatchError("straight line endpoints on different windows")
-    seg = AffineSegment("straight_line", a0.window, a0.entries, a1.entries, label=label)
+    seg = AffineSegment.between("straight_line", a0.window, a0.entries, a1.entries, label=label)
     return HomotopyPath((seg,), a0.entries, a1.entries)
 
 
@@ -597,26 +844,25 @@ def _polar_segment(g: Operator, tol: float) -> SpectralSegment:
     The SVD is taken per connected component of G's nonzero pattern
     (one stacked call per component size), which is exact: G is block
     diagonal over its components, so U S V* is the direct sum of the
-    blocks' SVDs.  L = U and R = V* hold exact zeros off the blocks, so
-    the polar factor U = LR splits over the same components.  An
-    irreducible G is one component, and this is one whole-window SVD.
+    blocks' SVDs.  Each component is its own sites and modes, with
+    L = U and R = V* on its block and C = 0, written straight into the
+    segment's stacks.  An irreducible G is one component, and this is
+    one whole-window SVD.
     """
     entries = g.entries
-    d = entries.shape[0]
-    left = np.zeros((d, d), dtype=np.complex128)
-    right = np.zeros((d, d), dtype=np.complex128)
-    sing = np.zeros(d)
+    sing = np.zeros(entries.shape[0])
+    stacks = []
     for stack in block_stacks(components(entries)):
         u, s, vh = np.linalg.svd(diagonal_blocks(entries, stack))
-        blocks = (stack[:, :, None], stack[:, None, :])
-        left[blocks], right[blocks], sing[stack] = u, vh, s
+        sing[stack] = s
+        stacks.append(Stack(stack, stack, u, vh, None))
     smin = float(sing.min())
     if smin <= tol:
         raise SingularOperatorError(
             f"smallest singular value {smin:.3e} <= {tol:.1e}; "
             "the polar path would leave the invertibles"
         )
-    return SpectralSegment("polar", g.window, left, np.log(sing), right, np.zeros_like(left))
+    return SpectralSegment("polar", g.window, np.log(sing), tuple(stacks))
 
 
 def polar_path(g: Operator, tol: float = 1e-8) -> HomotopyPath:
@@ -640,57 +886,97 @@ def _log_segment(window: Window, entries, blocks, right=None, flip=False) -> Spe
     eigenvalue (such as an entry -1 alone in its component) is at +pi
     whatever the sign of its zero imaginary part.  A component of one
     site is its own Schur form, so all of those are read off at once.
-    Columns of phase exactly zero never move: they go straight into C,
-    component by component.  The right factor g (default 1) is folded into R and C
-    once.  ``window`` may exceed ``entries``: the blocks index into both.
+    Columns of phase exactly zero never move: they go straight into C.
+    Modes are numbered spins first (one-site components that turn),
+    then each component's moving columns.  Without a right factor each
+    component's L, R = L* and C are written into the segment's stacks
+    and every other site is the identity; the right factor g is folded
+    into R and C once (see :func:`_factor_stacks`).  ``window`` may
+    exceed ``entries``: the blocks index into both.
     """
-    d = window.dimension
-    const = np.eye(d, dtype=np.complex128) if right is None else right.astype(np.complex128)
+    linked = entries != 0
     parts = []
     for idx in blocks:
         idx = np.array(sorted(idx), dtype=np.intp)
-        parts.extend(idx[part] for part in components(entries[np.ix_(idx, idx)]))
+        parts.extend(idx[part] for part in components(linked[np.ix_(idx, idx)]))
     # a 1 x 1 block [x] is its own Schur form, with basis [1]
     singles = np.array([part[0] for part in parts if part.size == 1], dtype=np.intp)
     phases, ties = _eigenphases(entries[singles, singles])
     spins = singles[phases != 0.0]
-    if right is None:
-        const[spins, spins] = 0.0
-    else:
-        const[spins] = 0.0
-    bases, moving = [], [phases[phases != 0.0]]
+    moving = [phases[phases != 0.0]]
+    rotations = []  # (sites, modes, moving Schur columns, fixed part) per component
     for part in (part for part in parts if part.size > 1):
         schur_t, q = scipy.linalg.schur(entries[np.ix_(part, part)], output="complex")
         phases, tied = _eigenphases(np.diag(schur_t))
         ties += tied
         live = phases != 0.0
         q_live, q_dead = q[:, live], q[:, ~live]
-        fixed = q_dead @ q_dead.conj().T
-        if right is None:
-            const[np.ix_(part, part)] = fixed
-        else:
-            const[part] = fixed @ right[part]
-        bases.append((part, q_live))
+        col = sum(x.size for x in moving)
+        rotations.append((part, np.arange(col, col + q_live.shape[1]), q_live, q_dead @ q_dead.conj().T))
         moving.append(phases[live])
     z = 1j * np.concatenate(moving)
-    left = np.zeros((d, z.size), dtype=np.complex128)
-    left[spins, np.arange(spins.size)] = 1.0
-    rows = np.zeros((z.size, d), dtype=np.complex128)
-    if right is not None:
-        rows[: spins.size] = right[spins]
-    col = spins.size
-    for part, q_live in bases:
-        cols = slice(col, col + q_live.shape[1])
-        left[part, cols] = q_live
-        if right is not None:
-            rows[cols] = q_live.conj().T @ right[part]
-        col = cols.stop
     if right is None:
-        rows = np.ascontiguousarray(left.conj().T)
+        ones = np.ones((spins.size, 1, 1), dtype=np.complex128)
+        stacks = [
+            Stack(spins[:, None], np.arange(spins.size)[:, None], ones, ones.conj(), np.zeros_like(ones))
+        ]
+        for part, modes, q_live, fixed in rotations:
+            stacks += _local_parts(part, modes, q_live, q_live.conj().T, fixed)
+    else:
+        stacks = _factor_stacks(right, spins, rotations, z.size)
     label = f"branch-ties:{ties}" if ties else ""
     return SpectralSegment(
-        "log", window, left, z, rows, const, factor=right, flip=flip, label=label
+        "log", window, z, _stacked(stacks), factor=right, flip=flip, label=label
     )
+
+
+def _factor_stacks(g: np.ndarray, spins: np.ndarray, rotations: list, k: int) -> list:
+    """The stacks of a rotation applied to the right factor g.
+
+    R = L* g and C = (1 - LL*) g differ from (0, g) only on the rows of
+    the rotated sites, so those rows are formed (a spin's R row is g's
+    row and its C row is zero).  The components are those of the
+    pattern of g, C, L and R, each mode linking the sites of its L
+    column and R row; a component enters the stacks when it holds a
+    mode or a rotated row, with C = g elsewhere on its block.
+    """
+    d = g.shape[0]
+    rows = np.concatenate([spins] + [part for part, *_ in rotations])
+    at = _positions(d, rows)
+    left = np.zeros((rows.size, k), dtype=np.complex128)
+    left[np.arange(spins.size), np.arange(spins.size)] = 1.0
+    right = np.empty((k, d), dtype=np.complex128)
+    right[: spins.size] = g[spins]
+    const = np.zeros((rows.size, d), dtype=np.complex128)
+    for part, modes, q_live, fixed in rotations:
+        left[np.ix_(at[part], modes)] = q_live
+        right[modes] = q_live.conj().T @ g[part]
+        const[at[part]] = fixed @ g[part]
+    linked = g != 0
+    linked[rows] |= const != 0
+    reach = right != 0  # the sites each mode links
+    reach[:, rows] |= (left != 0).T
+    first = reach.argmax(axis=1)
+    mode_of, site_of = np.nonzero(reach)
+    linked[first[mode_of], site_of] = True
+    order, starts = component_order(linked)
+    label = np.empty(d, dtype=np.intp)
+    label[order] = np.repeat(np.arange(starts.size), np.diff(starts, append=order.size))
+    mode_label = np.where(reach.any(axis=1), label[first], -1)
+    ends = np.append(starts[1:], order.size)
+    stacks = []
+    for c in np.unique(np.concatenate([label[rows], mode_label[mode_label >= 0]])):
+        sites = order[starts[c] : ends[c]]  # ascending
+        modes = np.flatnonzero(mode_label == c)
+        mine = np.flatnonzero(at[sites] >= 0)
+        lb = np.zeros((1, sites.size, modes.size), dtype=np.complex128)
+        lb[0, mine] = left[np.ix_(at[sites[mine]], modes)]
+        cb = diagonal_blocks(g, sites[None]).astype(np.complex128)
+        cb[0, mine] = const[np.ix_(at[sites[mine]], sites)]
+        # one component over every site and mode takes R itself, no copy
+        rb = stacked_blocks(right, modes[None], sites[None])
+        stacks.append(Stack(sites[None], modes[None], lb, rb, cb))
+    return stacks
 
 
 def _eigenphases(diag: np.ndarray) -> tuple:
@@ -731,8 +1017,11 @@ def block_peel(m: Operator, p: Projection) -> tuple:
     factor's nilpotent part N = P M P⊥ satisfies N^2 = 0 exactly, so
     1 - t N inverts the moving factor on the nose.
     """
-    factors, seg, product = _block_peel(m, p)
-    return factors, HomotopyPath((seg,), factors[0].entries, product)
+    f1, seg = _block_peel(m, p)
+    # f1 is the identity on P's rows, so 1 + N and f1 + N share them
+    second = np.eye(m.window.dimension, dtype=np.complex128)
+    second[seg.rows] = seg.row_entries
+    return (f1, Operator(m.window, second)), HomotopyPath((seg,), f1.entries, seg.dense_end())
 
 
 def _mask_sites(p: Projection, move: str) -> tuple:
@@ -747,12 +1036,12 @@ def _mask_sites(p: Projection, move: str) -> tuple:
 
 
 def _block_peel(m: Operator, p: Projection) -> tuple:
-    """The factors, the straightening segment and the product of block_peel.
+    """The first factor and the straightening segment of block_peel.
 
     Built on the index blocks of P's 0/1 mask (p its sites, q the rest):
     PMP - P = M[p, p] - 1, P~MP = M[q, p] and N = M[p, q].  Because
-    P~P = 0, f1 N = N exactly, so the product f1 (1 + N) is f1 + N with
-    no d x d product.
+    P~P = 0, f1 N = N exactly, so the product f1 (1 + N) is f1 + N: f1
+    with N added on P's rows, which are all the segment keeps of it.
     """
     if m.window != p.window:
         raise WindowMismatchError("operator and projection on different windows")
@@ -766,14 +1055,14 @@ def _block_peel(m: Operator, p: Projection) -> tuple:
             f"|PMP - P| = {r_fix:.3e}, |P~MP| = {r_low:.3e}"
         )
     d = m.window.dimension
-    nil = np.zeros((d, d), dtype=np.complex128)
-    nil[np.ix_(on, off)] = me[np.ix_(on, off)]
-    f1 = np.eye(d, dtype=np.complex128)
-    f1[np.ix_(off, off)] = me[np.ix_(off, off)]
-    product = f1 + nil
-    factors = (Operator(m.window, f1), Operator(m.window, np.eye(d) + nil))
-    seg = AffineSegment("block_peel", m.window, f1, product)
-    return factors, seg, product
+    f1 = me.copy()  # 1 on P's rows and columns, M[q, q] elsewhere
+    f1[on] = 0.0
+    f1[:, on] = 0.0
+    f1[on, on] = 1.0
+    nil = np.zeros((on.size, d), dtype=np.complex128)
+    nil[:, off] = me[np.ix_(on, off)]
+    seg = AffineSegment("block_peel", m.window, f1, on, f1[on] + nil, _NO_SITES, f1[:, :0])
+    return Operator(m.window, f1), seg
 
 
 def conjugation_path(q: Projection | Operator, upath: HomotopyPath) -> HomotopyPath:
@@ -874,11 +1163,18 @@ def _stacked_segments(
 
     def gap(t: float) -> np.ndarray:
         """The inner path's end at t minus the stacked identity (t = 0)
-        or U ⊕ 1 (t = 1); one stacked difference is alive at a time."""
-        target = np.eye(amp.dimension, dtype=np.complex128)
+        or U ⊕ 1 (t = 1), on the base block and the sites the end segment
+        moves.  Both sides are the identity on every other row and
+        column, so the gap is zero there."""
+        seg = inner[-1 if t else 0]
+        d = base.dimension
+        sites = np.union1d(np.arange(d), np.flatnonzero(seg.moving_sites()))
+        out = seg.block(t, sites, sites)
+        ones = np.arange(d if t else 0, sites.size)
+        out[ones, ones] -= 1.0
         if t:
-            target[: base.dimension, : base.dimension] = ue
-        return inner[-1 if t else 0].at(t) - target
+            out[:d, :d] -= ue
+        return out
 
     if not (norm_at_most(gap(0.0), TOL_BLOCK_FORM) and norm_at_most(gap(1.0), TOL_BLOCK_FORM)):
         raise PreconditionError(
@@ -1074,7 +1370,8 @@ class _AffineSampler(_DenseSampler):
         super().__init__(seg, pair_indices)
         self.terms = []
         for stack in self.stacks:
-            a, b = diagonal_blocks(seg.start, stack), diagonal_blocks(seg.end, stack)
+            a = diagonal_blocks(seg.start, stack)
+            b = seg._end(stack[:, :, None], stack[:, None, :])
             ah = adjoints(a)
             self.terms.append(
                 (
@@ -1160,7 +1457,7 @@ def _sampler(seg: PathSegment, pair_indices, dense_only: bool) -> _DenseSampler:
     if dense_only:
         return _DenseSampler(seg, pair_indices)
     if isinstance(seg, AffineSegment):
-        if np.array_equal(seg.start, seg.end):
+        if seg.is_constant():
             return _ConstantSampler(seg, pair_indices)
         return _AffineSampler(seg, pair_indices)
     bound = seg.spectrum_bound()
@@ -1366,20 +1663,20 @@ def theorem1_pipeline(
             "localized-centers",
             f"deformation size {spectral_norm(u.entries - g.entries):.3e} reaches 1",
         )
-    line = AffineSegment("straight_line", window, u.entries, g.entries, label="onto-deformed")
-
-    v = stage("corrective-unitary", lambda: corrective_unitary(g, plan))
-    block_indices = [
-        [window.index_of(site) for site in block] for block in plan.ranges
-    ]
-    # V is exactly the identity off the union of the ranges
-    union = np.unique(np.concatenate(block_indices))
-    vg = g.entries.copy()
-    vg[union] = v.entries[np.ix_(union, union)] @ g.entries[union]
-    correct = stage(
-        "corrective-unitary",
-        lambda: _log_segment(window, v.entries, block_indices, right=g.entries, flip=True),
+    line = AffineSegment.between(
+        "straight_line", window, u.entries, g.entries, label="onto-deformed"
     )
+
+    def straighten():
+        # V is exactly the identity off the union of the ranges
+        v = corrective_unitary(g, plan)
+        blocks = [[window.index_of(site) for site in block] for block in plan.ranges]
+        union = np.unique(np.concatenate(blocks))
+        vg = g.entries.copy()
+        vg[union] = v.entries[np.ix_(union, union)] @ g.entries[union]
+        return vg, _log_segment(window, v.entries, blocks, right=g.entries, flip=True)
+
+    vg, correct = stage("corrective-unitary", straighten)
 
     centers = Explicit(frozenset(plan.centers))
     p_centers = Projection.from_region(centers, window)
@@ -1387,36 +1684,33 @@ def theorem1_pipeline(
     # snap each confined column to its basis vector so the peel
     # precondition is exact (the corrective rotation already left it
     # within 1e-10 of a multiple of that vector)
-    peelable = vg.copy()
-    peelable[:, on] = 0.0
-    peelable[on, on] = 1.0
+    snapped = np.zeros((dim, on.size), dtype=np.complex128)
+    snapped[on, np.arange(on.size)] = 1.0
     normalize = AffineSegment(
-        "straight_line", window, vg, peelable, label="normalize-centers"
+        "straight_line", window, vg, _NO_SITES, vg[:0], on, snapped, label="normalize-centers"
     )
 
-    factors, peel, _ = stage(
-        "block-peel", lambda: _block_peel(Operator(window, peelable), p_centers)
+    f1, peel = stage(
+        "block-peel", lambda: _block_peel(Operator(window, normalize.dense_end()), p_centers)
     )
-    polar = stage("polar", lambda: _polar_segment(factors[0], 1e-8))
-    w_pol = Operator(window, polar.at(1.0))
+    polar = stage("polar", lambda: _polar_segment(f1, 1e-8))
 
     v_iso = stage(
         "greedy-isometry",
         lambda: greedy_isometry(centers, config.copies, window, require_ray_dense=False),
     )
-    absorb = stage(
-        "block-unitary",
-        lambda: _stacked_segments(
-            w_pol,
-            p_centers,
-            v_iso,
-            (_log_segment(v_iso.window, w_pol.entries, [off], flip=True),),
-        ),
-    )
+
+    def absorb():
+        # the polar end W ⊕ 1 rotates back to the stacked identity off P
+        w_pol = Operator(window, polar.at(1.0))
+        inner = _log_segment(v_iso.window, w_pol.entries, [off], flip=True)
+        return _stacked_segments(w_pol, p_centers, v_iso, (inner,))
+
+    absorbed = stage("block-unitary", absorb)
 
     path = HomotopyPath(
         (line, correct, normalize, peel.reversed(), polar)
-        + tuple(seg.reversed() for seg in reversed(absorb)),
+        + tuple(seg.reversed() for seg in reversed(absorbed)),
         u.entries,
         np.eye(dim, dtype=np.complex128),
     )

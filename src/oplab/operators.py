@@ -11,21 +11,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
 from .errors import (
     PreconditionError,
     RepresentationError,
-    UnitarityError,
     WindowMismatchError,
 )
 from .geometry import ORIGIN, Region, region_mask
 from .windows import AmplifiedWindow, TruncationWindow, Window
 
 TOL_IDEMPOTENT = 1e-10
-TOL_INVERTIBLE = 1e-8
 # ``norm_at_most``: its rounding band, this many max(m, n) eps relative,
 # and the bounds its bracket decides (outside them the SVD does)
 BRACKET_SLACK = 4
@@ -476,31 +474,6 @@ def _laurent_apply(f: CircleFunction, u: np.ndarray) -> np.ndarray:
             if n in neg:
                 out += neg[n] * power
     return out
-
-
-def apply_circle_function(
-    f: CircleFunction, u: Operator, tol: float = TOL_INVERTIBLE
-) -> Operator:
-    """f(U) for unitary U; exactly entrywise for diagonal U.
-
-    Diagonal unitaries take the fast entrywise route (the Laurent sum at
-    each diagonal phase); general operators must be unitary within ``tol``
-    and go through matrix powers.
-    """
-    if f.is_zero:
-        return Operator.zero(u.window)
-    if u.is_diagonal():
-        diag = np.diag(u.entries)
-        mods = np.abs(diag)
-        if np.max(np.abs(mods - 1.0)) > tol:
-            raise UnitarityError(
-                f"diagonal is not unimodular within {tol:.1e}; cannot apply a circle function"
-            )
-        return Operator.diagonal(u.window, f(diag))
-    defect = u.unitarity_defect()
-    if defect > tol:
-        raise UnitarityError(f"operand unitarity defect {defect:.3e} > {tol:.1e}")
-    return Operator(u.window, _laurent_apply(f, u.entries))
 
 
 # ---------------------------------------------------------------------------

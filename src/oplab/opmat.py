@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import base64
 import binascii
+import io
 import json
 import math
 from fractions import Fraction
@@ -44,17 +45,34 @@ def _header_for(op: Operator, name: str) -> dict:
     }
 
 
+# payload bytes encoded per piece: a multiple of 3, so each piece's base64
+# ends on a whole group and the pieces join into the one-shot encoding
+_PIECE_BYTES = 3 * 2**16
+
+
+def _write_operator(op: Operator, name: str, out) -> None:
+    """Write the two-line text form to the text stream ``out``: the
+    header line, then the payload base64-encoded a piece at a time, so
+    no copy of the whole payload or its text is made."""
+    header = _header_for(op, name or op.tags.get("name", ""))
+    out.write(json.dumps(header, sort_keys=True) + "\n")
+    payload = memoryview(np.ascontiguousarray(op.entries, dtype="<c16").reshape(-1)).cast("B")
+    for start in range(0, len(payload), _PIECE_BYTES):
+        out.write(base64.b64encode(payload[start : start + _PIECE_BYTES]).decode("ascii"))
+    out.write("\n")
+
+
 def dumps_operator(op: Operator, name: str = "") -> str:
     """Serialize ``op`` to the two-line text form."""
-    header = _header_for(op, name or op.tags.get("name", ""))
-    payload = np.ascontiguousarray(op.entries, dtype="<c16").tobytes(order="C")
-    body = base64.b64encode(payload).decode("ascii")
-    return json.dumps(header, sort_keys=True) + "\n" + body + "\n"
+    text = io.StringIO()
+    _write_operator(op, name, text)
+    return text.getvalue()
 
 
 def save_operator(op: Operator, path: str | Path, name: str = "") -> Path:
     path = Path(path)
-    path.write_text(dumps_operator(op, name), encoding="ascii")
+    with path.open("w", encoding="ascii") as out:
+        _write_operator(op, name, out)
     return path
 
 

@@ -1,5 +1,7 @@
 """Operator paths: segments, certification, and the full pipeline."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,8 @@ from oplab.homotopy import (
     CertifyConfig,
     HomotopyPath,
     PipelineConfig,
+    _log_segment,
+    _polar_segment,
     block_peel,
     block_unitary_homotopy,
     certify_path,
@@ -31,13 +35,15 @@ from oplab.operators import (
     CircleFunction,
     Operator,
     Projection,
-    apply_circle_function,
     laughlin_operator,
     shift_operator,
     spectral_norm,
 )
+from oplab.runner import seeded_local_unitary
 from oplab.surgery import greedy_isometry
 from oplab.windows import AmplifiedWindow, TruncationWindow
+
+from conftest import dense_factors, traced_peak
 
 RIGHT = Arc(Direction(1, -1), Direction(1, 1))
 LEFT = Arc(Direction(-1, 1), Direction(-1, -1))
@@ -264,7 +270,7 @@ def test_log_path_puts_an_exact_minus_one_at_plus_pi():
     diag = np.array([complex(-1.0, 0.0), complex(-1.0, -0.0), 1.0])
     path = log_path(Operator.diagonal(window, diag))
     assert path.segments[0].label == ""
-    assert np.array_equal(path.segments[0].exponents, [1j * np.pi, 1j * np.pi])
+    assert np.array_equal(dense_factors(path.segments[0])["exponents"], [1j * np.pi, 1j * np.pi])
     assert np.allclose(np.diag(path.at(0.5)), [1j, 1j, 1.0], atol=1e-15)
 
 
@@ -497,7 +503,7 @@ def test_sample_range_validation():
 def test_segment_kind_validation():
     window = TruncationWindow.plane(2)
     with pytest.raises(PreconditionError):
-        AffineSegment("wiggle", window, np.eye(1), np.eye(1))
+        AffineSegment.between("wiggle", window, np.eye(1), np.eye(1))
 
 
 # ---------------------------------------------------------------------------
@@ -602,7 +608,8 @@ def test_pipeline_identity_is_near_constant():
 
 def test_pipeline_diagonal_phase_unitary():
     window = TruncationWindow.plane(6)
-    u = apply_circle_function(CircleFunction.monomial(1), laughlin_operator(window))
+    phases = np.diag(laughlin_operator(window).entries)
+    u = Operator.diagonal(window, CircleFunction.monomial(1)(phases))
     path, report = theorem1_pipeline(u, 0.5)
     assert max(report.endpoint_errors) <= 1e-8
     assert spectral_norm(path.at(0.0) - u.entries) <= 1e-9
@@ -668,3 +675,66 @@ def test_pipeline_stage_errors_are_named():
     with pytest.raises(StageError) as err:
         theorem1_pipeline(u, 1e-9)
     assert err.value.stage == "localized-centers"
+
+
+# ---------------------------------------------------------------------------
+# memory: segments keep per-component stacks, never d x d factors
+
+
+def paired_unitary(window, fixed, seed):
+    """Identity on the site ``fixed``; seeded 2 x 2 unitaries on the other
+    sites, taken in pairs in basis order (a plane window has an odd
+    number of sites)."""
+    d = window.dimension
+    u = np.eye(d, dtype=np.complex128)
+    rest = np.delete(np.arange(d), window.index_of(fixed))
+    for k, pair in enumerate(rest.reshape(-1, 2)):
+        u[np.ix_(pair, pair)] = random_unitary(2, seed + k)
+    return Operator(window, u)
+
+
+def held_bytes(seg):
+    """The bytes of the arrays a spectral segment keeps."""
+    arrays = [seg.exponents] + [x for st in seg.stacks for x in st if x is not None]
+    return sum(x.nbytes for x in arrays)
+
+
+def test_stacked_move_forms_no_stacked_array():
+    window = TruncationWindow.plane(20)
+    d = window.dimension
+    centers = Explicit(frozenset({(0, 0)}))
+    u = paired_unitary(window, (0, 0), 5)
+    p = Projection.from_region(centers, window)
+    v_iso = greedy_isometry(centers, 1, window, require_ray_dense=False)
+    off = np.flatnonzero(~p.diagonal_mask())
+    seg = _log_segment(v_iso.window, u.entries, [off], flip=True)
+    # block_unitary_homotopy reads only the inner path's segments; a
+    # HomotopyPath would need its (2d) x (2d) endpoints to check them
+    inner = SimpleNamespace(segments=(seg,))
+    path, peak = traced_peak(lambda: block_unitary_homotopy(u, p, v_iso, inner))
+    assert peak < 16 * (2 * d) ** 2  # one (2d) x (2d) complex array
+    assert spectral_norm(path.at(1.0) - u.entries) <= 1e-12
+
+
+def test_segments_hold_no_dense_factor():
+    window = TruncationWindow.plane(20)
+    d = window.dimension
+    u = paired_unitary(window, (0, 0), 6)
+    g = Operator(window, u.entries * (1.0 + 0.5 * np.arange(d) / d)[None, :])
+    segments = {
+        "polar": _polar_segment(g, 1e-8),
+        "log": _log_segment(window, u.entries, [range(d)]),
+        "log-right": _log_segment(window, u.entries, [range(d)], right=g.entries),
+    }
+    for name, seg in segments.items():
+        assert held_bytes(seg) < 16 * d * d / 20, name
+        assert max(part.size for part in seg.components()) == 2, name
+
+
+def test_pipeline_peaks_below_sixteen_dense_arrays():
+    window = TruncationWindow.plane(16)
+    d = window.dimension
+    u = seeded_local_unitary(window, 3)
+    (_, report), peak = traced_peak(lambda: theorem1_pipeline(u, 0.5))
+    assert max(report.endpoint_errors) <= 1e-8
+    assert peak < 16 * (16 * d * d)  # sixteen d x d complex arrays

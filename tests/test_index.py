@@ -26,7 +26,7 @@ from oplab.operators import (
     CircleFunction,
     Operator,
     Projection,
-    apply_circle_function,
+    _laurent_apply,
     laughlin_operator,
     shift_operator,
 )
@@ -378,5 +378,5 @@ def test_translation_invariance_random_laurent():
         for n in range(-5, 6)
     }
     base = shift_operator(window, 1, "periodic")
-    norms = np.linalg.norm(apply_circle_function(CircleFunction(coeffs), base).entries, axis=0)
+    norms = np.linalg.norm(_laurent_apply(CircleFunction(coeffs), base.entries), axis=0)
     assert norms.max() - norms.min() <= 1e-12

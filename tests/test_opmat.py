@@ -10,15 +10,49 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oplab.errors import OplabError, OpmatDimensionError, OpmatHeaderError, OpmatPayloadError
-from oplab.opmat import dumps_operator, load_operator, loads_operator, save_operator
+from oplab.opmat import _header_for, dumps_operator, load_operator, loads_operator, save_operator
 from oplab.operators import Operator, laughlin_operator
 from oplab.windows import AmplifiedWindow, TruncationWindow
+
+from conftest import traced_peak
 
 
 def _random_op(window, seed=0):
     rng = np.random.default_rng(seed)
     d = window.dimension
     return Operator(window, rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+
+
+def one_shot_text(op, name):
+    """The two-line text form encoded in one piece: the header line, then
+    base64 of the whole payload."""
+    header = _header_for(op, name)
+    payload = np.ascontiguousarray(op.entries, dtype="<c16").tobytes(order="C")
+    return json.dumps(header, sort_keys=True) + "\n" + base64.b64encode(payload).decode("ascii") + "\n"
+
+
+@pytest.mark.parametrize(
+    "window",
+    [
+        TruncationWindow.line(1),  # 144 payload bytes, a multiple of 3
+        TruncationWindow.line(2),  # 400 bytes: one left over
+        TruncationWindow.plane(6),  # 204304 bytes: more than one piece, one left over
+        TruncationWindow.line(200),  # 2572816 bytes: many pieces, one left over
+    ],
+)
+def test_streamed_text_is_the_one_shot_text(tmp_path, window):
+    op = _random_op(window, seed=window.dimension)
+    want = one_shot_text(op, "probe")
+    assert dumps_operator(op, "probe") == want
+    path = save_operator(op, tmp_path / "a.opmat", name="probe")
+    assert path.read_bytes() == want.encode("ascii")
+
+
+def test_save_operator_holds_less_than_the_matrix(tmp_path):
+    w = TruncationWindow.plane(12)
+    op = _random_op(w, seed=4)
+    _, peak = traced_peak(lambda: save_operator(op, tmp_path / "a.opmat"))
+    assert peak < 16 * w.dimension**2  # under one d x d complex array
 
 
 def test_round_trip_is_bit_exact(tmp_path):

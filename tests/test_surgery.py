@@ -1,6 +1,5 @@
 """Deletion series, localized centers, corrective unitary, greedy matching."""
 
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,7 +30,7 @@ from oplab.surgery import (
 from oplab.surgery import _center_arc
 from oplab.windows import TruncationWindow
 
-from conftest import greedy_operator
+from conftest import greedy_operator, traced_peak
 
 RIGHT = Arc(Direction(1, -1), Direction(1, 1))
 LEFT = Arc(Direction(-1, 1), Direction(-1, -1))
@@ -378,12 +377,7 @@ def test_greedy_structure_with_one_extra_copy():
 def test_greedy_isometry_holds_only_its_matches():
     w = TruncationWindow.plane(20)
     greedy_isometry(FULL_REGION, 1, w)  # fills the window's cached sites
-    tracemalloc.start()
-    try:
-        out = greedy_isometry(FULL_REGION, 1, w)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    out, peak = traced_peak(lambda: greedy_isometry(FULL_REGION, 1, w))
     stacked = (2 * w.dimension) ** 2 * 16  # one dense (2d) x (2d) complex array
     assert peak < stacked / 20
     assert len(out.matches) + len(out.unmatched) == 2 * w.dimension
