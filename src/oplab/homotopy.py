@@ -427,29 +427,28 @@ class SpectralSegment(PathSegment):
         the modes whose L column meets ``rows`` (the others add zero),
         gathered from the components that ``rows`` and ``cols`` meet."""
         wave = self._wave(1.0 - t if self.flip else t)
-        site = self._index
-        in_rows = [np.flatnonzero(site[0, rows] == i) for i in range(len(self.stacks))]
-        in_cols = [np.flatnonzero(site[0, cols] == i) for i in range(len(self.stacks))]
-        modes = np.unique(
-            np.concatenate(
-                [_NO_SITES]
-                + [st.modes[site[1, rows[r]]].ravel() for st, r in zip(self.stacks, in_rows)]
-            )
-        )
+        at_rows, at_cols = self._index[:, rows], self._index[:, cols]
+        # (stack, positions in rows, in cols) for each stack they meet
+        meet = [
+            (self.stacks[i], np.flatnonzero(at_rows[0] == i), np.flatnonzero(at_cols[0] == i))
+            for i in sorted(set(at_rows[0].tolist()) | set(at_cols[0].tolist()))
+            if i >= 0
+        ]
+        row_modes = [st.modes[at_rows[1, r]] for st, r, _ in meet]
+        modes = np.unique(np.concatenate([_NO_SITES] + [m.ravel() for m in row_modes]))
         left = np.zeros((rows.size, modes.size), dtype=np.complex128)
-        for st, r in zip(self.stacks, in_rows):
-            comp, slot = site[1, rows[r]], site[2, rows[r]]
-            left[r[:, None], np.searchsorted(modes, st.modes[comp])] = st.left[comp, slot]
+        for (st, r, _), m in zip(meet, row_modes):
+            left[r[:, None], np.searchsorted(modes, m)] = st.left[at_rows[1, r], at_rows[2, r]]
         live = np.any(left, axis=0)
         if not live.all():
             modes, left = modes[live], left[:, live]
         right = np.zeros((modes.size, cols.size), dtype=np.complex128)
-        for st, c in zip(self.stacks, in_cols):
-            comp, slot = site[1, cols[c]], site[2, cols[c]]
-            pos = np.searchsorted(modes, st.modes[comp])
-            hit = pos < modes.size
-            hit[hit] = modes[pos[hit]] == st.modes[comp][hit]
-            right[pos[hit], np.broadcast_to(c[:, None], pos.shape)[hit]] = st.right[comp, :, slot][hit]
+        for st, _, c in meet if modes.size else ():
+            comp = at_cols[1, c]
+            m = st.modes[comp]
+            pos = np.minimum(np.searchsorted(modes, m), modes.size - 1)
+            hit = modes[pos] == m
+            right[pos[hit], np.broadcast_to(c[:, None], m.shape)[hit]] = st.right[comp, :, at_cols[2, c]][hit]
         left *= wave[modes]
         out = left @ right
         del left, right  # the product is the largest array alive from here on
@@ -457,13 +456,11 @@ class SpectralSegment(PathSegment):
             const = (rows[:, None] == cols[None, :]).astype(np.complex128)
         else:
             const = self.factor[np.ix_(rows, cols)].astype(np.complex128)
-        for st, r, c in zip(self.stacks, in_rows, in_cols):
+        for st, r, c in meet:
             # C's block on each component; g and C are zero between components
-            comp = site[1, cols[c]]
-            i, j = np.nonzero(site[1, rows[r]][:, None] == comp[None, :])
-            const[r[i], c[j]] = (
-                0.0 if st.const is None else st.const[comp[j], site[2, rows[r[i]]], site[2, cols[c[j]]]]
-            )
+            i, j = np.nonzero(at_rows[1, r][:, None] == at_cols[1, c][None, :])
+            r, c = r[i], c[j]
+            const[r, c] = 0.0 if st.const is None else st.const[at_rows[1, r], at_rows[2, r], at_cols[2, c]]
         out += const
         return out
 
