@@ -425,44 +425,70 @@ class SpectralSegment(PathSegment):
     def block(self, t: float, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """X(t)[rows, cols] = (L[rows] e^z) R[:, cols] + C[rows, cols] over
         the modes whose L column meets ``rows`` (the others add zero),
-        gathered from the components that ``rows`` and ``cols`` meet."""
-        wave = self._wave(1.0 - t if self.flip else t)
-        at_rows, at_cols = self._index[:, rows], self._index[:, cols]
-        # (stack, positions in rows, in cols) for each stack they meet
-        meet = [
-            (self.stacks[i], np.flatnonzero(at_rows[0] == i), np.flatnonzero(at_cols[0] == i))
-            for i in sorted(set(at_rows[0].tolist()) | set(at_cols[0].tolist()))
-            if i >= 0
-        ]
-        row_modes = [st.modes[at_rows[1, r]] for st, r, _ in meet]
-        modes = np.unique(np.concatenate([_NO_SITES] + [m.ravel() for m in row_modes]))
+        gathered from the stacks by the plan of ``_plan``."""
+        modes, parts, ones = self._plan(rows, cols)
         left = np.zeros((rows.size, modes.size), dtype=np.complex128)
-        for (st, r, _), m in zip(meet, row_modes):
-            left[r[:, None], np.searchsorted(modes, m)] = st.left[at_rows[1, r], at_rows[2, r]]
-        live = np.any(left, axis=0)
-        if not live.all():
-            modes, left = modes[live], left[:, live]
         right = np.zeros((modes.size, cols.size), dtype=np.complex128)
-        for st, _, c in meet if modes.size else ():
-            comp = at_cols[1, c]
-            m = st.modes[comp]
-            pos = np.minimum(np.searchsorted(modes, m), modes.size - 1)
-            hit = modes[pos] == m
-            right[pos[hit], np.broadcast_to(c[:, None], m.shape)[hit]] = st.right[comp, :, at_cols[2, c]][hit]
-        left *= wave[modes]
+        for st, (to_left, of_left), (to_right, of_right), _ in parts:
+            left[to_left] = st.left[of_left]
+            right[to_right] = st.right[of_right]
+        left *= self._wave(1.0 - t if self.flip else t)[modes]
         out = left @ right
         del left, right  # the product is the largest array alive from here on
         if self.factor is None:
-            const = (rows[:, None] == cols[None, :]).astype(np.complex128)
+            const = np.zeros((rows.size, cols.size), dtype=np.complex128)
+            const[ones] = 1.0
         else:
             const = self.factor[np.ix_(rows, cols)].astype(np.complex128)
-        for st, r, c in meet:
-            # C's block on each component; g and C are zero between components
-            i, j = np.nonzero(at_rows[1, r][:, None] == at_cols[1, c][None, :])
-            r, c = r[i], c[j]
-            const[r, c] = 0.0 if st.const is None else st.const[at_rows[1, r], at_rows[2, r], at_cols[2, c]]
+        for st, _, _, (to_const, of_const) in parts:
+            const[to_const] = 0.0 if st.const is None else st.const[of_const]
         out += const
         return out
+
+    def _plan(self, rows: np.ndarray, cols: np.ndarray) -> tuple:
+        """Where ``block`` takes X(t)[rows, cols] from: the modes whose L
+        column meets ``rows``, the pairs (rows, cols) where C is the
+        identity, and for each stack that ``rows`` or ``cols`` meets the
+        (destination, source) indices of its entries of L[rows][:, modes],
+        R[modes][:, cols] and C[rows, cols] (C is zero between components).
+        The samplers cut the same rows and columns at every sample, so
+        the last plan is kept; it holds indices only."""
+        key = (rows.tobytes(), cols.tobytes())
+        last = self.__dict__.get("_last_plan")
+        if last is not None and last[0] == key:
+            return last[1]
+        at_rows, at_cols = self._index[:, rows], self._index[:, cols]
+        found = []
+        for i in sorted((set(at_rows[0].tolist()) | set(at_cols[0].tolist())) - {-1}):
+            st = self.stacks[i]
+            m = st.modes.shape[1]
+            r, c = np.flatnonzero(at_rows[0] == i), np.flatnonzero(at_cols[0] == i)
+            # every mode of each row's (column's) component: (position,
+            # component, slot, mode slot), flat
+            rs = np.repeat(r, m), *np.repeat(at_rows[1:, r], m, axis=1), np.tile(np.arange(m), r.size)
+            cs = np.repeat(c, m), *np.repeat(at_cols[1:, c], m, axis=1), np.tile(np.arange(m), c.size)
+            j, k = np.nonzero(at_rows[1, r][:, None] == at_cols[1, c][None, :])
+            const = (r[j], c[k]), (at_rows[1, r[j]], at_rows[2, r[j]], at_cols[2, c[k]])
+            found.append((st, rs, cs, const))
+        live = [st.modes[rs[1], rs[3]][st.left[rs[1:]] != 0] for st, rs, _, _ in found]
+        modes = np.unique(np.concatenate([_NO_SITES] + live))
+
+        def kept(st, flat):
+            pos = np.searchsorted(modes, st.modes[flat[1], flat[3]])
+            hit = pos < modes.size
+            hit[hit] = modes[pos[hit]] == st.modes[flat[1], flat[3]][hit]
+            return pos[hit], tuple(x[hit] for x in flat)
+
+        parts = []
+        for st, rs, cs, const in found:
+            pos, (r, comp, slot, mslot) = kept(st, rs)
+            left = (r, pos), (comp, slot, mslot)
+            pos, (c, comp, slot, mslot) = kept(st, cs)
+            right = (pos, c), (comp, mslot, slot)
+            parts.append((st, left, right, const))
+        plan = modes, parts, np.nonzero(rows[:, None] == cols[None, :])
+        self.__dict__["_last_plan"] = key, plan
+        return plan
 
     def moving_sites(self) -> np.ndarray:
         """Sites in a row of L, a column of R or the support of C - 1."""
