@@ -1357,7 +1357,9 @@ def test_spectral_blocks_match_the_all_mode_product(pipeline_case):
     rng = np.random.default_rng(0)
     for seg in spectral_pieces(path.segments + inner):
         d = dense_factors(seg)["const"].shape[0]
-        cuts = [(np.sort(rng.choice(d, d // 3, replace=False)), np.arange(0, d, 4))]
+        rows, cols = np.sort(rng.choice(d, d // 3, replace=False)), np.arange(0, d, 4)
+        # one cut after another that shares its rows or its columns
+        cuts = [(rows, cols), (rows, cols[1:]), (rows[1:], cols[1:])]
         cuts += locality if d == window.dimension else []
         for t in (0.0, 0.3, 1.0):
             whole = dense_spectral_at(seg, t)
