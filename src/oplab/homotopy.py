@@ -206,13 +206,14 @@ class AffineSegment(PathSegment):
         overwritten on B's rows and columns."""
         ri, ci = np.broadcast_arrays(ri, ci)
         out = self.start[ri, ci]
-        d = self.start.shape[0]
-        at = _positions(d, self.rows)[ri]
-        hit = at >= 0
-        out[hit] = self.row_entries[at[hit], ci[hit]]
-        at = _positions(d, self.cols)[ci]
-        hit = at >= 0
-        out[hit] = self.col_entries[ri[hit], at[hit]]
+        # B's rows, then its columns as the rows of B^T
+        for idx, entries, own, other in (
+            (self.rows, self.row_entries, ri, ci),
+            (self.cols, self.col_entries.T, ci, ri),
+        ):
+            at = _positions(self.start.shape[0], idx)[own]
+            hit = at >= 0
+            out[hit] = entries[at[hit], other[hit]]
         return out
 
     def block(self, t: float, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -236,16 +237,13 @@ class AffineSegment(PathSegment):
     def moving_sites(self) -> np.ndarray:
         """Sites whose row or column of A or B differs from the identity."""
         moved = _support(_off_identity(self.start))
-        n = np.arange(self.rows.size)
-        off = self.row_entries != 0
-        off[n, self.rows] = self.row_entries[n, self.rows] != 1
-        moved[self.rows] |= off.any(axis=1)
-        moved |= off.any(axis=0)
-        n = np.arange(self.cols.size)
-        off = self.col_entries != 0
-        off[self.cols, n] = self.col_entries[self.cols, n] != 1
-        moved[self.cols] |= off.any(axis=0)
-        moved |= off.any(axis=1)
+        # B's rows, then its columns as the rows of B^T
+        for idx, entries in ((self.rows, self.row_entries), (self.cols, self.col_entries.T)):
+            n = np.arange(idx.size)
+            off = entries != 0
+            off[n, idx] = entries[n, idx] != 1
+            moved[idx] |= off.any(axis=1)
+            moved |= off.any(axis=0)
         return moved
 
     def components(self) -> list:
@@ -271,7 +269,9 @@ class AffineSegment(PathSegment):
         col_entries = self.col_entries[np.ix_(src, at[cols])]
         seg = AffineSegment("block_unitary", window, a, rows, row_entries, cols, col_entries)
         if self.flip:
-            seg = dataclasses.replace(seg, start=seg.dense_end(), row_entries=a[rows], col_entries=a[:, cols])
+            seg = dataclasses.replace(
+                seg, start=seg.dense_end(), row_entries=a[rows], col_entries=a[:, cols]
+            )
         return seg
 
 
@@ -297,20 +297,11 @@ def _stacked(parts) -> tuple:
         if part.sites.shape[0]:
             by_shape.setdefault((part.sites.shape[1], part.modes.shape[1]), []).append(part)
     out = []
-    for (s, _), same in sorted(by_shape.items(), key=lambda item: item[0]):
+    for shape in sorted(by_shape):
+        same = by_shape[shape]
         part = same[0]
-        if len(same) > 1:
-            const = None
-            if any(p.const is not None for p in same):
-                const = np.concatenate(
-                    [
-                        np.zeros((p.sites.shape[0], s, s), dtype=np.complex128)
-                        if p.const is None
-                        else p.const
-                        for p in same
-                    ]
-                )
-            part = Stack(*(np.concatenate([p[i] for p in same]) for i in range(4)), const)
+        if len(same) > 1:  # C is None (zero) on all of them or on none
+            part = Stack(*(None if x[0] is None else np.concatenate(x) for x in zip(*same)))
         first = part.sites[:, 0]
         if np.any(first[1:] < first[:-1]):
             order = np.argsort(first)
@@ -462,11 +453,12 @@ class SpectralSegment(PathSegment):
         for i in sorted((set(at_rows[0].tolist()) | set(at_cols[0].tolist())) - {-1}):
             st = self.stacks[i]
             m = st.modes.shape[1]
+            slots = np.arange(m)
             r, c = np.flatnonzero(at_rows[0] == i), np.flatnonzero(at_cols[0] == i)
             # every mode of each row's (column's) component: (position,
             # component, slot, mode slot), flat
-            rs = np.repeat(r, m), *np.repeat(at_rows[1:, r], m, axis=1), np.tile(np.arange(m), r.size)
-            cs = np.repeat(c, m), *np.repeat(at_cols[1:, c], m, axis=1), np.tile(np.arange(m), c.size)
+            rs = np.repeat(r, m), *np.repeat(at_rows[1:, r], m, axis=1), np.tile(slots, r.size)
+            cs = np.repeat(c, m), *np.repeat(at_cols[1:, c], m, axis=1), np.tile(slots, c.size)
             j, k = np.nonzero(at_rows[1, r][:, None] == at_cols[1, c][None, :])
             const = (r[j], c[k]), (at_rows[1, r[j]], at_rows[2, r[j]], at_cols[2, c[k]])
             found.append((st, rs, cs, const))
@@ -637,9 +629,8 @@ class SpectralSegment(PathSegment):
                 const = np.take_along_axis(const, order[:, :, None], axis=1)
                 const = np.take_along_axis(const, order[:, None, :], axis=2)
             whole = sites[:, 0] >= 0
-            parts.append(
-                Stack(*(None if x is None else x[whole] for x in (sites, st.modes, left, right, const)))
-            )
+            kept = (sites, st.modes, left, right, const)
+            parts.append(Stack(*(None if x is None else x[whole] for x in kept)))
             for i in np.flatnonzero(~whole):
                 keep = sites[i] >= 0
                 parts += _local_parts(
@@ -935,14 +926,14 @@ def _log_segment(window: Window, entries, blocks, right=None, flip=False) -> Spe
         live = phases != 0.0
         q_live, q_dead = q[:, live], q[:, ~live]
         col = sum(x.size for x in moving)
-        rotations.append((part, np.arange(col, col + q_live.shape[1]), q_live, q_dead @ q_dead.conj().T))
+        modes = np.arange(col, col + q_live.shape[1])
+        rotations.append((part, modes, q_live, q_dead @ q_dead.conj().T))
         moving.append(phases[live])
     z = 1j * np.concatenate(moving)
     if right is None:
         ones = np.ones((spins.size, 1, 1), dtype=np.complex128)
-        stacks = [
-            Stack(spins[:, None], np.arange(spins.size)[:, None], ones, ones.conj(), np.zeros_like(ones))
-        ]
+        modes = np.arange(spins.size)[:, None]
+        stacks = [Stack(spins[:, None], modes, ones, ones.conj(), np.zeros_like(ones))]
         for part, modes, q_live, fixed in rotations:
             stacks += _local_parts(part, modes, q_live, q_live.conj().T, fixed)
     else:

@@ -888,7 +888,12 @@ def dense_intertwined(seg, v):
     left, z = f["left"], f["exponents"]
     if seg.flip:
         left, z = left * np.exp(z)[None, :], -z
-    return {"left": v @ left, "exponents": z, "right": f["right"] @ vh, "const": v @ f["const"] @ vh}
+    return {
+        "left": v @ left,
+        "exponents": z,
+        "right": f["right"] @ vh,
+        "const": v @ f["const"] @ vh,
+    }
 
 
 def assert_dense_intertwining(stacked, inner, v):
@@ -1131,7 +1136,8 @@ def dense_spectrum_bound(seg):
     from whole-window products of its factors, or None: the formulas
     of SpectralSegment.spectrum_bound with no split."""
     f = dense_factors(seg)
-    z, left, right, const, factor = (f[key] for key in ("exponents", "left", "right", "const", "factor"))
+    z, left, right, const = f["exponents"], f["left"], f["right"], f["const"]
+    factor = f["factor"]
     d, k = left.shape
     eye_k = np.eye(k)
     if not np.any(z.imag) and not np.any(const) and k == d:
@@ -1588,7 +1594,8 @@ def test_split_schur_and_polar_match_the_whole_window(case):
     f = dense_factors(polar.segments[0])
     for part in components(g):  # the factors hold exact zeros off the blocks
         off = np.setdiff1d(np.arange(d), part)
-        assert not np.any(f["left"][np.ix_(part, off)]) and not np.any(f["right"][np.ix_(part, off)])
+        assert not np.any(f["left"][np.ix_(part, off)])
+        assert not np.any(f["right"][np.ix_(part, off)])
 
 
 @pytest.mark.parametrize("case", sorted(SPLIT_CASES))
