@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from math import ceil, gcd
-from typing import Iterator, Union
+from typing import Union
 
 import numpy as np
 
@@ -117,32 +117,6 @@ def site_sort_key(x: Site):
     if r2 == 0:
         return (0, (0, 0, Fraction(0)), x)
     return (r2, direction_of(x).angle_key(), x)
-
-
-def enumerate_directions() -> Iterator[Direction]:
-    """All rational directions, dense and deterministic.
-
-    The four axes come first; then the open quadrants are emitted
-    round-robin, each walked in breadth-first mediant (Farey) order of the
-    slope tree rooted at 1/1.  Every direction appears exactly once.
-    """
-    yield Direction(1, 0)
-    yield Direction(0, 1)
-    yield Direction(-1, 0)
-    yield Direction(0, -1)
-    # queue entries are slope intervals (a/b, c/d); the mediant is emitted
-    queue = [((0, 1), (1, 0))]
-    while True:
-        next_queue = []
-        for (a, b), (c, d) in queue:
-            num, den = a + c, b + d  # slope num/den, both positive
-            yield Direction(den, num)
-            yield Direction(-num, den)
-            yield Direction(-den, -num)
-            yield Direction(num, -den)
-            next_queue.append(((a, b), (num, den)))
-            next_queue.append(((num, den), (c, d)))
-        queue = next_queue
 
 
 # ---------------------------------------------------------------------------

@@ -11,20 +11,21 @@ C + L[S, M] e^{(1-t) z_M} R[M, S] on the block of each component, one
 stacked product per block shape; an irreducible segment is one
 component and one whole-window product.  An affine segment keeps A and
 only the rows or columns where B differs from A, and a conjugation
-sample is formed on the block of sites that move.  Constructors
-cover the deformation moves used by the full
-unitary-to-identity pipeline: straight lines, polar interpolation,
-peeling an upper-triangular block factor, logarithmic rotation of a
-unitary, conjugation of a projection along a unitary path, and the
-stacked-isometry move that absorbs a block unitary into the identity.
+sample is formed on the block of sites that move.  Constructors cover
+the deformation moves used by the full unitary-to-identity pipeline:
+straight lines, polar interpolation, peeling an upper-triangular block
+factor, logarithmic rotation of a unitary, conjugation of a projection
+along a unitary path, and the stacked-isometry move that absorbs a
+block unitary into the identity.
 
 Certification never assumes a segment is what it claims to be: the
 certificate reports unitarity defects and smallest singular values,
-each either measured on the sample or a rigorous bound computed from
-the segment's own factors (and then checked against a dense measurement
-at the segment's ends), measured locality defects against configured
-cone pairs, and (for projection paths) measured idempotency defects and
-an integer index trace.
+each either measured on the exact Gram spectrum that the segment's form
+gives from its own data or a rigorous bound computed from its factors
+(and then checked against a measurement at the segment's ends),
+measured locality defects against configured cone pairs, and (for
+projection paths) measured idempotency defects and an integer index
+trace.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ from .operators import (
     Operator,
     Projection,
     adjoints,
+    block_gram_eigenvalues,
     block_stacks,
     component_order,
     components,
@@ -61,6 +63,7 @@ from .operators import (
     hermitian_part,
     norm_at_most,
     spectral_norm,
+    squared_moduli,
     stacked_blocks,
 )
 from .surgery import (
@@ -149,6 +152,24 @@ class PathSegment:
         """X(t)[rows, cols]; forms that can cut it from their factors do."""
         return self.at(t)[np.ix_(rows, cols)]
 
+    def sample(self, t: float) -> "BlockSample":
+        """X(t) formed, as a block sample of the whole window."""
+        return BlockSample.whole(self.at(t))
+
+    def gram(self) -> tuple:
+        """(spectrum, largest block measured): spectrum(t, sample) is the
+        exact Gram spectrum of X(t) from the form's data (or from the
+        caller's ``sample`` of X(t), for a form that is its sample)."""
+        raise NotImplementedError
+
+    def spectrum_bound(self) -> "SpectrumBound | None":
+        """A rigorous bracket on the singular values of every X(t), if any."""
+        return None
+
+    def is_constant(self) -> bool:
+        """Whether X(t) is one matrix for every t, as the form's data show."""
+        return False
+
     def moving_sites(self) -> np.ndarray:
         """Mask of the sites where some X(t) may differ from the identity;
         forms that can read it off their factors narrow it."""
@@ -234,6 +255,10 @@ class AffineSegment(PathSegment):
             self.start[:, self.cols], self.col_entries
         )
 
+    def sample(self, t: float) -> "BlockSample":
+        """X(t) formed; every sample of a constant segment is A itself."""
+        return BlockSample.whole(self.start) if self.is_constant() else super().sample(t)
+
     def moving_sites(self) -> np.ndarray:
         """Sites whose row or column of A or B differs from the identity."""
         moved = _support(_off_identity(self.start))
@@ -253,6 +278,34 @@ class AffineSegment(PathSegment):
         linked[self.rows] |= self.row_entries != 0
         linked[:, self.cols] |= self.col_entries != 0
         return components(linked)
+
+    def gram(self) -> tuple:
+        """Per component of A | B, X(s)*X(s) = (1 - s)^2 A*A + s (1 - s)
+        (A*B + B*A) + s^2 B*B, from three terms built here and released
+        with the spectrum; a constant segment is measured on A."""
+        stacks = block_stacks(self.components())
+        largest = max(stack.shape[1] for stack in stacks)
+        if self.is_constant():
+            return (lambda t, sample=None: gram_eigenvalues(self.start, stacks)), largest
+        terms = []
+        for stack in stacks:
+            a = diagonal_blocks(self.start, stack)
+            b = self._end(stack[:, :, None], stack[:, None, :])
+            ah = adjoints(a)
+            aa, ab = hermitian_part(ah @ a), 2.0 * hermitian_part(ah @ b)
+            terms.append((aa, ab, hermitian_part(adjoints(b) @ b)))
+
+        def spectrum(t: float, sample=None) -> np.ndarray:
+            s = 1.0 - t if self.flip else t
+            eigs = []
+            for aa, ab, bb in terms:
+                gram = (1.0 - s) ** 2 * aa
+                gram += (s * (1.0 - s)) * ab
+                gram += s * s * bb
+                eigs.append(np.linalg.eigvalsh(gram).ravel())
+            return np.concatenate(eigs)
+
+        return spectrum, largest
 
     def intertwined(self, window: Window, src: np.ndarray):
         """The segment t -> V X(t) V* on ``window``, unflipped.  Row i of
@@ -442,7 +495,7 @@ class SpectralSegment(PathSegment):
         identity, and for each stack that ``rows`` or ``cols`` meets the
         (destination, source) indices of its entries of L[rows][:, modes],
         R[modes][:, cols] and C[rows, cols] (C is zero between components).
-        The samplers cut the same rows and columns at every sample, so
+        certify_path cuts the same rows and columns at every sample, so
         the last plan is kept; it holds indices only."""
         key = (rows.tobytes(), cols.tobytes())
         last = self.__dict__.get("_last_plan")
@@ -504,6 +557,22 @@ class SpectralSegment(PathSegment):
         parts = [sites for st in self.stacks for sites in st.sites] + self._rest
         order = np.argsort([part[0] for part in parts], kind="stable")
         return [parts[i] for i in order]
+
+    def gram(self) -> tuple:
+        """The Gram blocks of ``_blocks(t)``, one stacked eigendecomposition
+        per stack, with the spectrum off the stacks, which does not move:
+        ones for the identity, or g's per component of its pattern."""
+        if self.factor is None:
+            still = np.ones(len(self._rest))
+        else:
+            still = gram_eigenvalues(self.factor, block_stacks(self._rest))
+        largest = max(part.size for part in self.components())
+
+        def spectrum(t: float, sample=None) -> np.ndarray:
+            blocks = self._blocks(1.0 - t if self.flip else t)
+            return np.concatenate((block_gram_eigenvalues(x for _, x in blocks), still))
+
+        return spectrum, largest
 
     def spectrum_bound(self) -> "SpectrumBound | None":
         """A rigorous bracket on the singular values of every X(t), or
@@ -751,6 +820,17 @@ class ConjugationSegment(PathSegment):
 
     def _at(self, t: float) -> np.ndarray:
         return self._sample(t).dense()
+
+    def gram(self) -> tuple:
+        """The block sample's Gram spectrum: its block's, with |q_ii|^2 off
+        it.  A sample the caller formed is measured as it is."""
+
+        def spectrum(t: float, sample: BlockSample | None = None) -> np.ndarray:
+            sample = self.sample(t) if sample is None else sample
+            block = block_gram_eigenvalues((sample.block[None],))
+            return np.concatenate((block, squared_moduli(sample.outside())))
+
+        return spectrum, self._frame[0].size
 
     def intertwined(self, window: Window, src: np.ndarray):
         raise PreconditionError("the stacked move cannot carry a conjugation segment")
@@ -1323,125 +1403,6 @@ def _is_projection(x: np.ndarray, tol: float) -> bool:
     return norm_at_most(x - x.conj().T, tol) and norm_at_most(x @ x - x, tol)
 
 
-class _DenseSampler:
-    """Measures each sample of one segment on the sample itself: the
-    Gram eigenvalues of its block, one Hermitian eigendecomposition per
-    component of the segment (its ``components``, found once and
-    stacked by size), with the squared moduli of its diagonal off the
-    block.  ``largest_block`` is the size of the largest component."""
-
-    def __init__(self, seg: PathSegment, pair_indices):
-        self.seg = seg
-        self.pair_indices = pair_indices
-        self.dense = 0
-        self.stacks = block_stacks(self.parts())
-        self.largest_block = max(stack.shape[1] for stack in self.stacks)
-
-    def parts(self) -> list:
-        return self.seg.components()
-
-    def sample(self, t: float, entries: np.ndarray | None) -> BlockSample:
-        return BlockSample.whole(self.seg.at(t) if entries is None else entries)
-
-    def eigenvalues(self, t: float, sample: BlockSample) -> np.ndarray:
-        return gram_eigenvalues(sample.block, self.stacks)
-
-    def measure(self, t: float, end: bool, entries: np.ndarray | None) -> tuple:
-        """(sample or None, unitarity defect, smallest singular value,
-        locality defect, measure, excess of the dense value over the
-        bound or None) of the sample at segment time t; ``entries``, when
-        given, is the sample already formed."""
-        sample = self.sample(t, entries)
-        self.dense += 1
-        outside = sample.outside()
-        unit, sv = _gram_defects(
-            np.concatenate((self.eigenvalues(t, sample), (outside * outside.conj()).real))
-        )
-        dense = sample.dense() if self.pair_indices else None
-        loc = _locality(lambda rows, cols: dense[np.ix_(rows, cols)], self.pair_indices)
-        return sample, unit, sv, loc, "dense", None
-
-
-class _ConjugationSampler(_DenseSampler):
-    """U_t* Q U_t, built and measured on the block of sites that move
-    (``ConjugationSegment.sample``); the Gram spectrum is the block's
-    together with |q_ii|^2 off it."""
-
-    def parts(self) -> list:
-        sites, _, _ = self.seg._frame
-        return [np.arange(sites.size)]
-
-    def sample(self, t: float, entries: np.ndarray | None) -> BlockSample:
-        return self.seg.sample(t)
-
-
-class _AffineSampler(_DenseSampler):
-    """X(s) = (1 - s) A + s B: per component, the Gram block is the
-    quadratic (1 - s)^2 A*A + s (1 - s)(A*B + B*A) + s^2 B*B, from three
-    stacked products made once for the segment."""
-
-    def __init__(self, seg: AffineSegment, pair_indices):
-        super().__init__(seg, pair_indices)
-        self.terms = []
-        for stack in self.stacks:
-            a = diagonal_blocks(seg.start, stack)
-            b = seg._end(stack[:, :, None], stack[:, None, :])
-            ah = adjoints(a)
-            self.terms.append(
-                (
-                    hermitian_part(ah @ a),
-                    2.0 * hermitian_part(ah @ b),
-                    hermitian_part(adjoints(b) @ b),
-                )
-            )
-
-    def eigenvalues(self, t: float, sample: BlockSample) -> np.ndarray:
-        s = 1.0 - t if self.seg.flip else t
-        return np.concatenate(
-            [
-                np.linalg.eigvalsh((1.0 - s) ** 2 * aa + (s * (1.0 - s)) * ab + s * s * bb).ravel()
-                for aa, ab, bb in self.terms
-            ]
-        )
-
-
-    def measure(self, t: float, end: bool, entries: np.ndarray | None) -> tuple:
-        """As the dense measurement, with the Gram spectrum from the terms
-        and the locality blocks cut by ``AffineSegment.block``; the sample
-        itself is never formed (``certify_path`` forms the path's last)."""
-        self.dense += 1
-        unit, sv = _gram_defects(self.eigenvalues(t, None))
-        loc = _locality(lambda rows, cols: self.seg.block(t, rows, cols), self.pair_indices)
-        return None, unit, sv, loc, "dense", None
-
-
-class _ConstantSampler(_DenseSampler):
-    """A segment with start = end: one measurement serves every sample."""
-
-    def measure(self, t: float, end: bool, entries: np.ndarray | None) -> tuple:
-        if not self.dense:
-            self.result = super().measure(t, end, self.seg.start)
-        return self.result
-
-
-class _BoundSampler(_DenseSampler):
-    """A spectral segment with a SpectrumBound: interior samples report
-    the bound and a locality block cut from the factors, without forming
-    the sample; end samples are measured densely and checked against it."""
-
-    def __init__(self, seg: SpectralSegment, pair_indices, bound: SpectrumBound):
-        super().__init__(seg, pair_indices)
-        self.bound = bound
-
-    def measure(self, t: float, end: bool, entries: np.ndarray | None) -> tuple:
-        unit_bound, sv_bound = self.bound.at(t)
-        if end:
-            sample, unit, sv, loc, measure, _ = super().measure(t, end, entries)
-            return sample, unit, sv, loc, measure, max(unit - unit_bound, sv_bound - sv)
-        loc = _locality(lambda rows, cols: self.seg.block(t, rows, cols), self.pair_indices)
-        return None, unit_bound, sv_bound, loc, "bound", None
-
-
 def _idempotency_defect(sample: BlockSample) -> float:
     """||P^2 - P|| of a sample: max |p^2 - p| over its diagonal off the
     block, and the norm of the block's own defect."""
@@ -1465,62 +1426,40 @@ def _compression(sample: BlockSample, base: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sampler(seg: PathSegment, pair_indices, dense_only: bool) -> _DenseSampler:
-    if isinstance(seg, ConjugationSegment):
-        return _ConjugationSampler(seg, pair_indices)
-    if dense_only:
-        return _DenseSampler(seg, pair_indices)
-    if isinstance(seg, AffineSegment):
-        if seg.is_constant():
-            return _ConstantSampler(seg, pair_indices)
-        return _AffineSampler(seg, pair_indices)
-    bound = seg.spectrum_bound()
-    if bound is None:
-        return _DenseSampler(seg, pair_indices)
-    return _BoundSampler(seg, pair_indices, bound)
-
-
 def certify_path(path: HomotopyPath, config: CertifyConfig | None = None) -> CertificateReport:
     """Sample the path and measure everything the certificate promises.
 
-    Each segment picks the cheapest honest way to measure its samples:
-
-    - spectral segments whose factors admit a :class:`SpectrumBound`
-      (polar climbs, rotations, rotations of a right factor, the stacked
-      move) report that rigorous bound on the unitarity defect and the
-      smallest singular value at interior samples, and are measured
-      densely at their first and last sample, where the certificate
-      records how far the measured value lies inside the bound;
-    - affine segments are measured densely, with the Gram matrix a
-      quadratic in t from three products per segment and the locality
-      blocks cut from start and end, so no sample is formed (the path's
-      last sample is formed for the endpoint error), or once when start
-      and end are equal;
-    - conjugation segments are measured exactly on the block of sites
-      that move (see :class:`ConjugationSegment`): off it the sample is
-      the diagonal of Q;
-    - spectral segments without a bound, and every other sample of a
-      projection path, are measured densely: one Hermitian
-      eigendecomposition of the Gram matrix per sample.
-
-    A dense measurement of an affine or spectral segment runs per
-    connected component of the segment's pattern, found once from its
-    own data (its ``components``): the Gram blocks of the
-    components are stacked by size and decomposed by one numpy call per
-    size.  Every sample is block diagonal over those components, so the
-    union of the blocks' eigenvalues is exactly the Gram spectrum; an
-    irreducible segment is one component, the whole window.  Each
-    segment's stats record ``largest_block``, the largest component
-    measured.  The endpoint errors are spectral norms taken per
-    component of the difference's pattern, which is exact.
+    One loop measures every sample through its segment's form.  At the
+    interior samples of a segment of a unitary path whose form has a
+    :class:`SpectrumBound` (polar climbs, rotations, rotations of a right
+    factor, the stacked move), the unitarity defect and the smallest
+    singular value are that rigorous bound.  Everywhere else they are
+    measured on the exact Gram spectrum that the form gives from its own
+    data (``gram``): an affine segment from a quadratic in t of three
+    products, a spectral segment from its stacks' blocks and the
+    identity's or g's spectrum off them, a conjugation segment from its
+    block sample.  A bound segment is so measured at its first and last
+    sample, where the certificate records how far the value lies inside
+    the bound; a constant affine segment is measured once, on its start.
+    Each spectrum runs per connected component of the form's pattern,
+    stacked by size, which is exact (every sample is block diagonal over
+    them); an irreducible segment is one component.  Segment stats
+    record ``largest_block``, the largest block measured.
 
     The locality defect is always measured: the largest block norm over
-    the configured cone pairs, outside the allowance ball, cut from the
-    factors at bound samples.  Projection paths add the idempotency
-    defect and, with ``index_base``, the index of P B P + 1 - P at every
-    sample; both are taken from the sample's block and its diagonal,
-    with no d x d product off the block.  ``index_base`` on a path that
-    does not start at a projection raises PreconditionError.
+    the configured cone pairs, outside the allowance ball, each block
+    cut by the segment's ``block``.  Projection paths add the
+    idempotency defect and, with ``index_base``, the index of
+    P B P + 1 - P at every sample, from the sample's block and its
+    diagonal.  ``index_base`` on a path that does not start at a
+    projection raises PreconditionError.
+
+    The path's first sample is formed for the projection test and the
+    start error, then released, and its last for the end error (both
+    errors are spectral norms per component of the difference's
+    pattern, which is exact).  A unitary path forms no other sample; a
+    projection path forms one per t, a block sample on a conjugation
+    segment, for its Gram spectrum, idempotency defect and index.
     """
     config = config or CertifyConfig()
     window = path.window
@@ -1546,6 +1485,8 @@ def certify_path(path: HomotopyPath, config: CertifyConfig | None = None) -> Cer
             "an index trace needs a projection path, but the path does not start "
             f"at a projection (tolerance {config.projection_tol:.1e})"
         )
+    start_error = _split_norm(first - path.declared_start)
+    del first
 
     index_config = config.index_config or IndexConfig()
     index_method = "kernel_count" if index_config.cut_sites else "trace_formula"
@@ -1553,34 +1494,42 @@ def certify_path(path: HomotopyPath, config: CertifyConfig | None = None) -> Cer
     ts = [float(t) for t in np.linspace(0.0, 1.0, config.samples)]
     owners = [path.segment_of(t) for t in ts]
     n_segs = len(path.segments)
-    series = []
-    index_trace = []
-    stats = []
-    last = None
+    series, index_trace, stats = [], [], []
+    sample = None
     for i, seg in enumerate(path.segments):
         picks = [k for k, owner in enumerate(owners) if owner == i]
-        sampler = _sampler(seg, pair_indices, is_projection)
-        rows, excesses = [], []
+        bound = None if is_projection else seg.spectrum_bound()
+        once = not is_projection and seg.is_constant()
+        spectrum, largest = seg.gram()
+        rows, excesses, dense = [], [], 0
         for j, k in enumerate(picks):
             t = ts[k]
-            sample, unit, sv, loc, measure, over = sampler.measure(
-                t * n_segs - i, j in (0, len(picks) - 1), first if k == 0 else None
-            )
-            idem_defect = 0.0
-            sample_index = None
+            if once and j:
+                rows.append((t,) + rows[0][1:])
+                continue
+            s = 0.0 if once else t * n_segs - i
+            if is_projection:
+                sample = seg.sample(s)
+            if bound is not None and 0 < j < len(picks) - 1:
+                unit, sv = bound.at(s)
+                measure = "bound"
+            else:
+                dense += 1
+                unit, sv = _gram_defects(spectrum(s, sample))
+                measure = "dense"
+                if bound is not None:
+                    unit_bound, sv_bound = bound.at(s)
+                    excesses.append(max(unit - unit_bound, sv_bound - sv))
+            loc = _locality(lambda r, c: seg.block(s, r, c), pair_indices)
+            idem_defect, sample_index = 0.0, None
             if is_projection:
                 idem_defect = _idempotency_defect(sample)
                 if config.index_base is not None:
-                    compressed = _compression(sample, config.index_base.entries)
-                    result = fredholm_index(
-                        Operator(window, compressed), index_method, index_config
-                    )
-                    sample_index = result.value
-                    index_trace.append(result.value)
-            if over is not None:
-                excesses.append(over)
-            last = sampler, t * n_segs - i, sample
+                    compressed = Operator(window, _compression(sample, config.index_base.entries))
+                    sample_index = fredholm_index(compressed, index_method, index_config).value
+                    index_trace.append(sample_index)
             rows.append((t, unit, sv, loc, idem_defect, sample_index, measure))
+        del spectrum  # a form's Gram terms live only while it is measured
         series.extend(rows)
         stats.append(
             {
@@ -1588,22 +1537,18 @@ def certify_path(path: HomotopyPath, config: CertifyConfig | None = None) -> Cer
                 "label": seg.label,
                 "reversed": seg.flip,
                 "samples": len(picks),
-                "dense_samples": sampler.dense,
+                "dense_samples": dense,
                 "max_unitarity_defect": max((row[1] for row in rows), default=0.0),
                 "min_singular_value": min((row[2] for row in rows), default=None),
                 "max_locality_defect": max((row[3] for row in rows), default=0.0),
                 "max_bound_excess": max(excesses, default=None),
-                "largest_block": sampler.largest_block,
+                "largest_block": largest,
             }
         )
 
-    end_sampler, end_t, end_sample = last
-    if end_sample is None:  # measured without being formed
-        end_sample = end_sampler.sample(end_t, None)
-    endpoint_errors = (
-        _split_norm(first - path.declared_start),
-        _split_norm(end_sample.dense() - path.declared_end),
-    )
+    if not is_projection:
+        sample = path.segments[-1].sample(1.0)
+    endpoint_errors = (start_error, _split_norm(sample.dense() - path.declared_end))
     return CertificateReport(
         samples=config.samples,
         max_unitarity_defect=max(row[1] for row in series),

@@ -278,11 +278,13 @@ def stacked_blocks(entries: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> n
 def gram_eigenvalues(entries: np.ndarray, stacks: tuple) -> np.ndarray:
     """Eigenvalues of A*A for a square A that is block diagonal over the
     components in ``stacks``: the union of the blocks' Gram spectra."""
-    eigs = []
-    for stack in stacks:
-        blocks = diagonal_blocks(entries, stack)
-        gram = adjoints(blocks) @ blocks
-        eigs.append(np.linalg.eigvalsh(hermitian_part(gram)).ravel())
+    return block_gram_eigenvalues(diagonal_blocks(entries, stack) for stack in stacks)
+
+
+def block_gram_eigenvalues(stacked) -> np.ndarray:
+    """Eigenvalues of X*X for every block X of each (n, s, s) stack in
+    ``stacked``, flat: one Hermitian eigendecomposition call per stack."""
+    eigs = [np.linalg.eigvalsh(hermitian_part(adjoints(x) @ x)).ravel() for x in stacked]
     return np.concatenate(eigs) if eigs else np.zeros(0)
 
 

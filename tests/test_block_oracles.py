@@ -1375,11 +1375,21 @@ def test_spectral_blocks_match_the_all_mode_product(pipeline_case):
 
 
 def certify_forming_every_affine_sample(path, config, monkeypatch):
-    """certify_path with affine samples formed and cut densely, the
-    route before ``_AffineSampler.measure``."""
+    """certify_path with every affine sample formed by ``seg.at(t)`` and
+    its locality blocks cut from it with numpy, and the Gram defects of
+    each affine sample measured on the formed sample with numpy, keyed
+    by (segment, segment time)."""
+    formed = {}
+
+    def cut(seg, t, rows, cols):
+        x = seg.at(t)
+        (i,) = [i for i, other in enumerate(path.segments) if other is seg]
+        formed[i, t] = dense_defects(x)
+        return x[np.ix_(rows, cols)]
+
     with monkeypatch.context() as mp:
-        mp.setattr(oplab.homotopy._AffineSampler, "measure", oplab.homotopy._DenseSampler.measure)
-        return certify_path(path, config)
+        mp.setattr(AffineSegment, "block", cut)
+        return certify_path(path, config), formed
 
 
 def test_affine_samples_are_measured_without_being_formed(tailed_pipeline, monkeypatch):
@@ -1393,10 +1403,43 @@ def test_affine_samples_are_measured_without_being_formed(tailed_pipeline, monke
         got = certify_path(p, certify)
         # the path's first sample, and its last when an affine segment ends it
         assert formed == ([0.0, 1.0] if p is line else [0.0])
-        want = certify_forming_every_affine_sample(p, certify, monkeypatch)
+        want, dense = certify_forming_every_affine_sample(p, certify, monkeypatch)
         assert got.series == want.series and got.endpoint_errors == want.endpoint_errors
         assert got.segment_stats == want.segment_stats
+        n = len(p.segments)
+        rows = {(p.segment_of(t), t * n - p.segment_of(t)): row for t, *row in got.series}
+        assert dense and all(
+            np.allclose(rows[key][:2], defects, rtol=0.0, atol=1e-12)
+            for key, defects in dense.items()
+        )
     assert got.series == report.series
+
+
+@pytest.mark.parametrize("case", ["seed1", "tailed"])
+def test_certify_path_forms_only_the_first_and_last_samples(case, tailed_pipeline, monkeypatch):
+    """Every other sample is measured from its segment's form (the bound,
+    or the Gram spectrum from the form's own data) and cut by its
+    ``block``, so a unitary path forms two samples however many it has."""
+    if case == "tailed":
+        _, path, _, certify = tailed_pipeline
+    else:
+        certify = CertifyConfig(arc_pairs=(DEFAULT_ARC_PAIR,))
+        path, _ = oplab.homotopy.theorem1_pipeline(
+            seeded_local_unitary(TruncationWindow.plane(12), 1),
+            0.5,
+            oplab.homotopy.PipelineConfig(certify=certify),
+        )
+    formed = []
+    for form in (AffineSegment, SpectralSegment, oplab.homotopy.ConjugationSegment):
+        at = form._at
+        monkeypatch.setattr(
+            form, "_at", lambda seg, t, at=at: formed.append((seg, t)) or at(seg, t)
+        )
+    report = certify_path(path, certify)
+    assert report.samples == 50 and len(formed) == 2
+    (first, t0), (last, t1) = formed  # _at takes the unflipped time
+    assert first is path.segments[0] and t0 == (1.0 if first.flip else 0.0)
+    assert last is path.segments[-1] and t1 == (0.0 if last.flip else 1.0)
 
 
 @pytest.mark.parametrize("case", sorted(HAND_BUILT))

@@ -26,7 +26,6 @@ from oplab.geometry import (
     RegionUnion,
     arcs_disjoint,
     direction_of,
-    enumerate_directions,
     realize_region,
     region_mask,
     region_sites,
@@ -225,45 +224,6 @@ def test_widen_arc_wraps_to_full_circle():
     assert not widened.is_full
     tiny_complement = Arc(Direction(100, 1), Direction(100, -1))  # ~359 degree sweep
     assert widen_arc(tiny_complement, 1).is_full
-
-
-# ---------------------------------------------------------------------------
-# enumeration of rational directions
-
-
-def test_enumerate_directions_prefix_frozen():
-    gen = enumerate_directions()
-    first = [next(gen) for _ in range(16)]
-    assert first == [
-        Direction(1, 0),
-        Direction(0, 1),
-        Direction(-1, 0),
-        Direction(0, -1),
-        Direction(1, 1),
-        Direction(-1, 1),
-        Direction(-1, -1),
-        Direction(1, -1),
-        Direction(2, 1),
-        Direction(-1, 2),
-        Direction(-2, -1),
-        Direction(1, -2),
-        Direction(1, 2),
-        Direction(-2, 1),
-        Direction(-1, -2),
-        Direction(2, -1),
-    ]
-
-
-def test_enumerate_directions_no_repeats_and_dense():
-    seen = set()
-    gen = enumerate_directions()
-    for _ in range(4 * 1024):
-        d = next(gen)
-        assert d not in seen
-        seen.add(d)
-    # density: every direction of a radius-5 window appears in the prefix
-    window = TruncationWindow.plane(5)
-    assert window.direction_classes() <= seen
 
 
 # ---------------------------------------------------------------------------
