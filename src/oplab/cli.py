@@ -20,7 +20,7 @@ from .index import (
 )
 from .operators import CircleFunction, Projection, laughlin_operator
 from .opmat import load_operator
-from .runner import OUT_DIR_ENV, load_config, run
+from .runner import MAX_WINDOW_DIMENSION, OUT_DIR_ENV, _window_too_large, load_config, run
 from .windows import TruncationWindow
 
 
@@ -79,8 +79,22 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _window(representation: str, radius: int) -> TruncationWindow:
+    """The verb's window, once ``--radius`` passes the checks a config's
+    radius gets: at least 1, and at most MAX_WINDOW_DIMENSION sites,
+    counted before any window is built."""
+    if radius < 1:
+        raise ConfigError(f"--radius {radius}: must be an integer >= 1")
+    if _window_too_large(representation, radius):
+        raise ConfigError(
+            f"--radius {radius}: the window would hold more than "
+            f"{MAX_WINDOW_DIMENSION} sites, the cap on window dimension"
+        )
+    return TruncationWindow(representation, radius)
+
+
 def _cmd_index(args) -> int:
-    window = TruncationWindow.line(args.radius)
+    window = _window("Z", args.radius)
     base, proj = index_k_projection(args.k, window)
     result = projection_index(proj, base, args.method)
     print(f"index = {result.value} (method {result.method})")
@@ -88,7 +102,7 @@ def _cmd_index(args) -> int:
 
 
 def _cmd_probe(args) -> int:
-    window = TruncationWindow.plane(args.radius)
+    window = _window("Z2", args.radius)
     if args.mode == "half-line":
         region = Explicit(
             frozenset(s for s in window.sites if s[0] >= 1)

@@ -34,7 +34,7 @@ import dataclasses
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -467,73 +467,29 @@ class SpectralSegment(PathSegment):
         return out
 
     def block(self, t: float, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """X(t)[rows, cols] = (L[rows] e^z) R[:, cols] + C[rows, cols] over
-        the modes whose L column meets ``rows`` (the others add zero),
-        gathered from the stacks by the plan of ``_plan``."""
-        modes, parts, ones = self._plan(rows, cols)
-        left = np.zeros((rows.size, modes.size), dtype=np.complex128)
-        right = np.zeros((modes.size, cols.size), dtype=np.complex128)
-        for st, (to_left, of_left), (to_right, of_right), _ in parts:
-            left[to_left] = st.left[of_left]
-            right[to_right] = st.right[of_right]
-        left *= self._wave(1.0 - t if self.flip else t)[modes]
-        out = left @ right
-        del left, right  # the product is the largest array alive from here on
-        if self.factor is None:
-            const = np.zeros((rows.size, cols.size), dtype=np.complex128)
-            const[ones] = 1.0
-        else:
-            const = self.factor[np.ix_(rows, cols)].astype(np.complex128)
-        for st, _, _, (to_const, of_const) in parts:
-            const[to_const] = 0.0 if st.const is None else st.const[of_const]
-        out += const
-        return out
-
-    def _plan(self, rows: np.ndarray, cols: np.ndarray) -> tuple:
-        """Where ``block`` takes X(t)[rows, cols] from: the modes whose L
-        column meets ``rows``, the pairs (rows, cols) where C is the
-        identity, and for each stack that ``rows`` or ``cols`` meets the
-        (destination, source) indices of its entries of L[rows][:, modes],
-        R[modes][:, cols] and C[rows, cols] (C is zero between components).
-        certify_path cuts the same rows and columns at every sample, so
-        the last plan is kept; it holds indices only."""
-        key = (rows.tobytes(), cols.tobytes())
-        last = self.__dict__.get("_last_plan")
-        if last is not None and last[0] == key:
-            return last[1]
+        """X(t)[rows, cols], cut one stack at a time: the identity's
+        entries, or g's (X(t) off the stacks, and zero between a stacked
+        site and another component), then on each stack that the rows
+        and the columns both meet (L[r] e^z) R[:, c] over its m mode
+        slots, zeroed between components, plus C within one."""
         at_rows, at_cols = self._index[:, rows], self._index[:, cols]
-        found = []
-        for i in sorted((set(at_rows[0].tolist()) | set(at_cols[0].tolist())) - {-1}):
+        if self.factor is None:
+            out = (rows[:, None] == cols[None, :]).astype(np.complex128)
+        else:
+            out = self.factor[np.ix_(rows, cols)].astype(np.complex128, copy=False)
+        wave = self._wave(1.0 - t if self.flip else t)
+        for i in sorted(set(at_rows[0].tolist()) & set(at_cols[0].tolist()) - {-1}):
             st = self.stacks[i]
-            m = st.modes.shape[1]
-            slots = np.arange(m)
             r, c = np.flatnonzero(at_rows[0] == i), np.flatnonzero(at_cols[0] == i)
-            # every mode of each row's (column's) component: (position,
-            # component, slot, mode slot), flat
-            rs = np.repeat(r, m), *np.repeat(at_rows[1:, r], m, axis=1), np.tile(slots, r.size)
-            cs = np.repeat(c, m), *np.repeat(at_cols[1:, c], m, axis=1), np.tile(slots, c.size)
-            j, k = np.nonzero(at_rows[1, r][:, None] == at_cols[1, c][None, :])
-            const = (r[j], c[k]), (at_rows[1, r[j]], at_rows[2, r[j]], at_cols[2, c[k]])
-            found.append((st, rs, cs, const))
-        live = [st.modes[rs[1], rs[3]][st.left[rs[1:]] != 0] for st, rs, _, _ in found]
-        modes = np.unique(np.concatenate([_NO_SITES] + live))
-
-        def kept(st, flat):
-            pos = np.searchsorted(modes, st.modes[flat[1], flat[3]])
-            hit = pos < modes.size
-            hit[hit] = modes[pos[hit]] == st.modes[flat[1], flat[3]][hit]
-            return pos[hit], tuple(x[hit] for x in flat)
-
-        parts = []
-        for st, rs, cs, const in found:
-            pos, (r, comp, slot, mslot) = kept(st, rs)
-            left = (r, pos), (comp, slot, mslot)
-            pos, (c, comp, slot, mslot) = kept(st, cs)
-            right = (pos, c), (comp, mslot, slot)
-            parts.append((st, left, right, const))
-        plan = modes, parts, np.nonzero(rows[:, None] == cols[None, :])
-        self.__dict__["_last_plan"] = key, plan
-        return plan
+            (comp_r, slot_r), (comp_c, slot_c) = at_rows[1:, r], at_cols[1:, c]
+            x = (st.left[comp_r, slot_r] * wave[st.modes[comp_r]]) @ st.right[comp_c, :, slot_c].T
+            apart = comp_r[:, None] != comp_c[None, :]
+            x[apart] = 0.0
+            if st.const is not None:
+                j, k = np.nonzero(~apart)
+                x[j, k] += st.const[comp_r[j], slot_r[j], slot_c[k]]
+            out[np.ix_(r, c)] = x
+        return out
 
     def moving_sites(self) -> np.ndarray:
         """Sites in a row of L, a column of R or the support of C - 1."""
@@ -778,8 +734,17 @@ class BlockSample:
     def dense(self) -> np.ndarray:
         if self.sites.size == self.diag.size:
             return self.block
-        out = np.diag(self.diag).astype(np.complex128)
-        out[np.ix_(self.sites, self.sites)] = self.block
+        every = np.arange(self.diag.size)
+        return self.cut(every, every)
+
+    def cut(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """The sample's entries on rows x cols: its diagonal where a row
+        meets its own column, overwritten by the block on S x S."""
+        out = (rows[:, None] == cols[None, :]) * self.diag[rows][:, None].astype(np.complex128)
+        where = _positions(self.diag.size, self.sites)
+        r, c = where[rows], where[cols]
+        inr, inc = np.flatnonzero(r >= 0), np.flatnonzero(c >= 0)
+        out[np.ix_(inr, inc)] = self.block[np.ix_(r[inr], c[inc])]
         return out
 
 
@@ -1448,18 +1413,20 @@ def certify_path(path: HomotopyPath, config: CertifyConfig | None = None) -> Cer
 
     The locality defect is always measured: the largest block norm over
     the configured cone pairs, outside the allowance ball, each block
-    cut by the segment's ``block``.  Projection paths add the
-    idempotency defect and, with ``index_base``, the index of
-    P B P + 1 - P at every sample, from the sample's block and its
-    diagonal.  ``index_base`` on a path that does not start at a
-    projection raises PreconditionError.
+    cut from the segment's factors (``block``) on a unitary path and
+    from the sample formed at t (``BlockSample.cut``) on a projection
+    path.  Projection paths add the idempotency defect and, with
+    ``index_base``, the index of P B P + 1 - P at every sample, from the
+    sample's block and its diagonal.  ``index_base`` on a path that does
+    not start at a projection raises PreconditionError.
 
-    The path's first sample is formed for the projection test and the
-    start error, then released, and its last for the end error (both
-    errors are spectral norms per component of the difference's
-    pattern, which is exact).  A unitary path forms no other sample; a
-    projection path forms one per t, a block sample on a conjugation
-    segment, for its Gram spectrum, idempotency defect and index.
+    The first sample, ``sample(0.0)`` of the first segment, is formed for
+    the projection test and the start error, and the last for the end
+    error (both errors are spectral norms per component of the
+    difference's pattern, which is exact).  A unitary path releases the
+    first and forms no other: two samples in all.  A projection path
+    keeps it as its t = 0 sample and forms one per t after it (a block
+    sample on a conjugation segment): ``samples`` in all.
     """
     config = config or CertifyConfig()
     window = path.window
@@ -1478,15 +1445,16 @@ def certify_path(path: HomotopyPath, config: CertifyConfig | None = None) -> Cer
     else:
         pair_indices = []
 
-    first = path.segments[0].at(0.0)
-    is_projection = _is_projection(first, config.projection_tol)
+    sample = path.segments[0].sample(0.0)
+    is_projection = _is_projection(sample.dense(), config.projection_tol)
     if config.index_base is not None and not is_projection:
         raise PreconditionError(
             "an index trace needs a projection path, but the path does not start "
             f"at a projection (tolerance {config.projection_tol:.1e})"
         )
-    start_error = _split_norm(first - path.declared_start)
-    del first
+    start_error = _split_norm(sample.dense() - path.declared_start)
+    if not is_projection:
+        sample = None  # a unitary path is measured from its forms
 
     index_config = config.index_config or IndexConfig()
     index_method = "kernel_count" if index_config.cut_sites else "trace_formula"
@@ -1495,7 +1463,6 @@ def certify_path(path: HomotopyPath, config: CertifyConfig | None = None) -> Cer
     owners = [path.segment_of(t) for t in ts]
     n_segs = len(path.segments)
     series, index_trace, stats = [], [], []
-    sample = None
     for i, seg in enumerate(path.segments):
         picks = [k for k, owner in enumerate(owners) if owner == i]
         bound = None if is_projection else seg.spectrum_bound()
@@ -1508,8 +1475,8 @@ def certify_path(path: HomotopyPath, config: CertifyConfig | None = None) -> Cer
                 rows.append((t,) + rows[0][1:])
                 continue
             s = 0.0 if once else t * n_segs - i
-            if is_projection:
-                sample = seg.sample(s)
+            if is_projection and k:
+                sample = seg.sample(s)  # the first is the one formed above
             if bound is not None and 0 < j < len(picks) - 1:
                 unit, sv = bound.at(s)
                 measure = "bound"
@@ -1520,7 +1487,7 @@ def certify_path(path: HomotopyPath, config: CertifyConfig | None = None) -> Cer
                 if bound is not None:
                     unit_bound, sv_bound = bound.at(s)
                     excesses.append(max(unit - unit_bound, sv_bound - sv))
-            loc = _locality(lambda r, c: seg.block(s, r, c), pair_indices)
+            loc = _locality(sample.cut if is_projection else partial(seg.block, s), pair_indices)
             idem_defect, sample_index = 0.0, None
             if is_projection:
                 idem_defect = _idempotency_defect(sample)

@@ -108,10 +108,6 @@ class Operator:
         """|| A*A - 1 ||, from the eigenvalues of A*A (:func:`unitarity_defect`)."""
         return unitarity_defect(self.entries)
 
-    def is_diagonal(self) -> bool:
-        off = self.entries - np.diag(np.diag(self.entries))
-        return not np.any(off)
-
 
 def spectral_norm(entries: np.ndarray) -> float:
     """Largest singular value of a dense block, taken on its nonzero block.

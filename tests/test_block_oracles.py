@@ -13,6 +13,7 @@ import dataclasses
 import json
 import math
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -1351,8 +1352,11 @@ def test_segments_match_their_dense_factors(pipeline_case):
 
 
 def test_spectral_blocks_match_the_all_mode_product(pipeline_case):
-    """SpectralSegment.block sums over the modes whose L column meets the
-    rows; the product over all modes is the reference."""
+    """SpectralSegment.block cuts one stack at a time, over each stack's
+    own mode slots, and starts from the identity or g off the stacks;
+    the product over all modes is the reference.  Cuts that share rows
+    or columns, repeat, are empty or lie wholly off the stacks all
+    match it, and cutting keeps no state beyond the cached properties."""
     _, (path, _, inner, _) = pipeline_case
     window = path.window
     allowance = window.radius / 2
@@ -1360,18 +1364,24 @@ def test_spectral_blocks_match_the_all_mode_product(pipeline_case):
         (_locality_indices(window, row, allowance), _locality_indices(window, col, allowance))
         for row, col in (DEFAULT_ARC_PAIR,)
     ]
+    fields = {f.name for f in dataclasses.fields(SpectralSegment)}
+    cached = {name for name, x in vars(SpectralSegment).items() if isinstance(x, cached_property)}
     rng = np.random.default_rng(0)
     for seg in spectral_pieces(path.segments + inner):
         d = dense_factors(seg)["const"].shape[0]
         rows, cols = np.sort(rng.choice(d, d // 3, replace=False)), np.arange(0, d, 4)
+        off = np.setdiff1d(np.arange(d), np.concatenate([st.sites.ravel() for st in seg.stacks]))
         # one cut after another that shares its rows or its columns
-        cuts = [(rows, cols), (rows, cols[1:]), (rows[1:], cols[1:])]
+        cuts = [(rows, cols), (rows, cols[1:]), (rows[1:], cols[1:]), (rows[1:], cols[1:])]
+        cuts += [(rows[:0], cols), (rows, cols[:0]), (off, off), (off, cols)]
         cuts += locality if d == window.dimension else []
         for t in (0.0, 0.3, 1.0):
             whole = dense_spectral_at(seg, t)
             for rows, cols in cuts:
                 got = seg.block(t, rows, cols)
-                assert np.max(np.abs(got - whole[np.ix_(rows, cols)])) <= 1e-12
+                assert got.shape == (rows.size, cols.size)
+                assert np.max(np.abs(got - whole[np.ix_(rows, cols)]), initial=0.0) <= 1e-12
+        assert set(vars(seg)) <= fields | cached
 
 
 def certify_forming_every_affine_sample(path, config, monkeypatch):
@@ -1419,7 +1429,8 @@ def test_affine_samples_are_measured_without_being_formed(tailed_pipeline, monke
 def test_certify_path_forms_only_the_first_and_last_samples(case, tailed_pipeline, monkeypatch):
     """Every other sample is measured from its segment's form (the bound,
     or the Gram spectrum from the form's own data) and cut by its
-    ``block``, so a unitary path forms two samples however many it has."""
+    ``block``, so a unitary path forms two samples however many it has:
+    one when its first segment is constant, whose sample is A itself."""
     if case == "tailed":
         _, path, _, certify = tailed_pipeline
     else:
@@ -1436,10 +1447,59 @@ def test_certify_path_forms_only_the_first_and_last_samples(case, tailed_pipelin
             form, "_at", lambda seg, t, at=at: formed.append((seg, t)) or at(seg, t)
         )
     report = certify_path(path, certify)
-    assert report.samples == 50 and len(formed) == 2
-    (first, t0), (last, t1) = formed  # _at takes the unflipped time
-    assert first is path.segments[0] and t0 == (1.0 if first.flip else 0.0)
+    # a finite-range input leaves surgery nothing to do
+    constant = path.segments[0].is_constant()
+    assert constant == (case == "seed1")
+    assert report.samples == 50 and len(formed) == (1 if constant else 2)
+    if not constant:
+        first, t0 = formed[0]  # _at takes the unflipped time
+        assert first is path.segments[0] and t0 == (1.0 if first.flip else 0.0)
+    last, t1 = formed[-1]
     assert last is path.segments[-1] and t1 == (0.0 if last.flip else 1.0)
+
+
+def test_certify_path_forms_one_sample_per_t_on_projection_paths(monkeypatch):
+    """A projection path keeps its first sample as the t = 0 one and cuts
+    its locality blocks from the one sample formed at each t, so it
+    forms ``samples`` samples; each block matches the dense sample's."""
+    window = TruncationWindow.plane(6)
+    upath = log_path(seeded_local_unitary(window, 1)).reverse()  # from the identity, a projection
+    conj = conjugation_path(Projection.from_region(Ball(3), window), upath)
+    certify = CertifyConfig(samples=10, arc_pairs=(DEFAULT_ARC_PAIR,))
+    # a second, adjacent cone pair and no allowance, so the blocks hold
+    # entries that move
+    near = (Arc(Direction(1, -1), Direction(1, 1)), Arc(Direction(2, 3), Direction(-1, 1)))
+    blocks = CertifyConfig(samples=10, arc_pairs=(DEFAULT_ARC_PAIR, near), allowance_radius=0)
+    pairs = [
+        (_locality_indices(window, row, 0), _locality_indices(window, col, 0))
+        for row, col in blocks.arc_pairs
+    ]
+    worst = 0.0
+    for path, form, method in (
+        (conj, oplab.homotopy.ConjugationSegment, "_sample"),
+        (upath, SpectralSegment, "_at"),
+    ):
+        formed = []
+        with monkeypatch.context() as mp:
+            at = getattr(form, method)
+            mp.setattr(form, method, lambda seg, t, at=at: formed.append(t) or at(seg, t))
+            report = certify_path(path, certify)
+        assert report.is_projection_path and len(formed) == 10
+        for t, _, _, loc, *_ in certify_path(path, blocks).series:
+            whole = path.at(t)
+            want = max(spectral_norm(whole[np.ix_(r, c)]) for r, c in pairs)
+            assert abs(loc - want) <= 1e-12
+            worst = max(worst, loc)
+    assert worst > 0.1
+    sample = conj.segments[0].sample(0.4)
+    inside, outside = sample.sites, np.setdiff1d(np.arange(window.dimension), sample.sites)
+    assert inside.size and outside.size
+    mixed = np.sort(np.concatenate([inside[::2], outside[::3]]))
+    for rows, cols in (
+        (mixed, mixed), (inside, outside), (outside, outside), (mixed, inside[1::2]),
+        (mixed[:0], mixed), (mixed, mixed[:0]),
+    ):
+        assert np.array_equal(sample.cut(rows, cols), sample.dense()[np.ix_(rows, cols)])
 
 
 @pytest.mark.parametrize("case", sorted(HAND_BUILT))

@@ -10,6 +10,7 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oplab.cli
 import oplab.homotopy
 import oplab.runner
 from oplab.cli import main
@@ -548,6 +549,23 @@ def test_cli_probe_verb(capsys):
     assert main(["probe", "--radius", "10", "--mode", "cone"]) == 0
     blob = json.loads(capsys.readouterr().out)
     assert blob["trivial_suspect"]
+
+
+def test_cli_index_and_probe_check_the_radius(capsys, monkeypatch):
+    # a radius below 1 is a configuration problem, as it is in a config
+    for verb in ("index", "probe"):
+        for radius in ("0", "-3"):
+            assert main([verb, "--radius", radius]) == 2
+            assert "must be an integer >= 1" in capsys.readouterr().err
+
+    # an over-cap radius is refused before any window is built
+    def no_window(*args, **kwargs):
+        raise AssertionError("a window was built")
+
+    monkeypatch.setattr(oplab.cli, "TruncationWindow", no_window)
+    for verb, radius in (("index", 4096), ("index", 10**9), ("probe", 52), ("probe", 10**9)):
+        assert main([verb, "--radius", str(radius)]) == 2
+        assert f"more than {MAX_WINDOW_DIMENSION} sites" in capsys.readouterr().err
 
 
 def test_cli_convert_roundtrip(tmp_path, capsys):

@@ -571,7 +571,7 @@ def test_certify_evaluates_each_sample_once(monkeypatch):
     # a constant segment is measured once, on its start
     calls.clear()
     report = certify_path(constant, CertifyConfig(samples=10))
-    assert len(calls) == 1  # the projection test at t = 0
+    assert calls == []  # its first and last samples are A itself
     assert report.segment_stats[0]["dense_samples"] == 1
     assert len({row[1:] for row in report.series}) == 1
 
