@@ -374,9 +374,3 @@ def region_mask(region: Region, window) -> np.ndarray:
 def region_sites(region: Region, window) -> frozenset:
     """Realize a region inside a window as a frozenset of sites."""
     return frozenset(compress(window.sites, region_mask(region, window)))
-
-
-def realize_region(region: Region, window) -> tuple:
-    """Region sites in the window's canonical enumeration order (its
-    basis order)."""
-    return tuple(compress(window.sites, region_mask(region, window)))

@@ -16,7 +16,12 @@ the deformation moves used by the full unitary-to-identity pipeline:
 straight lines, polar interpolation, peeling an upper-triangular block
 factor, logarithmic rotation of a unitary, conjugation of a projection
 along a unitary path, and the stacked-isometry move that absorbs a
-block unitary into the identity.
+block unitary into the identity.  A segment's flip (t -> 1 - t) acts in
+one place, ``PathSegment``; each form is written in its own time.  The
+stacked move conjugates a contraction of U ⊕ 1 by a 0/1 intertwiner
+that fixes every site U moves, so it is built as the log contraction of
+U on the base window, after an integer check that the intertwiner's
+range covers the window.
 
 Certification never assumes a segment is what it claims to be: the
 certificate reports unitarity defects and smallest singular values,
@@ -145,21 +150,36 @@ class PathSegment:
         if self.kind not in SEGMENT_KINDS:
             raise PreconditionError(f"unknown segment kind {self.kind!r}")
 
+    def _time(self, t: float) -> float:
+        """The form's own time of the leg's t: the one place a flip acts."""
+        return 1.0 - t if self.flip else t
+
     def at(self, t: float) -> np.ndarray:
-        return self._at(1.0 - t if self.flip else t)
+        return self._at(self._time(t))
 
     def block(self, t: float, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """X(t)[rows, cols]; forms that can cut it from their factors do."""
-        return self.at(t)[np.ix_(rows, cols)]
+        return self._block(self._time(t), rows, cols)
+
+    def _block(self, t: float, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        return self._at(t)[np.ix_(rows, cols)]
 
     def sample(self, t: float) -> "BlockSample":
         """X(t) formed, as a block sample of the whole window."""
-        return BlockSample.whole(self.at(t))
+        return self._sample(self._time(t))
+
+    def _sample(self, t: float) -> "BlockSample":
+        return BlockSample.whole(self._at(t))
 
     def gram(self) -> tuple:
         """(spectrum, largest block measured): spectrum(t, sample) is the
         exact Gram spectrum of X(t) from the form's data (or from the
         caller's ``sample`` of X(t), for a form that is its sample)."""
+        spectrum, largest = self._gram()
+        return (lambda t, sample=None: spectrum(self._time(t), sample)), largest
+
+    def _gram(self) -> tuple:
+        """``gram`` in the form's own time."""
         raise NotImplementedError
 
     def spectrum_bound(self) -> "SpectrumBound | None":
@@ -237,10 +257,9 @@ class AffineSegment(PathSegment):
             out[hit] = entries[at[hit], other[hit]]
         return out
 
-    def block(self, t: float, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        s = 1.0 - t if self.flip else t
+    def _block(self, t: float, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         ix = np.ix_(rows, cols)
-        return (1.0 - s) * self.start[ix] + s * self._end(*ix)
+        return (1.0 - t) * self.start[ix] + t * self._end(*ix)
 
     def dense_end(self) -> np.ndarray:
         """B as a d x d array: A overwritten on B's rows and columns."""
@@ -255,9 +274,9 @@ class AffineSegment(PathSegment):
             self.start[:, self.cols], self.col_entries
         )
 
-    def sample(self, t: float) -> "BlockSample":
+    def _sample(self, t: float) -> "BlockSample":
         """X(t) formed; every sample of a constant segment is A itself."""
-        return BlockSample.whole(self.start) if self.is_constant() else super().sample(t)
+        return BlockSample.whole(self.start) if self.is_constant() else super()._sample(t)
 
     def moving_sites(self) -> np.ndarray:
         """Sites whose row or column of A or B differs from the identity."""
@@ -279,7 +298,7 @@ class AffineSegment(PathSegment):
         linked[:, self.cols] |= self.col_entries != 0
         return components(linked)
 
-    def gram(self) -> tuple:
+    def _gram(self) -> tuple:
         """Per component of A | B, X(s)*X(s) = (1 - s)^2 A*A + s (1 - s)
         (A*B + B*A) + s^2 B*B, from three terms built here and released
         with the spectrum; a constant segment is measured on A."""
@@ -295,8 +314,7 @@ class AffineSegment(PathSegment):
             aa, ab = hermitian_part(ah @ a), 2.0 * hermitian_part(ah @ b)
             terms.append((aa, ab, hermitian_part(adjoints(b) @ b)))
 
-        def spectrum(t: float, sample=None) -> np.ndarray:
-            s = 1.0 - t if self.flip else t
+        def spectrum(s: float, sample=None) -> np.ndarray:
             eigs = []
             for aa, ab, bb in terms:
                 gram = (1.0 - s) ** 2 * aa
@@ -306,26 +324,6 @@ class AffineSegment(PathSegment):
             return np.concatenate(eigs)
 
         return spectrum, largest
-
-    def intertwined(self, window: Window, src: np.ndarray):
-        """The segment t -> V X(t) V* on ``window``, unflipped.  Row i of
-        the 0/1 intertwiner V holds its one 1 in column src[i], so V X V*
-        is X[src][:, src] entry for entry: A gathered, with B's rows and
-        columns that src reaches.  A flip swaps A and B."""
-        d = self.start.shape[0]
-        a = self.start[np.ix_(src, src)]
-        at = _positions(d, self.rows)[src]
-        rows = np.flatnonzero(at >= 0)
-        row_entries = self.row_entries[np.ix_(at[rows], src)]
-        at = _positions(d, self.cols)[src]
-        cols = np.flatnonzero(at >= 0)
-        col_entries = self.col_entries[np.ix_(src, at[cols])]
-        seg = AffineSegment("block_unitary", window, a, rows, row_entries, cols, col_entries)
-        if self.flip:
-            seg = dataclasses.replace(
-                seg, start=seg.dense_end(), row_entries=a[rows], col_entries=a[:, cols]
-            )
-        return seg
 
 
 class Stack(NamedTuple):
@@ -361,36 +359,6 @@ def _stacked(parts) -> tuple:
             part = Stack(*(None if x is None else x[order] for x in part))
         out.append(part)
     return tuple(out)
-
-
-def _local_parts(sites, modes, left, right, const) -> list:
-    """The connected components of one block, as one-component stacks.
-
-    The block has sites S and modes M (both ascending) with L[S, M],
-    R[M, S] and C[S, S] (None for zero); mode k links the sites of its L
-    column and R row.  A mode that reaches no site is dropped (idle).
-    """
-    s, m = left.shape
-    pattern = np.zeros((s + m, s + m), dtype=bool)
-    if const is not None:
-        pattern[:s, :s] = const != 0
-    pattern[:s, s:] = left != 0
-    pattern[s:, :s] = right != 0
-    order, starts = component_order(pattern)
-    parts = []
-    for nodes in np.split(order, starts[1:]):  # each ascending
-        own, mm = nodes[nodes < s], nodes[nodes >= s] - s
-        if own.size:
-            parts.append(
-                Stack(
-                    sites[own][None],
-                    modes[mm][None],
-                    left[np.ix_(own, mm)][None],
-                    right[np.ix_(mm, own)][None],
-                    None if const is None else const[np.ix_(own, own)][None],
-                )
-            )
-    return parts
 
 
 @dataclass(frozen=True)
@@ -466,7 +434,7 @@ class SpectralSegment(PathSegment):
             out[sites[:, :, None], sites[:, None, :]] = x
         return out
 
-    def block(self, t: float, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    def _block(self, t: float, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """X(t)[rows, cols], cut one stack at a time: the identity's
         entries, or g's (X(t) off the stacks, and zero between a stacked
         site and another component), then on each stack that the rows
@@ -477,7 +445,7 @@ class SpectralSegment(PathSegment):
             out = (rows[:, None] == cols[None, :]).astype(np.complex128)
         else:
             out = self.factor[np.ix_(rows, cols)].astype(np.complex128, copy=False)
-        wave = self._wave(1.0 - t if self.flip else t)
+        wave = self._wave(t)
         for i in sorted(set(at_rows[0].tolist()) & set(at_cols[0].tolist()) - {-1}):
             st = self.stacks[i]
             r, c = np.flatnonzero(at_rows[0] == i), np.flatnonzero(at_cols[0] == i)
@@ -514,7 +482,7 @@ class SpectralSegment(PathSegment):
         order = np.argsort([part[0] for part in parts], kind="stable")
         return [parts[i] for i in order]
 
-    def gram(self) -> tuple:
+    def _gram(self) -> tuple:
         """The Gram blocks of ``_blocks(t)``, one stacked eigendecomposition
         per stack, with the spectrum off the stacks, which does not move:
         ones for the identity, or g's per component of its pattern."""
@@ -525,7 +493,7 @@ class SpectralSegment(PathSegment):
         largest = max(part.size for part in self.components())
 
         def spectrum(t: float, sample=None) -> np.ndarray:
-            blocks = self._blocks(1.0 - t if self.flip else t)
+            blocks = self._blocks(t)
             return np.concatenate((block_gram_eigenvalues(x for _, x in blocks), still))
 
         return spectrum, largest
@@ -541,9 +509,8 @@ class SpectralSegment(PathSegment):
         ||L||^2 and sigma_min(L)^2 within ||L*L - 1||_F of 1, and R alike.
 
         Rotation (z imaginary): R = D T with D a unit diagonal read off
-        the rows (the stacked move absorbs its flip as L e^{i theta}) and
-        T = L* g, g = ``factor`` or 1.  Then X = Y g + L W G + E with
-        Y = 1 + L (WD - 1) L*, G = R - D T and E = C - (1 - LL*) g.
+        the rows and T = L* g, g = ``factor`` or 1.  Then X = Y g + L W G
+        + E with Y = 1 + L (WD - 1) L*, G = R - D T and E = C - (1 - LL*) g.
         ||Y*Y - 1|| = ||L M* (L*L - 1) M L*|| <= 4 f (1 + f) with M =
         WD - 1 and f = ||L*L - 1||_F; the remainder moves each singular
         value by at most sqrt(1 + f) ||G||_F + ||E||_F (Weyl), and
@@ -629,43 +596,6 @@ class SpectralSegment(PathSegment):
             self.flip,
             rounding,
         )
-
-    def intertwined(self, window: Window, src: np.ndarray):
-        """The segment t -> V X(t) V* on ``window``, unflipped: row i of
-        the 0/1 intertwiner V holds its 1 in column src[i], so V X V* is
-        X[src][:, src], gathered per component.  Each component's sites
-        are relabelled through src, and only its part inside src's image
-        is kept (split again if that part falls apart; a mode left with
-        no site is idle).  Off the stacks both sides are the identity.  A
-        flip becomes L e^z with exponents -z."""
-        if self.factor is not None:
-            raise PreconditionError("the stacked move cannot carry a rotation of a right factor")
-        z = self.exponents
-        where = _positions(self.window.dimension, src)
-        parts = []
-        for st in self.stacks:
-            left = st.left * np.exp(z)[st.modes][:, None, :] if self.flip else st.left
-            order = np.argsort(where[st.sites], axis=1)  # sites src misses (-1) first
-            sites = np.take_along_axis(where[st.sites], order, axis=1)
-            left = np.take_along_axis(left, order[:, :, None], axis=1)
-            right = np.take_along_axis(st.right, order[:, None, :], axis=2)
-            const = st.const
-            if const is not None:
-                const = np.take_along_axis(const, order[:, :, None], axis=1)
-                const = np.take_along_axis(const, order[:, None, :], axis=2)
-            whole = sites[:, 0] >= 0
-            kept = (sites, st.modes, left, right, const)
-            parts.append(Stack(*(None if x is None else x[whole] for x in kept)))
-            for i in np.flatnonzero(~whole):
-                keep = sites[i] >= 0
-                parts += _local_parts(
-                    sites[i][keep],
-                    st.modes[i],
-                    left[i][keep],
-                    right[i][:, keep],
-                    None if const is None else const[i][np.ix_(keep, keep)],
-                )
-        return SpectralSegment("block_unitary", window, -z if self.flip else z, _stacked(parts))
 
 
 @dataclass(frozen=True)
@@ -774,11 +704,8 @@ class ConjugationSegment(PathSegment):
         sites = np.flatnonzero(moving)
         return sites, np.where(moving, 0.0, np.diag(q)), q[np.ix_(sites, sites)]
 
-    def sample(self, t: float) -> BlockSample:
-        """The sample at t, as diag(Q) off S and its block on S."""
-        return self._sample(1.0 - t if self.flip else t)
-
     def _sample(self, t: float) -> BlockSample:
+        """The sample at t, as diag(Q) off S and its block on S."""
         sites, diag, q_block = self._frame
         w = self.upath.block(t, sites, sites)
         return BlockSample(diag, sites, w.conj().T @ q_block @ w)
@@ -786,19 +713,16 @@ class ConjugationSegment(PathSegment):
     def _at(self, t: float) -> np.ndarray:
         return self._sample(t).dense()
 
-    def gram(self) -> tuple:
+    def _gram(self) -> tuple:
         """The block sample's Gram spectrum: its block's, with |q_ii|^2 off
         it.  A sample the caller formed is measured as it is."""
 
         def spectrum(t: float, sample: BlockSample | None = None) -> np.ndarray:
-            sample = self.sample(t) if sample is None else sample
+            sample = self._sample(t) if sample is None else sample
             block = block_gram_eigenvalues((sample.block[None],))
             return np.concatenate((block, squared_moduli(sample.outside())))
 
         return spectrum, self._frame[0].size
-
-    def intertwined(self, window: Window, src: np.ndarray):
-        raise PreconditionError("the stacked move cannot carry a conjugation segment")
 
 
 # ---------------------------------------------------------------------------
@@ -948,10 +872,11 @@ def _log_segment(window: Window, entries, blocks, right=None, flip=False) -> Spe
     Columns of phase exactly zero never move: they go straight into C.
     Modes are numbered spins first (one-site components that turn),
     then each component's moving columns.  Without a right factor each
-    component's L, R = L* and C are written into the segment's stacks
-    and every other site is the identity; the right factor g is folded
-    into R and C once (see :func:`_factor_stacks`).  ``window`` may
-    exceed ``entries``: the blocks index into both.
+    component's L, R = L* and C are written into the segment as one
+    stack, and every other site is the identity.  A component of U's
+    pattern stays connected in the patterns of L, R and C, since
+    U[a, b] != 0 needs a mode or a C entry linking a and b.  The right
+    factor g is folded into R and C once (see :func:`_factor_stacks`).
     """
     linked = entries != 0
     parts = []
@@ -979,8 +904,10 @@ def _log_segment(window: Window, entries, blocks, right=None, flip=False) -> Spe
         ones = np.ones((spins.size, 1, 1), dtype=np.complex128)
         modes = np.arange(spins.size)[:, None]
         stacks = [Stack(spins[:, None], modes, ones, ones.conj(), np.zeros_like(ones))]
-        for part, modes, q_live, fixed in rotations:
-            stacks += _local_parts(part, modes, q_live, q_live.conj().T, fixed)
+        stacks += [
+            Stack(part[None], modes[None], q[None], q.conj().T[None], fixed[None])
+            for part, modes, q, fixed in rotations
+        ]
     else:
         stacks = _factor_stacks(right, spins, rotations, z.size)
     label = f"branch-ties:{ties}" if ties else ""
@@ -1144,10 +1071,10 @@ def conjugation_path(q: Projection | Operator, upath: HomotopyPath) -> HomotopyP
 # the stacked-isometry move
 
 
-def _intertwiner_columns(off: np.ndarray, v_iso: GreedyIsometry) -> np.ndarray:
-    """src[i], the stacked column that the 0/1 intertwiner V sends onto
-    base site i.  V's nonzero set is {(i, i) : i off P} and {(target,
-    source)} over the matches, a pair listed twice counting once.
+def _check_intertwiner(off: np.ndarray, v_iso: GreedyIsometry) -> None:
+    """Check that the 0/1 intertwiner V has VV* = 1.  V's nonzero set is
+    {(i, i) : i off P} and {(target, source)} over the matches, a pair
+    listed twice counting once.
 
     VV* = 1 exactly when that set hits every base site once and uses no
     stacked column twice, and then (V*V)^2 = V*(VV*)V = V*V.  Any other
@@ -1169,46 +1096,35 @@ def _intertwiner_columns(off: np.ndarray, v_iso: GreedyIsometry) -> np.ndarray:
             f"isometry range misses the window: {', '.join(faults)}, so VV* != 1; "
             "every site of the matched region must be used as a target once"
         )
-    return cols  # sorted by row, one per row
 
 
-def block_unitary_homotopy(
-    u: Operator,
-    p: Projection,
-    v_iso: GreedyIsometry,
-    inner: HomotopyPath,
-) -> HomotopyPath:
+def block_unitary_homotopy(u: Operator, p: Projection, v_iso: GreedyIsometry) -> HomotopyPath:
     """Path 1 -> U for a unitary acting as the identity on the range of P.
 
     The move reads P's 0/1 site mask and the greedy match list: U must
     be the identity on the index blocks of P's range, and the matches
     must cover the range of P exactly (every site of the matched region
-    used as a target, no stacked column twice), an integer check.  The
-    inner path supplies the contraction of U ⊕ 1 on the stacked window;
-    conjugating it by the 0/1 intertwiner V, gathered by index rather
-    than formed, lands back on the base window with both endpoints
-    pinned: Z_t = V W_t V*, since the cover check makes VV* = 1.
+    used as a target, no stacked column twice), an integer check that
+    makes VV* = 1 for the 0/1 intertwiner V.  The path is Z_t = V W_t V*
+    for the log contraction W_t of U ⊕ 1 on the stacked window.  V fixes
+    every site off P (the cover check leaves those rows only their own
+    column) and U ⊕ 1 moves only those sites, so Z_t is, entry for
+    entry, the log contraction of U on the block of P⊥ in the base
+    window, which is what the move builds: no stacked array is formed.
     """
-    segments = _stacked_segments(u, p, v_iso, inner.segments)
-    eye = np.eye(p.window.dimension, dtype=np.complex128)
-    return HomotopyPath(segments, eye, u.entries)
+    seg = _stacked_segment(u, p, v_iso)
+    return HomotopyPath((seg,), np.eye(p.window.dimension, dtype=np.complex128), u.entries)
 
 
-def _stacked_segments(
-    u: Operator, p: Projection, v_iso: GreedyIsometry, inner: tuple
-) -> tuple:
-    """The checked segments of block_unitary_homotopy for the inner
-    segments ``inner``; their joints are checked by the path that
-    holds the result."""
+def _stacked_segment(u: Operator, p: Projection, v_iso: GreedyIsometry) -> SpectralSegment:
+    """The segment 1 -> U of block_unitary_homotopy, after the checks on
+    its inputs; the path that holds it checks its ends."""
     base = p.window
     if u.window != base:
         raise WindowMismatchError("operator and projection on different windows")
     amp = v_iso.window
     if not isinstance(amp, AmplifiedWindow) or amp.base != base:
         raise WindowMismatchError("isometry does not stack the projection's window")
-    if inner[0].window != amp:
-        raise WindowMismatchError("inner path must live on the stacked window")
-
     on, off = _mask_sites(p, "stacked move")
     ue = u.entries
     blocks = (ue[np.ix_(on, on)] - np.eye(on.size), ue[np.ix_(on, off)], ue[np.ix_(off, on)])
@@ -1218,30 +1134,8 @@ def _stacked_segments(
             "operator does not act as the identity on the projection range: "
             f"|PUP - P| = {r_fix:.3e}, |PUP~| = {r_up:.3e}, |P~UP| = {r_low:.3e}"
         )
-    src = _intertwiner_columns(off, v_iso)
-
-    def gap(t: float) -> np.ndarray:
-        """The inner path's end at t minus the stacked identity (t = 0)
-        or U ⊕ 1 (t = 1), on the base block and the sites the end segment
-        moves.  Both sides are the identity on every other row and
-        column, so the gap is zero there."""
-        seg = inner[-1 if t else 0]
-        d = base.dimension
-        sites = np.union1d(np.arange(d), np.flatnonzero(seg.moving_sites()))
-        out = seg.block(t, sites, sites)
-        ones = np.arange(d if t else 0, sites.size)
-        out[ones, ones] -= 1.0
-        if t:
-            out[:d, :d] -= ue
-        return out
-
-    if not (norm_at_most(gap(0.0), TOL_BLOCK_FORM) and norm_at_most(gap(1.0), TOL_BLOCK_FORM)):
-        raise PreconditionError(
-            "inner path must run from the stacked identity to U ⊕ 1: endpoint gaps "
-            f"({spectral_norm(gap(0.0)):.3e}, {spectral_norm(gap(1.0)):.3e})"
-        )
-
-    return tuple(seg.intertwined(base, src) for seg in inner)
+    _check_intertwiner(off, v_iso)
+    return dataclasses.replace(_log_segment(base, ue, [off], flip=True), kind="block_unitary")
 
 
 # ---------------------------------------------------------------------------
@@ -1536,7 +1430,9 @@ def certify_path(path: HomotopyPath, config: CertifyConfig | None = None) -> Cer
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Choices for the unitary-to-identity pipeline."""
+    """Choices for the unitary-to-identity pipeline.  ``copies`` is how
+    many stacked copies the greedy matching may use: it changes the
+    matching and its cover check, not the certified path."""
 
     thetas: tuple = (Direction(1, 0), Direction(0, 1))
     copies: int = 1
@@ -1606,7 +1502,7 @@ def theorem1_pipeline(
 
     centers = Explicit(frozenset(plan.centers))
     p_centers = Projection.from_region(centers, window)
-    on, off = _mask_sites(p_centers, "pipeline")
+    on, _ = _mask_sites(p_centers, "pipeline")
     # snap each confined column to its basis vector so the peel
     # precondition is exact (the corrective rotation already left it
     # within 1e-10 of a multiple of that vector)
@@ -1626,17 +1522,14 @@ def theorem1_pipeline(
         lambda: greedy_isometry(centers, config.copies, window, require_ray_dense=False),
     )
 
-    def absorb():
-        # the polar end W ⊕ 1 rotates back to the stacked identity off P
-        w_pol = Operator(window, polar.at(1.0))
-        inner = _log_segment(v_iso.window, w_pol.entries, [off], flip=True)
-        return _stacked_segments(w_pol, p_centers, v_iso, (inner,))
-
-    absorbed = stage("block-unitary", absorb)
+    # the polar end W rotates back to the identity off P
+    absorbed = stage(
+        "block-unitary",
+        lambda: _stacked_segment(Operator(window, polar.at(1.0)), p_centers, v_iso),
+    )
 
     path = HomotopyPath(
-        (line, correct, normalize, peel.reversed(), polar)
-        + tuple(seg.reversed() for seg in reversed(absorbed)),
+        (line, correct, normalize, peel.reversed(), polar, absorbed.reversed()),
         u.entries,
         np.eye(dim, dtype=np.complex128),
     )

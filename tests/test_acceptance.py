@@ -83,13 +83,6 @@ def blocked_unitary(window, p, seed):
     return Operator(window, ue)
 
 
-def stacked_inner(u, amp):
-    target = np.eye(amp.dimension, dtype=np.complex128)
-    d = u.window.dimension
-    target[:d, :d] = u.entries
-    return log_path(Operator(amp, target)).reverse()
-
-
 def local_rotation(window, a, b, angle):
     """Plane rotation mixing the basis vectors at sites a and b."""
     ue = np.eye(window.dimension, dtype=np.complex128)
@@ -477,7 +470,7 @@ def test_criterion_10_block_unitary_endpoints():
     proj = Projection.from_region(region, window)
     u = blocked_unitary(window, proj, 51)
     v_iso = greedy_isometry(region, 1, window)
-    path = block_unitary_homotopy(u, proj, v_iso, stacked_inner(u, v_iso.window))
+    path = block_unitary_homotopy(u, proj, v_iso)
     start_gap = spectral_norm(path.at(0.0) - np.eye(window.dimension))
     end_gap = spectral_norm(path.at(1.0) - u.entries)
     report = certify_path(path, CertifyConfig(samples=50))

@@ -879,37 +879,23 @@ def dense_intertwiner(p, v_iso):
     return v
 
 
-def dense_intertwined(seg, v):
-    """The unflipped factors of t -> V X(t) V*, by products with V."""
+def assert_move_matches_the_intertwining(seg, u, p, v_iso):
+    """The stacked move's segment, run 1 -> U, against the dense route
+    V W_t V* + (1 - VV*), with W_t the dense log contraction of U (+) 1
+    on the stacked window and V the dense intertwiner."""
+    amp, d = v_iso.window, u.window.dimension
+    target = np.eye(amp.dimension, dtype=np.complex128)
+    target[:d, :d] = u.entries
+    inner = log_path(Operator(amp, target)).reverse()
+    v = dense_intertwiner(p, v_iso)
     vh = v.conj().T
-    f = dense_factors(seg)
-    if isinstance(seg, AffineSegment):
-        a, b = (f["end"], f["start"]) if seg.flip else (f["start"], f["end"])
-        return {"start": v @ a @ vh, "end": v @ b @ vh}
-    left, z = f["left"], f["exponents"]
-    if seg.flip:
-        left, z = left * np.exp(z)[None, :], -z
-    return {
-        "left": v @ left,
-        "exponents": z,
-        "right": f["right"] @ vh,
-        "const": v @ f["const"] @ vh,
-    }
-
-
-def assert_dense_intertwining(stacked, inner, v):
-    """Each stacked segment equals the dense route V X V*, entry for entry."""
-    assert len(stacked) == len(inner)
-    for seg, source in zip(stacked, inner):
-        assert not seg.flip
-        got = dense_factors(seg)
-        for name, want in dense_intertwined(source, v).items():
-            assert np.array_equal(got[name], want)
+    complement = np.eye(d) - v @ vh
+    for t in (0.0, 0.3, 1.0):
+        assert np.max(np.abs(seg.at(t) - (v @ inner.at(t) @ vh + complement))) <= 1e-12
 
 
 def stacked_case(seed):
-    """A unitary acting as the identity on P, its greedy isometry, the
-    stacked target U (+) 1 and the dense intertwiner V."""
+    """A unitary acting as the identity on P, P and its greedy isometry."""
     w = TruncationWindow.plane(2)
     region = Explicit(frozenset(w.sites) - {(0, 0)})
     p = Projection.from_region(region, w)
@@ -917,35 +903,7 @@ def stacked_case(seed):
     perp = np.flatnonzero(~p.diagonal_mask())
     u = np.eye(d, dtype=np.complex128)
     u[np.ix_(perp, perp)] = random_unitary(perp.size, np.random.default_rng(seed))
-    v_iso = greedy_isometry(region, 1, w)
-    amp = v_iso.window
-    target = np.eye(amp.dimension, dtype=np.complex128)
-    target[:d, :d] = u
-    return Operator(w, u), p, v_iso, Operator(amp, target), dense_intertwiner(p, v_iso)
-
-
-def stacked_inners(target):
-    eye = Operator.identity(target.window)
-    return {
-        "log-flipped": log_path(target).reverse(),
-        "log-flipped+polar": log_path(target).reverse().concat(polar_path(target)),
-        "line": straight_line(eye, target),
-        "line-flipped": straight_line(target, eye).reverse(),
-    }
-
-
-@pytest.mark.parametrize(
-    "case", ["log-flipped", "log-flipped+polar", "line", "line-flipped"]
-)
-def test_block_unitary_matches_dense_intertwining(case):
-    u, p, v_iso, target, v = stacked_case(14)
-    inner = stacked_inners(target)[case]
-    path = block_unitary_homotopy(u, p, v_iso, inner)
-    assert len(path.segments) == len(inner.segments)
-    assert all(not seg.flip and seg.label == "" for seg in path.segments)
-    complement = np.eye(u.window.dimension) - v @ v.conj().T
-    assert_samples(path, lambda t: v @ inner.at(t) @ v.conj().T + complement)
-    assert_dense_intertwining(path.segments, inner.segments, v)
+    return Operator(w, u), p, greedy_isometry(region, 1, w)
 
 
 def shared_column(v_iso):
@@ -957,7 +915,7 @@ def shared_column(v_iso):
 
 @pytest.mark.parametrize("case", ["dropped-match", "shared-column", "no-mask"])
 def test_block_unitary_rejects_a_broken_intertwiner(case):
-    u, p, v_iso, target, _ = stacked_case(14)
+    u, p, v_iso = stacked_case(14)
     if case == "dropped-match":
         v_iso = dataclasses.replace(v_iso, matches=v_iso.matches[1:])
         message = r"site \(-?\d+, -?\d+\) is hit 0 times"
@@ -966,7 +924,7 @@ def test_block_unitary_rejects_a_broken_intertwiner(case):
     else:
         p, message = DenseProjection(p.operator), "0/1 diagonal"
     with pytest.raises(PreconditionError, match=message):
-        block_unitary_homotopy(u, p, v_iso, log_path(target).reverse())
+        block_unitary_homotopy(u, p, v_iso)
 
 
 def test_pipeline_segment_list_is_pinned(tmp_path):
@@ -976,7 +934,7 @@ def test_pipeline_segment_list_is_pinned(tmp_path):
         ["straight_line", "normalize-centers", False],
         ["block_peel", "", True],
         ["polar", "", False],
-        ["block_unitary", "", True],
+        ["block_unitary", "", False],
     ]
     for seed in (1, 2, 3):
         out = tmp_path / str(seed)
@@ -1095,20 +1053,12 @@ def test_certificate_matches_the_dense_oracle(tailed_pipeline):
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_pipeline_bounds_hold_and_intertwiner_is_exact(seed, monkeypatch):
-    calls = []
-    build = oplab.homotopy._stacked_segments
-    monkeypatch.setattr(
-        oplab.homotopy,
-        "_stacked_segments",
-        lambda *args: calls.append((args, build(*args))) or calls[-1][1],
-    )
+def test_pipeline_bounds_hold_and_intertwiner_is_exact(seed):
     window = TruncationWindow.plane(12)
-    _, report = oplab.homotopy.theorem1_pipeline(seeded_local_unitary(window, seed), 0.5)
-    (((_, p, v_iso, inner), stacked),) = calls
+    u = seeded_local_unitary(window, seed)
+    (_, report), (_, p, v_iso) = with_the_move(lambda: oplab.homotopy.theorem1_pipeline(u, 0.5))
     v = dense_intertwiner(p, v_iso)
     assert np.array_equal(v @ v.conj().T, np.eye(window.dimension))
-    assert_dense_intertwining(stacked, inner, v)
     stats = report.segment_stats
     assert [s["kind"] for s in stats if s["max_bound_excess"] is not None] == [
         "log",
@@ -1206,40 +1156,67 @@ HAND_BUILT = hand_built_segments()
 _CAPTURED = {}
 
 
-def captured_pipeline(case, u, copies=1):
-    """(path, report, inner stacked segments, U) of the radius-12
-    pipeline on u with the default arc pair, run once per case; the
-    stacked move's projection, isometry and segments go to
-    ``_STACKED``."""
+def with_the_move(run):
+    """(run(), the stacked move's inputs: U, P and the greedy isometry)
+    for a run that makes the move once."""
+    calls = []
+    build = oplab.homotopy._stacked_segment
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(
+            oplab.homotopy, "_stacked_segment", lambda *args: calls.append(args) or build(*args)
+        )
+        out = run()
+    (args,) = calls
+    return out, args
+
+
+PIPELINE_CASES = ["seed1", "seed2", "seed3", "tailed", "copies2"]
+
+
+def captured_pipeline(case, tailed_u):
+    """(path, report) of the radius-12 pipeline of a case with the
+    default arc pair, run once per case; the stacked move's inputs go to
+    ``_MOVES``."""
     if case not in _CAPTURED:
-        calls = []
-        build = oplab.homotopy._stacked_segments
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(
-                oplab.homotopy,
-                "_stacked_segments",
-                lambda *args: calls.append((args, build(*args))) or calls[-1][1],
-            )
-            certify = CertifyConfig(arc_pairs=(DEFAULT_ARC_PAIR,))
-            path, report = oplab.homotopy.theorem1_pipeline(
-                u, 0.5, oplab.homotopy.PipelineConfig(copies=copies, certify=certify)
-            )
-        (((w_pol, p, v_iso, inner), stacked),) = calls
-        _CAPTURED[case] = path, report, inner, w_pol
-        _STACKED[case] = p, v_iso, stacked
+        if case == "tailed":
+            u = tailed_u
+        else:
+            seed = 1 if case == "copies2" else int(case[-1])
+            u = seeded_local_unitary(TruncationWindow.plane(12), seed)
+        config = oplab.homotopy.PipelineConfig(
+            copies=2 if case == "copies2" else 1,
+            certify=CertifyConfig(arc_pairs=(DEFAULT_ARC_PAIR,)),
+        )
+        _CAPTURED[case], _MOVES[case] = with_the_move(
+            lambda: oplab.homotopy.theorem1_pipeline(u, 0.5, config)
+        )
     return _CAPTURED[case]
 
 
-_STACKED = {}
+_MOVES = {}
 
 
-@pytest.fixture(params=["seed1", "seed2", "seed3", "tailed", "copies2"])
+@pytest.fixture(params=PIPELINE_CASES)
 def pipeline_case(request, tailed_pipeline):
-    name = request.param
-    if name == "tailed":
-        return name, captured_pipeline(name, tailed_pipeline[0])
-    u = seeded_local_unitary(TruncationWindow.plane(12), 1 if name == "copies2" else int(name[-1]))
-    return name, captured_pipeline(name, u, copies=2 if name == "copies2" else 1)
+    return request.param, captured_pipeline(request.param, tailed_pipeline[0])
+
+
+@pytest.mark.parametrize("case", ["stacked"] + PIPELINE_CASES)
+def test_block_unitary_matches_dense_intertwining(case, tailed_pipeline):
+    """The stacked move, built on the base window, against the paper's
+    route through the stacked window: the block move of stacked_case and
+    the pipeline's last segment, reversed to run 1 -> U."""
+    if case == "stacked":
+        u, p, v_iso = stacked_case(14)
+        (seg,) = block_unitary_homotopy(u, p, v_iso).segments
+    else:
+        path, _ = captured_pipeline(case, tailed_pipeline[0])
+        u, p, v_iso = _MOVES[case]
+        seg = path.segments[-1].reversed()
+        copies = 2 if case == "copies2" else 1
+        assert v_iso.window.dimension == (copies + 1) * u.window.dimension
+    assert seg.kind == "block_unitary" and seg.flip
+    assert_move_matches_the_intertwining(seg, u, p, v_iso)
 
 
 def spectral_pieces(segments):
@@ -1274,9 +1251,9 @@ def assert_bound_matches_the_dense_formulas(seg):
 
 
 def test_spectral_segments_match_the_whole_window_route(pipeline_case):
-    name, (path, _, inner, _) = pipeline_case
-    pieces = spectral_pieces(path.segments + inner)
-    assert [seg.kind for seg in pieces] == ["log", "polar", "block_unitary", "log"] * 2
+    name, (path, _) = pipeline_case
+    pieces = spectral_pieces(path.segments)
+    assert [seg.kind for seg in pieces] == ["log", "polar", "block_unitary"] * 2
     sizes = [max(part.size for part in seg.components()) for seg in pieces]
     if name == "tailed":  # only the polar climb and the stacked move split
         d = path.window.dimension
@@ -1331,12 +1308,11 @@ def dense_at(seg, t):
 
 
 def test_segments_match_their_dense_factors(pipeline_case):
-    """Every segment of the pipeline and its inner stacked path against
-    its whole-window factors: samples, blocks, moving sites and
-    components; the stacked segments against V X V*."""
-    name, (path, _, inner, _) = pipeline_case
+    """Every segment of the pipeline against its whole-window factors:
+    samples, blocks, moving sites and components."""
+    _, (path, _) = pipeline_case
     rng = np.random.default_rng(34)
-    for seg in path.segments + inner:
+    for seg in path.segments:
         d = seg.window.dimension
         rows, cols = np.sort(rng.choice(d, d // 3, replace=False)), np.arange(1, d, 3)
         for t in (0.0, 0.4, 1.0):
@@ -1345,10 +1321,6 @@ def test_segments_match_their_dense_factors(pipeline_case):
             assert np.max(np.abs(seg.block(t, rows, cols) - whole[np.ix_(rows, cols)])) <= 1e-12
         assert np.array_equal(seg.moving_sites(), dense_moving_sites(seg))
         assert [part.tolist() for part in seg.components()] == dense_components(seg)
-    p, v_iso, stacked = _STACKED[name]
-    copies = 2 if name == "copies2" else 1
-    assert v_iso.window.dimension == (copies + 1) * p.window.dimension
-    assert_dense_intertwining(stacked, inner, dense_intertwiner(p, v_iso))
 
 
 def test_spectral_blocks_match_the_all_mode_product(pipeline_case):
@@ -1357,7 +1329,7 @@ def test_spectral_blocks_match_the_all_mode_product(pipeline_case):
     the product over all modes is the reference.  Cuts that share rows
     or columns, repeat, are empty or lie wholly off the stacks all
     match it, and cutting keeps no state beyond the cached properties."""
-    _, (path, _, inner, _) = pipeline_case
+    _, (path, _) = pipeline_case
     window = path.window
     allowance = window.radius / 2
     locality = [
@@ -1367,14 +1339,14 @@ def test_spectral_blocks_match_the_all_mode_product(pipeline_case):
     fields = {f.name for f in dataclasses.fields(SpectralSegment)}
     cached = {name for name, x in vars(SpectralSegment).items() if isinstance(x, cached_property)}
     rng = np.random.default_rng(0)
-    for seg in spectral_pieces(path.segments + inner):
-        d = dense_factors(seg)["const"].shape[0]
+    d = window.dimension
+    for seg in spectral_pieces(path.segments):
         rows, cols = np.sort(rng.choice(d, d // 3, replace=False)), np.arange(0, d, 4)
         off = np.setdiff1d(np.arange(d), np.concatenate([st.sites.ravel() for st in seg.stacks]))
         # one cut after another that shares its rows or its columns
         cuts = [(rows, cols), (rows, cols[1:]), (rows[1:], cols[1:]), (rows[1:], cols[1:])]
         cuts += [(rows[:0], cols), (rows, cols[:0]), (off, off), (off, cols)]
-        cuts += locality if d == window.dimension else []
+        cuts += locality
         for t in (0.0, 0.3, 1.0):
             whole = dense_spectral_at(seg, t)
             for rows, cols in cuts:
@@ -1518,7 +1490,7 @@ def test_hand_built_segment_matches_the_whole_window_route(case):
 
 
 def test_endpoint_errors_match_the_whole_window_norm(pipeline_case):
-    name, (path, report, _, _) = pipeline_case
+    _, (path, report) = pipeline_case
     diffs = (
         path.segments[0].at(0.0) - path.declared_start,
         path.segments[-1].at(1.0) - path.declared_end,
@@ -1530,28 +1502,6 @@ def test_endpoint_errors_match_the_whole_window_norm(pipeline_case):
         else:
             assert abs(got - want) <= 1e-12
     assert report.endpoint_errors[0] == 0.0  # the path starts at the input
-
-
-def test_stacked_endpoint_gaps_match_the_whole_window_norm(pipeline_case):
-    _, (_, _, inner, w_pol) = pipeline_case
-    (seg,) = inner
-    d = w_pol.window.dimension
-    eye = np.eye(seg.window.dimension, dtype=np.complex128)
-    target = eye.copy()
-    target[:d, :d] = w_pol.entries
-    # in-block nudges on every diagonal entry, and one entry between blocks
-    rng = np.random.default_rng(32)
-    nudge = np.diag(1e-10 * rng.random(eye.shape[0])).astype(np.complex128)
-    first, second = seg.components()[:2]
-    nudge[first[0], second[0]] = 1e-9
-    tol = oplab.homotopy.TOL_BLOCK_FORM
-    for t, want in ((1.0, eye), (0.0, target)):  # the unflipped ends
-        for shifted in (want, want + nudge, want + 1e5 * nudge):
-            gap = seg.at(t) - shifted  # as _stacked_segments checks
-            oracle = spectral_norm(dense_spectral_at(seg, t) - shifted)
-            assert abs(spectral_norm(gap) - oracle) <= 1e-12 * max(1.0, oracle)
-            assert norm_at_most(gap, tol) == (oracle <= tol)
-    assert not norm_at_most(seg.at(1.0) - (target + 1e5 * nudge), tol)  # a real gap
 
 
 @pytest.mark.parametrize("case", sorted(HAND_BUILT))

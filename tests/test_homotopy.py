@@ -1,10 +1,11 @@
 """Operator paths: segments, certification, and the full pipeline."""
 
-from types import SimpleNamespace
+import dataclasses
 
 import numpy as np
 import pytest
 
+import oplab.homotopy
 from oplab.errors import (
     PreconditionError,
     SingularOperatorError,
@@ -364,21 +365,13 @@ def blocked_unitary(window, p, seed):
     return Operator(window, ue)
 
 
-def stacked_inner(u, amp):
-    target = np.eye(amp.dimension, dtype=np.complex128)
-    d = u.window.dimension
-    target[:d, :d] = u.entries
-    return log_path(Operator(amp, target)).reverse()
-
-
 def test_block_unitary_endpoints_exact():
     window = TruncationWindow.plane(3)
     s_region = Explicit(frozenset(window.sites) - {(0, 0)})
     p = Projection.from_region(s_region, window)
     u = blocked_unitary(window, p, 51)
     v_iso = greedy_isometry(s_region, 1, window)
-    inner = stacked_inner(u, v_iso.window)
-    path = block_unitary_homotopy(u, p, v_iso, inner)
+    path = block_unitary_homotopy(u, p, v_iso)
     assert spectral_norm(path.at(0.0) - np.eye(window.dimension)) <= 1e-12
     assert spectral_norm(path.at(1.0) - u.entries) <= 1e-8
 
@@ -389,24 +382,9 @@ def test_block_unitary_unitary_throughout():
     p = Projection.from_region(s_region, window)
     u = blocked_unitary(window, p, 52)
     v_iso = greedy_isometry(s_region, 1, window)
-    path = block_unitary_homotopy(u, p, v_iso, stacked_inner(u, v_iso.window))
+    path = block_unitary_homotopy(u, p, v_iso)
     report = certify_path(path, CertifyConfig(samples=50))
     assert report.max_unitarity_defect <= 1e-9
-
-
-def test_block_unitary_general_inner_agrees_with_fused():
-    window = TruncationWindow.plane(2)
-    s_region = Explicit(frozenset(window.sites) - {(0, 0)})
-    p = Projection.from_region(s_region, window)
-    u = blocked_unitary(window, p, 53)
-    v_iso = greedy_isometry(s_region, 1, window)
-    inner = stacked_inner(u, v_iso.window)
-    fused = block_unitary_homotopy(u, p, v_iso, inner)
-    amp_target = Operator(v_iso.window, inner.at(1.0))
-    padded = inner.concat(straight_line(amp_target, amp_target))
-    general = block_unitary_homotopy(u, p, v_iso, padded)
-    assert np.allclose(general.at(0.25), fused.at(0.5), atol=1e-9)
-    assert np.allclose(general.at(1.0), fused.at(1.0), atol=1e-9)
 
 
 def test_block_unitary_rejects_moving_range():
@@ -415,34 +393,33 @@ def test_block_unitary_rejects_moving_range():
     p = Projection.from_region(s_region, window)
     u = Operator(window, random_unitary(window.dimension, 54))
     v_iso = greedy_isometry(s_region, 1, window)
-    inner = stacked_inner(u, v_iso.window)
     with pytest.raises(PreconditionError, match="identity on the projection"):
-        block_unitary_homotopy(u, p, v_iso, inner)
+        block_unitary_homotopy(u, p, v_iso)
 
 
-def test_block_unitary_rejects_bad_inner():
+def test_block_unitary_rejects_a_nudged_end(monkeypatch):
+    """The stacked move's segment has no end check of its own: the path
+    that holds it catches an end 2e-8 off, twice the block tolerance,
+    made by scaling the first stack's L."""
+    build = oplab.homotopy._stacked_segment
+
+    def nudged(*args):
+        seg = build(*args)
+        first, *rest = seg.stacks
+        first = first._replace(left=(1.0 + 2e-8) * first.left)
+        return dataclasses.replace(seg, stacks=(first, *rest))
+
+    monkeypatch.setattr(oplab.homotopy, "_stacked_segment", nudged)
     window = TruncationWindow.plane(3)
     s_region = Explicit(frozenset(window.sites) - {(0, 0)})
     p = Projection.from_region(s_region, window)
-    u = blocked_unitary(window, p, 55)
+    u = blocked_unitary(window, p, 57)
     v_iso = greedy_isometry(s_region, 1, window)
-    amp = v_iso.window
-    wrong = straight_line(Operator.identity(amp), Operator.identity(amp))
-    with pytest.raises(PreconditionError, match="inner path"):
-        block_unitary_homotopy(u, p, v_iso, wrong)
-
-
-def test_block_unitary_rejects_conjugation_inner():
-    window = TruncationWindow.plane(2)
-    s_region = Explicit(frozenset(window.sites) - {(0, 0)})
-    p = Projection.from_region(s_region, window)
-    v_iso = greedy_isometry(s_region, 1, window)
-    amp = v_iso.window
-    mover = Operator(amp, random_unitary(amp.dimension, 56))
-    # conjugating the identity is constant, so both endpoint checks pass
-    inner = conjugation_path(Operator.identity(amp), log_path(mover).reverse())
-    with pytest.raises(PreconditionError, match="conjugation"):
-        block_unitary_homotopy(Operator.identity(window), p, v_iso, inner)
+    assert spectral_norm(nudged(u, p, v_iso).at(1.0) - u.entries) >= 1e-8
+    with pytest.raises(PreconditionError, match="declared endpoints off"):
+        block_unitary_homotopy(u, p, v_iso)
+    with pytest.raises(PreconditionError, match="disagree at their joint|declared endpoints off"):
+        theorem1_pipeline(seeded_local_unitary(TruncationWindow.plane(6), 1), 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -706,12 +683,7 @@ def test_stacked_move_forms_no_stacked_array():
     u = paired_unitary(window, (0, 0), 5)
     p = Projection.from_region(centers, window)
     v_iso = greedy_isometry(centers, 1, window, require_ray_dense=False)
-    off = np.flatnonzero(~p.diagonal_mask())
-    seg = _log_segment(v_iso.window, u.entries, [off], flip=True)
-    # block_unitary_homotopy reads only the inner path's segments; a
-    # HomotopyPath would need its (2d) x (2d) endpoints to check them
-    inner = SimpleNamespace(segments=(seg,))
-    path, peak = traced_peak(lambda: block_unitary_homotopy(u, p, v_iso, inner))
+    path, peak = traced_peak(lambda: block_unitary_homotopy(u, p, v_iso))
     assert peak < 16 * (2 * d) ** 2  # one (2d) x (2d) complex array
     assert spectral_norm(path.at(1.0) - u.entries) <= 1e-12
 
