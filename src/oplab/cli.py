@@ -13,6 +13,7 @@ from pathlib import Path
 from .errors import ConfigError, OplabError, StageError
 from .geometry import Arc, Cone, Direction, Explicit
 from .index import (
+    _METHODS,
     IndexConfig,
     index_k_projection,
     nontriviality_probe,
@@ -42,7 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_index.add_argument(
         "--method",
         default="auto",
-        choices=("auto", "kernel_count", "trace_formula", "partial_permutation"),
+        choices=("auto", *_METHODS),
     )
 
     p_probe = sub.add_parser("probe", help="non-triviality probe of a projection")

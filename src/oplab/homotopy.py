@@ -768,10 +768,6 @@ class HomotopyPath:
     def window(self) -> Window:
         return self.segments[0].window
 
-    @property
-    def segment_kinds(self) -> tuple:
-        return tuple(seg.kind for seg in self.segments)
-
     def segment_of(self, t: float) -> int:
         n = len(self.segments)
         return min(int(t * n), n - 1)
@@ -802,11 +798,6 @@ class HomotopyPath:
         object.__setattr__(mirror, "declared_start", self.declared_end)
         object.__setattr__(mirror, "declared_end", self.declared_start)
         return mirror
-
-    def concat(self, other: "HomotopyPath") -> "HomotopyPath":
-        return HomotopyPath(
-            self.segments + other.segments, self.declared_start, other.declared_end
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -1454,10 +1445,10 @@ def theorem1_pipeline(
     per-block rotation that straightens the confined columns, a short
     normalization line, the reversed block peel, the polar climb back
     to the unitaries, the reversed stacked-isometry move, and the
-    certificate.  The path is assembled once from the segments, which
-    checks every joint.  Any stage failure, including a failed
-    decomposition (``LinAlgError``), is re-raised as a StageError with
-    its stage name attached.
+    certificate.  The path is assembled once from the segments, in the
+    stage ``path``, which checks every joint.  Any stage failure,
+    including a failed decomposition (``LinAlgError``), is re-raised as
+    a StageError with its stage name attached.
     """
     config = config or PipelineConfig()
     window = u.window
@@ -1528,10 +1519,13 @@ def theorem1_pipeline(
         lambda: _stacked_segment(Operator(window, polar.at(1.0)), p_centers, v_iso),
     )
 
-    path = HomotopyPath(
-        (line, correct, normalize, peel.reversed(), polar, absorbed.reversed()),
-        u.entries,
-        np.eye(dim, dtype=np.complex128),
+    path = stage(
+        "path",
+        lambda: HomotopyPath(
+            (line, correct, normalize, peel.reversed(), polar, absorbed.reversed()),
+            u.entries,
+            np.eye(dim, dtype=np.complex128),
+        ),
     )
     report = stage("certify", lambda: certify_path(path, config.certify or CertifyConfig()))
     return path, report

@@ -6,8 +6,10 @@ On a finite window that operator always has equal-dimensional kernel and
 cokernel, so the infinite-volume index survives only through *where* the
 near-kernel vectors live.  Vectors pinned to the structural cut carry
 the signal; vectors pinned to the window edge are truncation artifacts
-and are discarded.  Three estimators implement that idea at different
-levels of generality, and they cross-check each other.
+and are discarded.  Two estimators read the index: the kernel count
+locates the near-kernel vectors themselves, and the trace formula
+ind T = tr(1 - T*T)^m - tr(1 - TT*)^m sums the isometry defects over
+the window's interior.  ``auto`` cross-checks the first with the second.
 """
 
 from __future__ import annotations
@@ -89,7 +91,7 @@ class IndexConfig:
 
 DEFAULT_INDEX_CONFIG = IndexConfig()
 
-_METHODS = ("kernel_count", "trace_formula", "partial_permutation")
+_METHODS = ("kernel_count", "trace_formula")
 
 
 @dataclass(frozen=True)
@@ -188,7 +190,7 @@ def cut_interface(p: Projection) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# the three estimators
+# the two estimators
 
 
 def _defects(entries: np.ndarray) -> tuple:
@@ -201,8 +203,9 @@ def _defects(entries: np.ndarray) -> tuple:
     block diagonal over the column groups with blocks T[R, C]* T[R, C],
     and TT* over the row groups with blocks T[R, C] T[R, C]*; an empty
     column or row is a component on its own and keeps its 1.  Blocks of
-    one shape take one stacked product.  A weighted partial permutation
-    gets 1 x 1 blocks, an irreducible T the whole-window product.
+    one shape take one stacked product.  A T with at most one entry in
+    each row and column gets 1 x 1 blocks, an irreducible T the
+    whole-window product.
     """
     d = entries.shape[0]
     pattern = np.zeros((2 * d, 2 * d), dtype=bool)
@@ -240,48 +243,6 @@ def _defect_diagnostics(entries: np.ndarray, window, config: IndexConfig) -> dic
         "defect_mass_interior_fraction": fraction,
         "interior_sites": int(inside.sum()),
     }
-
-
-def _structural_counts(entries: np.ndarray) -> tuple:
-    """Structural entries (|T_ij| > STRUCTURAL_TOL) per column and per row."""
-    structural = np.abs(entries) > STRUCTURAL_TOL
-    return structural.sum(axis=0), structural.sum(axis=1)
-
-
-def _pp_admits(counts: tuple) -> bool:
-    """A weighted partial permutation: at most one structural entry in
-    every column and every row."""
-    return all(bool(np.all(c <= 1)) for c in counts)
-
-
-def _pp_index(counts: tuple, window, cut_sites, config: IndexConfig) -> IndexResult:
-    if not _pp_admits(counts):
-        raise PreconditionError(
-            "operator has rows or columns with more than one structural entry"
-        )
-    per_column, per_row = counts
-    radius = config.resolved_cut_radius(window)
-    near = _cut_neighborhood_mask(window, tuple(cut_sites), radius)
-    sites = window.sites
-
-    def split(dead_axis_mask):
-        at_cut, at_edge = [], []
-        for i in np.flatnonzero(dead_axis_mask):
-            (at_cut if near[i] else at_edge).append(sites[int(i)])
-        return at_cut, at_edge
-
-    kernel_cut, kernel_edge = split(per_column == 0)
-    coker_cut, coker_edge = split(per_row == 0)
-    value = len(kernel_cut) - len(coker_cut)
-    diagnostics = {
-        "kernel_sites_cut": tuple(kernel_cut),
-        "kernel_sites_edge": tuple(kernel_edge),
-        "cokernel_sites_cut": tuple(coker_cut),
-        "cokernel_sites_edge": tuple(coker_edge),
-        "cut_sites": tuple(cut_sites),
-        "config": config.echo(),
-    }
-    return IndexResult(value, "partial_permutation", diagnostics)
 
 
 def _count_localized(vectors: np.ndarray, cut_mask: np.ndarray) -> tuple:
@@ -420,19 +381,17 @@ def fredholm_index(
 ) -> IndexResult:
     """Index of an essentially-unitary-like operator on its window.
 
-    ``kernel_count`` and ``partial_permutation`` need a cut locus
-    (``config.cut_sites``) to separate signal from edge artifacts;
-    ``trace_formula`` needs only the interior mask.  ``auto`` picks the
-    combinatorial route when the matrix is a weighted partial
-    permutation, falls back to kernel counting, and cross-checks with
+    ``kernel_count`` needs a cut locus (``config.cut_sites``) to
+    separate signal from edge artifacts; ``trace_formula`` needs only
+    the interior mask.  ``auto`` counts kernels and cross-checks with
     the trace formula; a mismatch raises rather than guessing.
 
     ``kernel_count`` takes its SVD only on the core left after stripping
-    lone pairs (see ``_kernel_index``).  The trace formula forms the
-    defects 1 - T*T and 1 - TT* per connected component of T's
-    row-column pattern (see ``_defects``); the defect diagnostics read
-    their diagonals off the column and row norms of T.  ``auto`` decides
-    partial-permutation admission once, from one pass over |T|.
+    lone pairs (see ``_kernel_index``), so on a weighted partial
+    permutation the SVD sees only an all-zero core.  The trace formula
+    forms the defects 1 - T*T and 1 - TT* per connected component of
+    T's row-column pattern (see ``_defects``); the defect diagnostics
+    read their diagonals off the column and row norms of T.
     """
     config = config or DEFAULT_INDEX_CONFIG
     window = t.window
@@ -441,18 +400,13 @@ def fredholm_index(
     entries = t.entries
     cut_sites = tuple(config.cut_sites)
 
-    if method == "partial_permutation":
-        result = _pp_index(_structural_counts(entries), window, cut_sites, config)
-    elif method == "kernel_count":
+    if method in ("auto", "kernel_count"):
         result = _kernel_index(entries, window, cut_sites, config)
     elif method == "trace_formula":
         result = _trace_index(*_defects(entries), window, config)
-    elif method == "auto":
-        counts = _structural_counts(entries)
-        if _pp_admits(counts):
-            result = _pp_index(counts, window, cut_sites, config)
-        else:
-            result = _kernel_index(entries, window, cut_sites, config)
+    else:
+        raise PreconditionError(f"unknown index method {method!r}")
+    if method == "auto":
         check = _trace_index(*_defects(entries), window, config)
         if check.value != result.value:
             raise MethodDisagreementError(
@@ -464,8 +418,6 @@ def fredholm_index(
             "value": check.value,
             "trace_raw": check.diagnostics["trace_raw"],
         }
-    else:
-        raise PreconditionError(f"unknown index method {method!r}")
 
     result.diagnostics.update(_defect_diagnostics(entries, window, config))
     return result

@@ -415,10 +415,6 @@ class CircleFunction:
         return cls(((n, c),), label if c == 1.0 else f"{c}*{label}")
 
     @property
-    def degree(self) -> int:
-        return max((abs(n) for n, _ in self.coefficients), default=0)
-
-    @property
     def is_zero(self) -> bool:
         return not self.coefficients
 

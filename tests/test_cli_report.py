@@ -443,9 +443,12 @@ def test_seeded_local_unitary_properties():
 
 def test_cli_index_verb(capsys):
     assert main(["index", "--radius", "16", "--k", "-1"]) == 0
-    assert "index = -1" in capsys.readouterr().out
+    assert "index = -1 (method kernel_count)" in capsys.readouterr().out
     assert main(["index", "--radius", "16", "--k", "2", "--method", "kernel_count"]) == 0
     assert "index = 2" in capsys.readouterr().out
+    # the choices are the library's routes, so a deleted one is a usage error
+    assert main(["index", "--method", "partial_permutation"]) == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_cli_run_verb(tmp_path, capsys):

@@ -418,7 +418,7 @@ def test_block_unitary_rejects_a_nudged_end(monkeypatch):
     assert spectral_norm(nudged(u, p, v_iso).at(1.0) - u.entries) >= 1e-8
     with pytest.raises(PreconditionError, match="declared endpoints off"):
         block_unitary_homotopy(u, p, v_iso)
-    with pytest.raises(PreconditionError, match="disagree at their joint|declared endpoints off"):
+    with pytest.raises(StageError, match="stage 'path'"):
         theorem1_pipeline(seeded_local_unitary(TruncationWindow.plane(6), 1), 0.5)
 
 
@@ -434,8 +434,8 @@ def test_path_reverse_and_concat():
     backward = forward.reverse()
     assert np.allclose(backward.at(0.25), forward.at(0.75))
     assert np.array_equal(backward.declared_start, forward.declared_end)
-    joined = forward.concat(backward)
-    assert joined.segment_kinds == ("straight_line", "straight_line")
+    joined = HomotopyPath(forward.segments + backward.segments, a.entries, a.entries)
+    assert tuple(s.kind for s in joined.segments) == ("straight_line", "straight_line")
     assert np.allclose(joined.at(0.5), b.entries, atol=1e-12)
     assert np.allclose(joined.at(1.0), a.entries, atol=1e-12)
 
@@ -445,7 +445,9 @@ def test_concat_rejects_gap():
     a = Operator.identity(window)
     b = laughlin_operator(window)
     with pytest.raises(PreconditionError, match="joint"):
-        straight_line(a, a).concat(straight_line(b, b))
+        HomotopyPath(
+            straight_line(a, a).segments + straight_line(b, b).segments, a.entries, b.entries
+        )
 
 
 def test_path_validates_on_assembly_only(monkeypatch):
@@ -459,7 +461,8 @@ def test_path_validates_on_assembly_only(monkeypatch):
     monkeypatch.setattr(
         HomotopyPath, "__post_init__", lambda path: checks.append(1) or check(path)
     )
-    forward = straight_line(a, b).concat(polar_path(b))
+    line, polar = straight_line(a, b), polar_path(b)
+    forward = HomotopyPath(line.segments + polar.segments, a.entries, polar.declared_end)
     assert len(checks) == 3
     backward = forward.reverse()  # mirrors checked closed forms: no re-check
     assert len(checks) == 3
@@ -601,7 +604,7 @@ def test_pipeline_finite_range_unitary_certifies():
     path, report = theorem1_pipeline(u, 0.5, config)
     assert max(report.endpoint_errors) <= 1e-8
     assert report.max_unitarity_defect <= 1e-6
-    assert path.segment_kinds == (
+    assert tuple(s.kind for s in path.segments) == (
         "straight_line",
         "log",
         "straight_line",

@@ -1,4 +1,4 @@
-"""Index estimators: kernel counting, trace formula, combinatorics, probes."""
+"""Index estimators: kernel counting, trace formula, probes."""
 
 import numpy as np
 import pytest
@@ -32,6 +32,8 @@ from oplab.operators import (
 )
 from oplab.windows import TruncationWindow
 
+from test_block_oracles import weighted_partial_permutation
+
 
 def half_line(window):
     region = Explicit(frozenset(x for x in window.sites if x >= 1))
@@ -64,7 +66,7 @@ def test_half_line_shift_index_minus_one():
     window = TruncationWindow.line(16)
     result = projection_index(half_line(window), shift_operator(window, 1))
     assert result.value == -1
-    assert result.method == "partial_permutation"
+    assert result.method == "kernel_count"
     assert result.diagnostics["cross_check"]["value"] == -1
 
 
@@ -92,7 +94,23 @@ def test_unitary_periodic_shift_has_index_zero():
     t = shift_operator(window, 1, "periodic")
     result = fredholm_index(t)
     assert result.value == 0
-    assert result.method == "partial_permutation"
+    assert result.method == "kernel_count"
+
+
+@given(
+    radius=st.integers(1, 12),
+    fill=st.sampled_from([0.0, 0.3, 0.8, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_kernel_count_on_partial_permutations_matches_oracle(radius, fill, seed):
+    # dyadic weights are 0 or at least 1/4 in modulus, so none falls into
+    # the threshold gap; every nonzero entry is a lone pair, so the core
+    # left for the SVD is the empty rows against the empty columns
+    w = TruncationWindow.line(radius)
+    t = weighted_partial_permutation(np.random.default_rng(seed), w.dimension, fill, "dyadic")
+    result = fredholm_index(Operator(w, t), "kernel_count", IndexConfig(cut_sites=(0,)))
+    assert result.value == zero_line_oracle(t, w, w.radius / 4)
+    assert result.diagnostics["core_dim"] == sum(1 for row in t if not row.any())
 
 
 def test_two_step_compression_gives_plus_two():

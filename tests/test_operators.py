@@ -235,7 +235,6 @@ def test_circle_function_product_is_convolution():
     g = CircleFunction.from_coefficients({1: 1.0, -1: -1.0})  # z - conj(z)
     prod = f * g
     assert dict(prod.coefficients) == {2: 1.0, -2: -1.0}
-    assert prod.degree == 2
 
 
 def test_circle_function_sup_norm():
