@@ -10,6 +10,13 @@ and are discarded.  Two estimators read the index: the kernel count
 locates the near-kernel vectors themselves, and the trace formula
 ind T = tr(1 - T*T)^m - tr(1 - TT*)^m sums the isometry defects over
 the window's interior.  ``auto`` cross-checks the first with the second.
+
+Every operator is read once, into its lone pairs (entries alone in
+their row and their column, which are 1 x 1 blocks of their own) plus
+the square core left on the other rows and columns.  That one split
+feeds the kernel count, the trace formula, the defect diagnostics and
+the projection index's base check, so each costs a pass over the
+nonzero entries and dense work on the core alone.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ from .operators import (
     components,
     shift_operator,
     spectral_norm,
+    squared_moduli,
 )
 from .windows import TruncationWindow
 
@@ -190,22 +198,69 @@ def cut_interface(p: Projection) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# the two estimators
+# the split and the two estimators
+
+
+@dataclass(frozen=True)
+class _Split:
+    """A square matrix read once: its lone pairs plus a square core.
+
+    A lone pair is an entry alone in both its row and its column.  The
+    matrix is the direct sum of the pairs' 1 x 1 blocks and the core
+    entries[core_rows][:, core_cols] on the rows and columns no pair
+    holds, so every quantity the estimators read splits the same way:
+    the singular values, the isometry defects and their powers.
+    ``nonzero`` holds every nonzero entry as (rows, cols, values) in
+    row-major order, ``pairs`` the lone ones in the same form.
+    """
+
+    nonzero: tuple
+    pairs: tuple
+    core_rows: np.ndarray
+    core_cols: np.ndarray
+    core: np.ndarray
+
+
+def _split(entries: np.ndarray) -> _Split:
+    """One pass over the entries; an entry is a lone pair when the
+    nonzero counts of its row and its column are both 1."""
+    d = entries.shape[0]
+    # flat positions of a boolean pattern: faster than the 2-d nonzero
+    rows, cols = np.divmod(np.flatnonzero(entries != 0), d)
+    lone = (np.bincount(rows, minlength=d)[rows] == 1) & (
+        np.bincount(cols, minlength=d)[cols] == 1
+    )
+    values = entries[rows, cols]
+    core_rows = np.flatnonzero(np.bincount(rows[lone], minlength=d) == 0)
+    core_cols = np.flatnonzero(np.bincount(cols[lone], minlength=d) == 0)
+    return _Split(
+        nonzero=(rows, cols, values),
+        pairs=(rows[lone], cols[lone], values[lone]),
+        core_rows=core_rows,
+        core_cols=core_cols,
+        core=entries[np.ix_(core_rows, core_cols)],
+    )
+
+
+def _pair_defects(split: _Split) -> np.ndarray:
+    """1 - |v|^2 of each lone pair: its 1 x 1 block of 1 - T*T, at its
+    column, and of 1 - TT*, at its row."""
+    return 1.0 - squared_moduli(split.pairs[2])
 
 
 def _defects(entries: np.ndarray) -> tuple:
-    """1 - T*T and 1 - TT*, for the trace formula and the base check,
-    formed per connected component of T's row-column pattern.
+    """1 - C*C and 1 - CC* of a square block C, for the trace formula
+    and the base check, formed per connected component of C's row-column
+    pattern.  The estimators pass the core ``_split`` leaves, the lone
+    pairs' 1 x 1 blocks being read off ``_pair_defects``.
 
-    Row i and column j are linked when T_ij is nonzero (the components
-    of [[0, T], [0, 0]], rows first).  A component with rows R and
-    columns C holds all of T's mass in those rows and columns, so T*T is
-    block diagonal over the column groups with blocks T[R, C]* T[R, C],
-    and TT* over the row groups with blocks T[R, C] T[R, C]*; an empty
+    Row i and column j are linked when C_ij is nonzero (the components
+    of [[0, C], [0, 0]], rows first).  A component with rows R and
+    columns K holds all of C's mass in those rows and columns, so C*C is
+    block diagonal over the column groups with blocks C[R, K]* C[R, K],
+    and CC* over the row groups with blocks C[R, K] C[R, K]*; an empty
     column or row is a component on its own and keeps its 1.  Blocks of
-    one shape take one stacked product.  A T with at most one entry in
-    each row and column gets 1 x 1 blocks, an irreducible T the
-    whole-window product.
+    one shape take one stacked product.
     """
     d = entries.shape[0]
     pattern = np.zeros((2 * d, 2 * d), dtype=bool)
@@ -230,12 +285,14 @@ def _fill_defect(out: np.ndarray, sites: np.ndarray, grams: np.ndarray) -> None:
     out[sites[:, :, None], sites[:, None, :]] = np.eye(sites.shape[1]) - grams
 
 
-def _defect_diagnostics(entries: np.ndarray, window, config: IndexConfig) -> dict:
+def _defect_diagnostics(split: _Split, window, config: IndexConfig) -> dict:
     """Where the isometry defects of T sit.  The diagonals of 1 - T*T
     and 1 - TT* are 1 minus the squared column and row norms of T."""
     inside = interior_mask(window, config.buffer)
-    squares = (entries * entries.conj()).real
-    mass = np.abs(1.0 - squares.sum(axis=0)) + np.abs(1.0 - squares.sum(axis=1))
+    rows, cols, values = split.nonzero
+    squares = squared_moduli(values)
+    mass = np.abs(1.0 - np.bincount(cols, squares, window.dimension))
+    mass += np.abs(1.0 - np.bincount(rows, squares, window.dimension))
     total = float(mass.sum())
     fraction = float(mass[inside].sum()) / total if total > STRUCTURAL_TOL else 0.0
     return {
@@ -268,37 +325,20 @@ def _count_localized(vectors: np.ndarray, cut_mask: np.ndarray) -> tuple:
     return count, tuple(fractions)
 
 
-def _lone_pairs(entries: np.ndarray) -> np.ndarray:
-    """Mask of the entries that are the only nonzero in both their row
-    and their column."""
-    nonzero = entries != 0
-    return (
-        nonzero
-        & (nonzero.sum(axis=1) == 1)[:, None]
-        & (nonzero.sum(axis=0) == 1)[None, :]
-    )
-
-
-def _kernel_index(
-    entries: np.ndarray, window, cut_sites, config: IndexConfig
-) -> IndexResult:
+def _kernel_index(split: _Split, window, cut_sites, config: IndexConfig) -> IndexResult:
     """Count near-kernel vectors of T and T* pinned to the cut.
 
-    A lone pair, an entry T_ij alone in its row and its column, splits
-    off exactly: T is that 1 x 1 block plus the rest, so |T_ij| is a
-    singular value with right vector e_j and left vector e_i.  Every such
-    pair is stripped and only the square core that is left goes through
-    the SVD; its singular vectors are embedded back into the window.  The
-    gap check and the localization count then see the singular values of
-    the whole T in descending order, as a full SVD lists them.
+    A lone pair T_ij is a 1 x 1 block of T, so |T_ij| is a singular
+    value with right vector e_j and left vector e_i.  Only the square
+    core goes through the SVD; its singular vectors are embedded back
+    into the window.  The gap check and the localization count then see
+    the singular values of the whole T in descending order, as a full
+    SVD lists them.
     """
-    d = entries.shape[0]
-    lone = _lone_pairs(entries)
-    pair_rows, pair_cols = np.nonzero(lone)
-    core_rows = np.flatnonzero(~lone.any(axis=1))
-    core_cols = np.flatnonzero(~lone.any(axis=0))
-    u, s_core, vh = np.linalg.svd(entries[np.ix_(core_rows, core_cols)])
-    s = np.concatenate((s_core, np.abs(entries[pair_rows, pair_cols])))
+    d = window.dimension
+    pair_rows, pair_cols, values = split.pairs
+    u, s_core, vh = np.linalg.svd(split.core)
+    s = np.concatenate((s_core, np.abs(values)))
     thr = config.sv_threshold
     in_gap = s[(s >= thr) & (s < thr * config.gap_factor)]
     if in_gap.size:
@@ -315,8 +355,8 @@ def _kernel_index(
     left = np.zeros((near.size, d), dtype=np.complex128)
     for n, k in enumerate(near):
         if k < s_core.size:
-            right[n, core_cols] = vh[k].conj()
-            left[n, core_rows] = u[:, k]
+            right[n, split.core_cols] = vh[k].conj()
+            left[n, split.core_rows] = u[:, k]
         else:
             right[n, pair_cols[k - s_core.size]] = 1.0
             left[n, pair_rows[k - s_core.size]] = 1.0
@@ -331,7 +371,7 @@ def _kernel_index(
         "cokernel_cut_fractions": coker_fracs,
         "kernel_at_cut": kernel_count,
         "cokernel_at_cut": coker_count,
-        "core_dim": int(core_rows.size),
+        "core_dim": int(split.core_rows.size),
         "pairs_stripped": int(pair_rows.size),
         "cut_sites": tuple(cut_sites),
         "config": config.echo(),
@@ -352,11 +392,25 @@ def _power_diagonal(d: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-def _trace_index(d_right, d_left, window, config: IndexConfig) -> IndexResult:
+def _trace_index(split: _Split, window, config: IndexConfig) -> IndexResult:
+    """tr(1 - T*T)^m - tr(1 - TT*)^m over the interior sites.  Each
+    power is block diagonal like its defect, so its diagonal is the
+    pairs' (1 - |v|^2)^m at their columns (rows) and the core's at the
+    core's columns (rows)."""
     m = config.trace_power
     inside = interior_mask(window, config.buffer)
-    tr_right = float(_power_diagonal(d_right, m)[inside].sum())
-    tr_left = float(_power_diagonal(d_left, m)[inside].sum())
+    pair_rows, pair_cols, _ = split.pairs
+    # the pairs' powers as 1 x 1 matrix powers, rounded as the core's are
+    pair_powers = np.linalg.matrix_power(_pair_defects(split)[:, None, None], m)[:, 0, 0]
+    traces = []
+    for pair_sites, core_sites, core_defect in zip(
+        (pair_cols, pair_rows), (split.core_cols, split.core_rows), _defects(split.core)
+    ):
+        diagonal = np.zeros(window.dimension)
+        diagonal[pair_sites] = pair_powers
+        diagonal[core_sites] = _power_diagonal(core_defect, m)
+        traces.append(float(diagonal[inside].sum()))
+    tr_right, tr_left = traces
     raw = tr_right - tr_left
     value = int(round(raw))
     residual = abs(raw - value)
@@ -386,28 +440,29 @@ def fredholm_index(
     the interior mask.  ``auto`` counts kernels and cross-checks with
     the trace formula; a mismatch raises rather than guessing.
 
-    ``kernel_count`` takes its SVD only on the core left after stripping
-    lone pairs (see ``_kernel_index``), so on a weighted partial
-    permutation the SVD sees only an all-zero core.  The trace formula
-    forms the defects 1 - T*T and 1 - TT* per connected component of
-    T's row-column pattern (see ``_defects``); the defect diagnostics
-    read their diagonals off the column and row norms of T.
+    T is read once, by ``_split``, into its lone pairs and a square
+    core, and every reading takes that split: the kernel count runs its
+    SVD on the core alone, the trace formula reads the pairs' 1 x 1
+    defects and forms the core's defects per connected component (see
+    ``_defects``), and the defect diagnostics sum squares over the
+    nonzero entries.  A weighted partial permutation has an all-zero
+    core; an irreducible T is one whole-window core.
     """
     config = config or DEFAULT_INDEX_CONFIG
     window = t.window
     if not isinstance(window, TruncationWindow):
         raise PreconditionError("index estimation needs a plain truncation window")
-    entries = t.entries
+    split = _split(t.entries)
     cut_sites = tuple(config.cut_sites)
 
     if method in ("auto", "kernel_count"):
-        result = _kernel_index(entries, window, cut_sites, config)
+        result = _kernel_index(split, window, cut_sites, config)
     elif method == "trace_formula":
-        result = _trace_index(*_defects(entries), window, config)
+        result = _trace_index(split, window, config)
     else:
         raise PreconditionError(f"unknown index method {method!r}")
     if method == "auto":
-        check = _trace_index(*_defects(entries), window, config)
+        check = _trace_index(split, window, config)
         if check.value != result.value:
             raise MethodDisagreementError(
                 f"{result.method} gives {result.value} but trace_formula "
@@ -419,12 +474,24 @@ def fredholm_index(
             "trace_raw": check.diagnostics["trace_raw"],
         }
 
-    result.diagnostics.update(_defect_diagnostics(entries, window, config))
+    result.diagnostics.update(_defect_diagnostics(split, window, config))
     return result
 
 
 # ---------------------------------------------------------------------------
 # projection index
+
+
+def _gathered(split: _Split, pick: np.ndarray) -> np.ndarray:
+    """The picked nonzero entries as a dense block on their distinct
+    rows and columns, ascending: the nonzero block of the matrix they
+    span, which has the same singular values."""
+    rows, cols, values = (part[pick] for part in split.nonzero)
+    row_sites, at_row = np.unique(rows, return_inverse=True)
+    col_sites, at_col = np.unique(cols, return_inverse=True)
+    block = np.zeros((row_sites.size, col_sites.size), dtype=values.dtype)
+    block[at_row, at_col] = values
+    return block
 
 
 def projection_index(
@@ -433,17 +500,30 @@ def projection_index(
     method: str = "auto",
     config: IndexConfig | None = None,
 ) -> IndexResult:
-    """Index of P * base * P + P⊥ with the cut locus derived from P."""
+    """Index of P * base * P + P⊥ with the cut locus derived from P.
+
+    The base is read once, by ``_split``.  Its defects 1 - B*B and
+    1 - BB* are the pairs' 1 x 1 blocks plus the core's, so each norm
+    below is the larger of the pairs' |1 - |v|^2| and the core's.  With a
+    0/1 mask P, the compression and the commutator are built from B's
+    nonzero entries.
+    """
     config = config or DEFAULT_INDEX_CONFIG
     if p.window != base.window:
         raise PreconditionError("projection and base live on different windows")
     # the open-boundary shift is unitary-like in the only sense available
     # at finite scale: its isometry defect is confined to the window edge
-    be = base.entries
-    d_right, d_left = _defects(be)
+    b = _split(base.entries)
+    pair_rows, pair_cols, _ = b.pairs
+    pair_defects = np.abs(_pair_defects(b))
+    core_right, core_left = _defects(b.core)
     inside = interior_mask(p.window, config.buffer)
-    ix = np.ix_(inside, inside)
-    defect = max(spectral_norm(d_right[ix]), spectral_norm(d_left[ix]))
+    in_rows, in_cols = inside[b.core_rows], inside[b.core_cols]
+    defect = max(
+        float(pair_defects[inside[pair_cols] | inside[pair_rows]].max(initial=0.0)),
+        spectral_norm(core_right[np.ix_(in_cols, in_cols)]),
+        spectral_norm(core_left[np.ix_(in_rows, in_rows)]),
+    )
     if defect > 1e-6:
         raise PreconditionError(
             f"base operator is not unitary-like away from the edge: "
@@ -451,25 +531,31 @@ def projection_index(
         )
     mask = p.diagonal_mask()
     if mask is None:
-        pe = p.entries
+        be, pe = base.entries, p.entries
         compressed = pe @ be @ pe + (np.eye(p.window.dimension) - pe)
         commutator = spectral_norm(pe @ be - be @ pe)
     else:
         if not config.cut_sites:
             config = dataclasses.replace(config, cut_sites=cut_interface(p))
-        on, off = np.flatnonzero(mask), np.flatnonzero(~mask)
-        compressed = np.zeros_like(be)
-        compressed[np.ix_(on, on)] = be[np.ix_(on, on)]
+        rows, cols, values = b.nonzero
+        row_on, col_on = mask[rows], mask[cols]
+        keep = row_on & col_on
+        compressed = np.zeros_like(base.entries)
+        compressed[rows[keep], cols[keep]] = values[keep]
+        off = np.flatnonzero(~mask)
         compressed[off, off] = 1.0
         # PB - BP keeps only the two blocks between P and P⊥ (with
         # opposite signs), so its singular values are theirs together
         commutator = max(
-            spectral_norm(be[np.ix_(on, off)]), spectral_norm(be[np.ix_(off, on)])
+            spectral_norm(_gathered(b, row_on & ~col_on)),
+            spectral_norm(_gathered(b, ~row_on & col_on)),
         )
     result = fredholm_index(Operator(p.window, compressed), method, config)
     result.diagnostics["base_interior_defect"] = defect
     # 1 - B*B is Hermitian, so its norm is max |lambda - 1| over B*B
-    result.diagnostics["base_unitarity_defect"] = spectral_norm(d_right)
+    result.diagnostics["base_unitarity_defect"] = max(
+        float(pair_defects.max(initial=0.0)), spectral_norm(core_right)
+    )
     result.diagnostics["commutator_norm"] = commutator
     return result
 

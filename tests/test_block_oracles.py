@@ -13,7 +13,7 @@ import dataclasses
 import json
 import math
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 import pytest
@@ -21,7 +21,7 @@ import scipy.linalg
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from oplab.errors import BoundaryContaminationError, PreconditionError
+from oplab.errors import BoundaryContaminationError, MethodDisagreementError, PreconditionError
 from oplab.geometry import Arc, Ball, Cone, Direction, Explicit, widen_arc
 import oplab.homotopy
 import oplab.locality
@@ -49,6 +49,7 @@ from oplab.index import (
     _cut_neighborhood_mask,
     _defects,
     _kernel_index,
+    _split,
     cut_interface,
     fredholm_index,
     index_k_projection,
@@ -574,7 +575,7 @@ def full_svd_kernel_index(entries, window, cut_sites, config):
 
 
 def assert_kernel_index_matches_full_svd(entries, window, config):
-    result = _kernel_index(entries, window, config.cut_sites, config)
+    result = _kernel_index(_split(entries), window, config.cut_sites, config)
     value, near, kernel_fracs, coker_fracs = full_svd_kernel_index(
         entries, window, config.cut_sites, config
     )
@@ -691,7 +692,173 @@ def test_kernel_index_rejects_a_lone_pair_inside_the_gap():
     with pytest.raises(BoundaryContaminationError):
         full_svd_kernel_index(entries, window, config.cut_sites, config)
     with pytest.raises(BoundaryContaminationError):
-        _kernel_index(entries, window, config.cut_sites, config)
+        _kernel_index(_split(entries), window, config.cut_sites, config)
+
+
+def split_case(window, core, core_kind, empties, small, gap, weights, edge, seed):
+    """A line-window operator made of what ``_split`` separates: a
+    ``core`` x ``core`` block on random rows and columns, ``empties``
+    empty rows and columns, and lone pairs on the rest, ``small`` of
+    them below sv_threshold and ``gap`` of them inside the threshold
+    gap, the others of modulus 1.
+
+    A ``dense`` core holds random weights and a ``unitary`` one a
+    random unitary.  ``dyadic`` weights are (m + ni)/4 in the core,
+    phases from {1, -1, i, -i} and powers of 2 for the small and gap
+    moduli, so every product and power the estimators and the oracles
+    form of them is exact; ``complex`` weights are arbitrary.  With
+    ``edge`` the defective rows and columns (a dense core, the empty
+    ones, the small and gap pairs) take the sites farthest from the
+    origin first, so the base check can pass.
+    """
+    rng = np.random.default_rng(seed)
+    d = window.dimension
+    distance = np.abs(np.array(window.sites))
+
+    def order():
+        if edge:  # jitter below 1 breaks ties at random
+            return np.argsort(-distance + 0.5 * rng.random(d), kind="stable")
+        return rng.permutation(d)
+
+    rows, cols = order(), order()
+    if weights == "dyadic":
+        phases = np.array([1, -1, 1j, -1j])[rng.integers(4, size=d)]
+        block = rng.integers(-4, 5, size=(2, core, core)) / 4
+        moduli = np.concatenate((2.0 ** -(27 + np.arange(small)), np.full(gap, 2.0**-17)))
+    else:
+        phases = np.exp(2j * np.pi * rng.random(d))
+        block = rng.standard_normal((2, core, core)) / 2
+        moduli = np.concatenate((1e-8 * (1 + np.arange(small)), np.full(gap, 1e-5)))
+    block = block[0] + 1j * block[1]
+    if core_kind == "unitary":
+        block = random_unitary(core, rng)
+        pieces = (("empty", empties), ("pair", small + gap), ("core", core))
+    else:
+        pieces = (("core", core), ("empty", empties), ("pair", small + gap))
+    t = np.zeros((d, d), dtype=np.complex128)
+    at = 0
+    for kind, n in pieces:
+        r, c = rows[at : at + n], cols[at : at + n]
+        if kind == "core":
+            t[np.ix_(r, c)] = block
+        elif kind == "pair":
+            t[r, c] = moduli * phases[at : at + n]
+        at += n
+    t[rows[at:], cols[at:]] = phases[at:]  # the rest are pairs of modulus 1
+    return t
+
+
+def oracle_fredholm(t, window, method, config):
+    """fredholm_index from whole-window products and one full SVD:
+    (value, diagnostics), or the exception it must raise.  Per-vector
+    cut fractions depend on the basis the SVD picks inside a degenerate
+    cluster, so their sums over the near kernel stand for them."""
+    diag = {}
+    if method in ("auto", "kernel_count"):
+        value, near, kernel_fracs, coker_fracs = full_svd_kernel_index(
+            t, window, config.cut_sites, config
+        )
+        diag["near_singular_values"] = near
+        diag["kernel_cut_mass"] = sum(kernel_fracs)
+        diag["cokernel_cut_mass"] = sum(coker_fracs)
+    if method in ("auto", "trace_formula"):
+        right, left = full_window_traces(t, window)
+        raw = right - left
+        if abs(raw - round(raw)) > 0.1:
+            raise BoundaryContaminationError("trace not integral")
+        if method == "auto" and round(raw) != value:
+            raise MethodDisagreementError("methods disagree")
+        value = round(raw)
+        diag["trace_raw"] = raw
+        if method == "trace_formula":
+            diag["trace_right"], diag["trace_left"] = right, left
+    right, left = dense_defects_of(t)
+    diag["defect_mass_total"] = float(np.abs(np.diag(right)).sum() + np.abs(np.diag(left)).sum())
+    return value, diag
+
+
+def assert_index_matches_oracle(estimate, t, window, method, config, exact):
+    """``estimate()`` gives the oracle's value and diagnostics, within
+    1e-12, or exactly when ``exact`` for the products and powers of the
+    trace formula and the defect mass; or it raises the oracle's
+    exception class.  Returns whether the oracle gave a value."""
+    try:
+        value, want = oracle_fredholm(t, window, method, config)
+    except (BoundaryContaminationError, MethodDisagreementError) as exc:
+        with pytest.raises(type(exc)):
+            estimate()
+        return False
+    result = estimate()
+    got = dict(result.diagnostics)
+    assert result.value == value
+    if "near_singular_values" in want:
+        near = want.pop("near_singular_values")
+        assert np.allclose(got["near_singular_values"], near, rtol=1e-12, atol=1e-15)
+        for side in ("kernel", "cokernel"):
+            mass = sum(got[f"{side}_cut_fractions"])
+            assert abs(mass - want.pop(f"{side}_cut_mass")) <= 1e-12
+    if method == "auto":
+        got["trace_raw"] = got["cross_check"]["trace_raw"]
+    for key, expected in want.items():
+        if exact:
+            assert got[key] == expected, key
+        else:
+            assert abs(got[key] - expected) <= 1e-12 * max(1.0, abs(expected)), key
+    return True
+
+
+@given(
+    radius=st.integers(4, 10),
+    core=st.integers(0, 4),
+    core_kind=st.sampled_from(["dense", "unitary"]),
+    empties=st.integers(0, 2),
+    small=st.integers(0, 2),
+    gap=st.integers(0, 1),
+    weights=st.sampled_from(["dyadic", "complex"]),
+    edge=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(radius=8, core=3, core_kind="unitary", empties=0, small=0, gap=0, weights="complex", edge=True, seed=1)
+@example(radius=8, core=2, core_kind="dense", empties=2, small=1, gap=0, weights="dyadic", edge=True, seed=2)
+@example(radius=6, core=4, core_kind="dense", empties=1, small=2, gap=1, weights="dyadic", edge=False, seed=3)
+# an empty row, then a small pair's row, inside the interior and its
+# column at the edge: only 1 - BB* is defective there
+@example(radius=8, core=0, core_kind="unitary", empties=1, small=0, gap=0, weights="dyadic", edge=False, seed=2)
+@example(radius=8, core=0, core_kind="unitary", empties=0, small=1, gap=0, weights="dyadic", edge=False, seed=2)
+def test_split_estimators_match_the_whole_window_oracles(
+    radius, core, core_kind, empties, small, gap, weights, edge, seed
+):
+    window = TruncationWindow.line(radius)
+    t = split_case(window, core, core_kind, empties, small, gap, weights, edge, seed)
+    exact = weights == "dyadic" and core_kind == "dense"
+    config = IndexConfig(cut_sites=(0,))
+    for method in ("auto", "kernel_count", "trace_formula"):
+        estimate = partial(fredholm_index, Operator(window, t), method, config)
+        assert_index_matches_oracle(estimate, t, window, method, config, exact)
+
+    # the same operator as the base of the half-line compression
+    base = Operator(window, t)
+    p = Projection.from_region(Explicit(frozenset(x for x in window.sites if x >= 1)), window)
+    right, left = dense_defects_of(t)
+    inside = np.ix_(*[interior_mask(window, DEFAULT_INDEX_CONFIG.buffer)] * 2)
+    interior = max(dense_norm(right[inside]), dense_norm(left[inside]))
+    if interior > 1e-6:
+        with pytest.raises(PreconditionError):
+            projection_index(p, base)
+        return
+    config = IndexConfig(cut_sites=cut_interface(p))
+    estimate = partial(projection_index, p, base)
+    compressed = dense_compression(p, base)
+    if not assert_index_matches_oracle(estimate, compressed, window, "auto", config, exact):
+        return
+    diag = estimate().diagnostics
+    pe, be = p.entries, base.entries
+    for key, expected in (
+        ("base_interior_defect", interior),
+        ("base_unitarity_defect", dense_norm(right)),
+        ("commutator_norm", dense_norm(pe @ be - be @ pe)),
+    ):
+        assert abs(diag[key] - expected) <= 1e-12 * max(1.0, expected), key
 
 
 def dense_row(p, base):

@@ -13,10 +13,9 @@ from oplab.errors import (
     UnitarityError,
     WindowMismatchError,
 )
-from oplab.geometry import Arc, Cone, Direction, Explicit
+from oplab.geometry import Arc, Direction, Explicit
 from oplab.homotopy import (
     AffineSegment,
-    CertificateReport,
     CertifyConfig,
     HomotopyPath,
     PipelineConfig,
@@ -42,7 +41,7 @@ from oplab.operators import (
 )
 from oplab.runner import seeded_local_unitary
 from oplab.surgery import greedy_isometry
-from oplab.windows import AmplifiedWindow, TruncationWindow
+from oplab.windows import TruncationWindow
 
 from conftest import dense_factors, traced_peak
 

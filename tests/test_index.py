@@ -32,6 +32,7 @@ from oplab.operators import (
 )
 from oplab.windows import TruncationWindow
 
+from conftest import traced_peak
 from test_block_oracles import weighted_partial_permutation
 
 
@@ -144,6 +145,25 @@ def test_index_k_sweep_matches_oracle(radius, k):
     assert oracle == k
     for method in ("auto", "kernel_count", "trace_formula"):
         assert projection_index(p, base, method=method).value == k
+
+
+@pytest.mark.parametrize("k", [1, -3])
+def test_index_peak_memory_is_the_compression_alone(k):
+    # T = PBP + P⊥ has at most one nonzero per row, so the split holds
+    # O(d) entries: the estimators allocate well under one d x d array,
+    # and projection_index allocates T once and little more
+    window = TruncationWindow.line(1024)
+    base, p = index_k_projection(k, window)
+    mask = p.diagonal_mask()
+    t = Operator(window, base.entries * np.outer(mask, mask) + np.diag(~mask))
+    config = IndexConfig(cut_sites=cut_interface(p))
+    one_array = window.dimension**2 * np.dtype(np.complex128).itemsize
+    result, peak = traced_peak(lambda: fredholm_index(t, "auto", config))
+    assert result.value == k
+    assert peak <= 0.25 * one_array
+    result, peak = traced_peak(lambda: projection_index(p, base))
+    assert result.value == k
+    assert peak <= 1.5 * one_array
 
 
 def test_index_k_needs_room():
