@@ -54,7 +54,7 @@ from .errors import (
     WindowMismatchError,
 )
 from .geometry import Arc, Ball, Cone, Direction, Explicit, arcs_disjoint, region_mask
-from .index import IndexConfig, fredholm_index
+from .index import IndexConfig, _compressed, _nonzero, fredholm_index
 from .operators import (
     Operator,
     Projection,
@@ -1263,19 +1263,6 @@ def _idempotency_defect(sample: BlockSample) -> float:
     )
 
 
-def _compression(sample: BlockSample, base: np.ndarray) -> np.ndarray:
-    """P B P + 1 - P for the sample P.  A row or column of P off the block
-    is p_i e_i, so B is only scaled there; products run through the block."""
-    s, blk, p = sample.sites, sample.block, sample.diag
-    pb = p[:, None] * base
-    pb[s] = blk @ base[s]
-    out = pb * p[None, :]
-    out[:, s] = pb[:, s] @ blk
-    out[np.diag_indices_from(out)] += 1.0 - p
-    out[np.ix_(s, s)] -= blk
-    return out
-
-
 def certify_path(path: HomotopyPath, config: CertifyConfig | None = None) -> CertificateReport:
     """Sample the path and measure everything the certificate promises.
 
@@ -1301,9 +1288,12 @@ def certify_path(path: HomotopyPath, config: CertifyConfig | None = None) -> Cer
     cut from the segment's factors (``block``) on a unitary path and
     from the sample formed at t (``BlockSample.cut``) on a projection
     path.  Projection paths add the idempotency defect and, with
-    ``index_base``, the index of P B P + 1 - P at every sample, from the
-    sample's block and its diagonal.  ``index_base`` on a path that does
-    not start at a projection raises PreconditionError.
+    ``index_base``, the index of P B P + 1 - P at every sample.  B is read
+    once per path into its nonzero list, and each sample's T is built as
+    a nonzero list from the sample's diagonal, sites and block
+    (``_compressed``), with no d x d array unless the block is the whole
+    window.  ``index_base`` on a path that does not start at a
+    projection raises PreconditionError.
 
     The first sample, ``sample(0.0)`` of the first segment, is formed for
     the projection test and the start error, and the last for the end
@@ -1341,6 +1331,7 @@ def certify_path(path: HomotopyPath, config: CertifyConfig | None = None) -> Cer
     if not is_projection:
         sample = None  # a unitary path is measured from its forms
 
+    base = None if config.index_base is None else _nonzero(config.index_base.entries)
     index_config = config.index_config or IndexConfig()
     index_method = "kernel_count" if index_config.cut_sites else "trace_formula"
 
@@ -1376,8 +1367,8 @@ def certify_path(path: HomotopyPath, config: CertifyConfig | None = None) -> Cer
             idem_defect, sample_index = 0.0, None
             if is_projection:
                 idem_defect = _idempotency_defect(sample)
-                if config.index_base is not None:
-                    compressed = Operator(window, _compression(sample, config.index_base.entries))
+                if base is not None:
+                    compressed = _compressed(window, sample.diag, sample.sites, sample.block, base)
                     sample_index = fredholm_index(compressed, index_method, index_config).value
                     index_trace.append(sample_index)
             rows.append((t, unit, sv, loc, idem_defect, sample_index, measure))

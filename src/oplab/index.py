@@ -11,12 +11,16 @@ locates the near-kernel vectors themselves, and the trace formula
 ind T = tr(1 - T*T)^m - tr(1 - TT*)^m sums the isometry defects over
 the window's interior.  ``auto`` cross-checks the first with the second.
 
-Every operator is read once, into its lone pairs (entries alone in
-their row and their column, which are 1 x 1 blocks of their own) plus
-the square core left on the other rows and columns.  That one split
-feeds the kernel count, the trace formula, the defect diagnostics and
-the projection index's base check, so each costs a pass over the
-nonzero entries and dense work on the core alone.
+The compression is built in one place, ``_compressed``, as its nonzero
+list: from P as a diagonal off a site set S plus a block on S x S, and
+from B's nonzero list, with no d x d array unless S is the whole
+window.  Every operator is read once, from that list or from a given
+matrix's nonzero entries, into its lone pairs (entries alone in their
+row and their column, which are 1 x 1 blocks of their own) plus the
+square core left on the other rows and columns.  That one split feeds
+the kernel count, the trace formula, the defect diagnostics and the
+projection index's base check, so each costs a pass over the nonzero
+entries and dense work on the core alone.
 """
 
 from __future__ import annotations
@@ -221,25 +225,103 @@ class _Split:
     core: np.ndarray
 
 
-def _split(entries: np.ndarray) -> _Split:
-    """One pass over the entries; an entry is a lone pair when the
-    nonzero counts of its row and its column are both 1."""
-    d = entries.shape[0]
+def _nonzero(entries: np.ndarray) -> tuple:
+    """(rows, cols, values) of a matrix's nonzero entries, row-major."""
     # flat positions of a boolean pattern: faster than the 2-d nonzero
-    rows, cols = np.divmod(np.flatnonzero(entries != 0), d)
+    rows, cols = np.divmod(np.flatnonzero(entries != 0), entries.shape[1])
+    return rows, cols, entries[rows, cols]
+
+
+def _split(nonzero: tuple, d: int) -> _Split:
+    """Split a d x d matrix given by its nonzero list; an entry is a lone
+    pair when the nonzero counts of its row and its column are both 1.
+    Every other entry lies on a core row and a core column."""
+    rows, cols, values = nonzero
     lone = (np.bincount(rows, minlength=d)[rows] == 1) & (
         np.bincount(cols, minlength=d)[cols] == 1
     )
-    values = entries[rows, cols]
     core_rows = np.flatnonzero(np.bincount(rows[lone], minlength=d) == 0)
     core_cols = np.flatnonzero(np.bincount(cols[lone], minlength=d) == 0)
+    core = np.zeros((core_rows.size, core_cols.size), dtype=values.dtype)
+    rest = ~lone
+    at_row = np.searchsorted(core_rows, rows[rest])
+    at_col = np.searchsorted(core_cols, cols[rest])
+    core[at_row, at_col] = values[rest]
     return _Split(
-        nonzero=(rows, cols, values),
+        nonzero=nonzero,
         pairs=(rows[lone], cols[lone], values[lone]),
         core_rows=core_rows,
         core_cols=core_cols,
-        core=entries[np.ix_(core_rows, core_cols)],
+        core=core,
     )
+
+
+@dataclass(frozen=True)
+class _Sparse:
+    """A d x d matrix on its window given by its nonzero list (rows,
+    cols, values) in row-major order, as ``_compressed`` builds T."""
+
+    window: TruncationWindow
+    nonzero: tuple
+
+
+def _compressed(
+    window, diag: np.ndarray, sites: np.ndarray, block: np.ndarray, base: tuple
+) -> _Sparse:
+    """T = P B P + 1 - P as its nonzero list, with no d x d array unless
+    S is the whole window.  P is ``diag`` off the sorted site set S =
+    ``sites`` and ``block`` on S x S; B is its nonzero list ``base``.
+
+    A row or column of P off S is p_i e_i, so B is only scaled there and
+    the products run through the block, in the dense product's order:
+    T_ij = (p_i B_ij) p_j off S, PB = block @ B[S, :] on the rows in S,
+    T[:, S] = PB[:, S] @ block on the columns in S, then 1 - p added on
+    the diagonal and the block taken off S x S.  Each entry is rounded
+    as that product rounds it.  A 0/1 mask is S empty; a P with no
+    structure is S = every site.
+    """
+    d = diag.size
+    rows, cols, values = base
+    at = np.full(d, -1)
+    at[sites] = np.arange(sites.size)
+    row_in, col_in = at[rows] >= 0, at[cols] >= 0
+    outside = np.flatnonzero(at < 0)
+    # PB: p_i B_ij on the rows off S, block @ B[S, :] on the rows in S
+    scaled = diag[rows] * values
+    b_rows = np.zeros((sites.size, d), dtype=values.dtype)
+    b_rows[at[rows[row_in]], cols[row_in]] = values[row_in]
+    pb_rows = block @ b_rows
+    # off S: (p_i B_ij) p_j, and 1 - p_i on the diagonal
+    off = ~row_in & ~col_in
+    off_rows, off_cols = rows[off], cols[off]
+    off_values = scaled[off] * diag[off_cols]
+    on_diagonal = off_rows == off_cols
+    diagonal = np.zeros(outside.size, dtype=off_values.dtype)
+    diagonal[np.searchsorted(outside, off_rows[on_diagonal])] = off_values[on_diagonal]
+    diagonal += 1.0 - diag[outside]
+    # the columns in S, through the block
+    pb_cols = np.zeros((d, sites.size), dtype=np.result_type(scaled, pb_rows))
+    edge = ~row_in & col_in
+    pb_cols[rows[edge], at[cols[edge]]] = scaled[edge]
+    pb_cols[sites] = pb_rows[:, sites]
+    t_s = pb_cols @ block
+    t_s[sites, np.arange(sites.size)] += 1.0 - diag[sites]
+    t_s[sites] -= block
+    parts = (
+        (off_rows[~on_diagonal], off_cols[~on_diagonal], off_values[~on_diagonal]),
+        (outside, outside, diagonal),
+        (
+            np.repeat(sites, outside.size),
+            np.tile(outside, sites.size),
+            (pb_rows[:, outside] * diag[outside]).ravel(),
+        ),
+        (np.repeat(np.arange(d), sites.size), np.tile(sites, d), t_s.ravel()),
+    )
+    t_rows, t_cols, t_values = (np.concatenate(part) for part in zip(*parts))
+    keep = np.flatnonzero(t_values != 0)
+    # each part is row-major already, so the stable sort merges four runs
+    order = keep[np.argsort(t_rows[keep] * d + t_cols[keep], kind="stable")]
+    return _Sparse(window, (t_rows[order], t_cols[order], t_values[order]))
 
 
 def _pair_defects(split: _Split) -> np.ndarray:
@@ -431,7 +513,7 @@ def _trace_index(split: _Split, window, config: IndexConfig) -> IndexResult:
 
 
 def fredholm_index(
-    t: Operator, method: str = "auto", config: IndexConfig | None = None
+    t: Operator | _Sparse, method: str = "auto", config: IndexConfig | None = None
 ) -> IndexResult:
     """Index of an essentially-unitary-like operator on its window.
 
@@ -440,11 +522,13 @@ def fredholm_index(
     the interior mask.  ``auto`` counts kernels and cross-checks with
     the trace formula; a mismatch raises rather than guessing.
 
-    T is read once, by ``_split``, into its lone pairs and a square
-    core, and every reading takes that split: the kernel count runs its
-    SVD on the core alone, the trace formula reads the pairs' 1 x 1
-    defects and forms the core's defects per connected component (see
-    ``_defects``), and the defect diagnostics sum squares over the
+    T is an ``Operator``, whose entries are scanned once for their
+    nonzero list, or that list itself as ``_compressed`` builds it.
+    The list is split once, by ``_split``, into its lone pairs and a
+    square core, and every reading takes that split: the kernel count
+    runs its SVD on the core alone, the trace formula reads the pairs'
+    1 x 1 defects and forms the core's defects per connected component
+    (see ``_defects``), and the defect diagnostics sum squares over the
     nonzero entries.  A weighted partial permutation has an all-zero
     core; an irreducible T is one whole-window core.
     """
@@ -452,7 +536,8 @@ def fredholm_index(
     window = t.window
     if not isinstance(window, TruncationWindow):
         raise PreconditionError("index estimation needs a plain truncation window")
-    split = _split(t.entries)
+    nonzero = t.nonzero if isinstance(t, _Sparse) else _nonzero(t.entries)
+    split = _split(nonzero, window.dimension)
     cut_sites = tuple(config.cut_sites)
 
     if method in ("auto", "kernel_count"):
@@ -502,18 +587,21 @@ def projection_index(
 ) -> IndexResult:
     """Index of P * base * P + P⊥ with the cut locus derived from P.
 
-    The base is read once, by ``_split``.  Its defects 1 - B*B and
-    1 - BB* are the pairs' 1 x 1 blocks plus the core's, so each norm
-    below is the larger of the pairs' |1 - |v|^2| and the core's.  With a
-    0/1 mask P, the compression and the commutator are built from B's
-    nonzero entries.
+    The base is read once, into its nonzero list and its ``_split``.
+    Its defects 1 - B*B and 1 - BB* are the pairs' 1 x 1 blocks plus
+    the core's, so each norm below is the larger of the pairs'
+    |1 - |v|^2| and the core's.  T is built from B's nonzero list as a
+    nonzero list (``_compressed``): a 0/1 mask P is a diagonal with no
+    block, any other P one block on every site.  With a mask the
+    commutator is taken from B's entries that cross it.
     """
     config = config or DEFAULT_INDEX_CONFIG
     if p.window != base.window:
         raise PreconditionError("projection and base live on different windows")
     # the open-boundary shift is unitary-like in the only sense available
     # at finite scale: its isometry defect is confined to the window edge
-    b = _split(base.entries)
+    d = p.window.dimension
+    b = _split(_nonzero(base.entries), d)
     pair_rows, pair_cols, _ = b.pairs
     pair_defects = np.abs(_pair_defects(b))
     core_right, core_left = _defects(b.core)
@@ -531,26 +619,23 @@ def projection_index(
         )
     mask = p.diagonal_mask()
     if mask is None:
+        diag, sites, block = np.zeros(d), np.arange(d), p.entries
         be, pe = base.entries, p.entries
-        compressed = pe @ be @ pe + (np.eye(p.window.dimension) - pe)
         commutator = spectral_norm(pe @ be - be @ pe)
     else:
         if not config.cut_sites:
             config = dataclasses.replace(config, cut_sites=cut_interface(p))
-        rows, cols, values = b.nonzero
+        diag, sites, block = mask.astype(float), np.arange(0), np.zeros((0, 0))
+        rows, cols, _ = b.nonzero
         row_on, col_on = mask[rows], mask[cols]
-        keep = row_on & col_on
-        compressed = np.zeros_like(base.entries)
-        compressed[rows[keep], cols[keep]] = values[keep]
-        off = np.flatnonzero(~mask)
-        compressed[off, off] = 1.0
         # PB - BP keeps only the two blocks between P and P⊥ (with
         # opposite signs), so its singular values are theirs together
         commutator = max(
             spectral_norm(_gathered(b, row_on & ~col_on)),
             spectral_norm(_gathered(b, ~row_on & col_on)),
         )
-    result = fredholm_index(Operator(p.window, compressed), method, config)
+    compressed = _compressed(p.window, diag, sites, block, b.nonzero)
+    result = fredholm_index(compressed, method, config)
     result.diagnostics["base_interior_defect"] = defect
     # 1 - B*B is Hermitian, so its norm is max |lambda - 1| over B*B
     result.diagnostics["base_unitarity_defect"] = max(

@@ -22,7 +22,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from oplab.errors import BoundaryContaminationError, MethodDisagreementError, PreconditionError
-from oplab.geometry import Arc, Ball, Cone, Direction, Explicit, widen_arc
+from oplab.geometry import Arc, Ball, Cone, Direction, Explicit
 import oplab.homotopy
 import oplab.locality
 from oplab.homotopy import (
@@ -31,7 +31,6 @@ from oplab.homotopy import (
     CertifyConfig,
     SpectralSegment,
     _block_peel,
-    _compression,
     _locality_indices,
     _log_segment,
     block_peel,
@@ -45,10 +44,12 @@ from oplab.homotopy import (
 from oplab.index import (
     DEFAULT_INDEX_CONFIG,
     IndexConfig,
+    _compressed,
     _count_localized,
     _cut_neighborhood_mask,
     _defects,
     _kernel_index,
+    _nonzero,
     _split,
     cut_interface,
     fredholm_index,
@@ -336,6 +337,27 @@ def dense_compression(p, base):
     return pe @ base.entries @ pe + (np.eye(p.window.dimension) - pe)
 
 
+def block_compression_oracle(diag, sites, blk, base):
+    """P B P + 1 - P as one dense d x d array, for P diagonal off the
+    sites and ``blk`` on them: the route certify_path took before T was
+    built as its nonzero list, and the order of operations that list
+    must reproduce bit for bit."""
+    s, p = sites, diag
+    pb = p[:, None] * base
+    pb[s] = blk @ base[s]
+    out = pb * p[None, :]
+    out[:, s] = pb[:, s] @ blk
+    out[np.diag_indices_from(out)] += 1.0 - p
+    out[np.ix_(s, s)] -= blk
+    return out
+
+
+def assert_same_nonzero(got, want):
+    for part, expected in zip(got, want):
+        assert part.dtype == expected.dtype
+        assert np.array_equal(part, expected)
+
+
 def dense_defects_of(t):
     """1 - T*T and 1 - TT* as two whole-window products."""
     eye = np.eye(t.shape[0])
@@ -575,7 +597,8 @@ def full_svd_kernel_index(entries, window, cut_sites, config):
 
 
 def assert_kernel_index_matches_full_svd(entries, window, config):
-    result = _kernel_index(_split(entries), window, config.cut_sites, config)
+    split = _split(_nonzero(entries), window.dimension)
+    result = _kernel_index(split, window, config.cut_sites, config)
     value, near, kernel_fracs, coker_fracs = full_svd_kernel_index(
         entries, window, config.cut_sites, config
     )
@@ -692,7 +715,8 @@ def test_kernel_index_rejects_a_lone_pair_inside_the_gap():
     with pytest.raises(BoundaryContaminationError):
         full_svd_kernel_index(entries, window, config.cut_sites, config)
     with pytest.raises(BoundaryContaminationError):
-        _kernel_index(_split(entries), window, config.cut_sites, config)
+        split = _split(_nonzero(entries), window.dimension)
+        _kernel_index(split, window, config.cut_sites, config)
 
 
 def split_case(window, core, core_kind, empties, small, gap, weights, edge, seed):
@@ -908,7 +932,52 @@ def test_conjugation_samples_match_the_dense_product(case):
             assert abs(unit - dense_unit) <= 1e-14
             assert abs(sv - dense_sv) <= 1e-14
             assert abs(idem - dense_idem) <= 1e-14
-            assert np.max(np.abs(_compression(sample, base) - compressed)) <= 1e-14
+            oracle = block_compression_oracle(sample.diag, sample.sites, sample.block, base)
+            assert np.max(np.abs(oracle - compressed)) <= 1e-14
+            t = _compressed(window, sample.diag, sample.sites, sample.block, _nonzero(base))
+            assert_same_nonzero(t.nonzero, _nonzero(oracle))
+
+
+@given(
+    d=st.integers(4, 40),
+    where=st.sampled_from(["empty", "interior", "edge", "whole"]),
+    diagonal=st.sampled_from(["mask", "real"]),
+    base_diagonal=st.booleans(),
+    dense_rows=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(d=4, where="edge", diagonal="real", base_diagonal=True, dense_rows=True, seed=1)
+@example(d=40, where="interior", diagonal="mask", base_diagonal=False, dense_rows=False, seed=2)
+def test_compression_list_is_the_dense_compression_bit_for_bit(
+    d, where, diagonal, base_diagonal, dense_rows, seed
+):
+    """The nonzero list of T = P B P + 1 - P equals the nonzero entries
+    of the dense oracle exactly, in row-major order."""
+    rng = np.random.default_rng(seed)
+    size = int(rng.integers(1, d - 1))
+    if where == "empty":
+        sites = np.arange(0)
+    elif where == "whole":
+        sites = np.arange(d)
+    elif where == "interior":  # any sites but the two end ones
+        sites = np.sort(rng.choice(np.arange(1, d - 1), size, replace=False))
+    else:  # a run from either end
+        sites = np.arange(size) + (0, d - size)[seed % 2]
+    if diagonal == "mask":
+        diag = (rng.random(d) < 0.5).astype(float)
+    else:
+        diag = rng.standard_normal(d)
+    diag[sites] = 0.0
+    blk = sparse_complex(rng, sites.size, sites.size, 1.0)
+    base = sparse_complex(rng, d, d, 0.2)
+    if not base_diagonal:
+        np.fill_diagonal(base, 0.0)
+    if dense_rows:
+        base[sites] = sparse_complex(rng, sites.size, d, 1.0)
+    oracle = block_compression_oracle(diag, sites, blk, base)
+    # the window only travels with the list
+    got = _compressed(None, diag, sites, blk, _nonzero(base)).nonzero
+    assert_same_nonzero(got, _nonzero(oracle))
 
 
 @st.composite
