@@ -54,7 +54,7 @@ from .errors import (
     WindowMismatchError,
 )
 from .geometry import Arc, Ball, Cone, Direction, Explicit, arcs_disjoint, region_mask
-from .index import IndexConfig, _compressed, _nonzero, fredholm_index
+from .index import IndexConfig, _compressed, _masks, _nonzero, fredholm_index
 from .operators import (
     Operator,
     Projection,
@@ -110,17 +110,23 @@ def _off_identity(entries: np.ndarray) -> np.ndarray:
     return pattern
 
 
-def _split_norm(entries: np.ndarray) -> float:
+def _split_norm(entries: np.ndarray, outside: np.ndarray | None = None) -> float:
     """Spectral norm of a square matrix, per connected component of its
     pattern.  The matrix is block diagonal over them, and the norm of a
     block-diagonal matrix is the largest norm of its blocks, so this is
-    exact; one component is the whole-window ``spectral_norm``."""
+    exact; one component is the whole-window ``spectral_norm``.  With
+    ``outside`` it is the norm of entries ⊕ diag(outside), each nonzero
+    diagonal entry a 1 x 1 component of its own, as the whole window
+    would give it."""
     parts = components(entries)
-    if len(parts) == 1:
+    if outside is None and len(parts) == 1:
         return spectral_norm(entries)
+    blocks = [diagonal_blocks(entries, stack) for stack in block_stacks(parts)]
+    if outside is not None:
+        blocks.append(outside[outside != 0][:, None, None])
     return max(
-        float(np.linalg.svd(diagonal_blocks(entries, stack), compute_uv=False).max())
-        for stack in block_stacks(parts)
+        (float(np.linalg.svd(b, compute_uv=False).max()) for b in blocks if b.size),
+        default=0.0,
     )
 
 
@@ -165,7 +171,9 @@ class PathSegment:
         return self._at(t)[np.ix_(rows, cols)]
 
     def sample(self, t: float) -> "BlockSample":
-        """X(t) formed, as a block sample of the whole window."""
+        """X(t) formed, as a block sample (of the whole window unless the
+        form narrows it).  Its block is a new array, the caller's to
+        overwrite, or a read-only view of the segment's own data."""
         return self._sample(self._time(t))
 
     def _sample(self, t: float) -> "BlockSample":
@@ -275,8 +283,13 @@ class AffineSegment(PathSegment):
         )
 
     def _sample(self, t: float) -> "BlockSample":
-        """X(t) formed; every sample of a constant segment is A itself."""
-        return BlockSample.whole(self.start) if self.is_constant() else super()._sample(t)
+        """X(t) formed; every sample of a constant segment is A itself, as
+        a read-only view."""
+        if not self.is_constant():
+            return super()._sample(t)
+        start = self.start.view()
+        start.flags.writeable = False
+        return BlockSample.whole(start)
 
     def moving_sites(self) -> np.ndarray:
         """Sites whose row or column of A or B differs from the identity."""
@@ -642,9 +655,11 @@ class SpectrumBound:
 
 @dataclass(frozen=True)
 class BlockSample:
-    """A d x d sample that is diagonal off a site set S: ``diag`` there
-    (``diag`` is zero on S), ``block`` on S x S, and zero between the two.
-    A sample taken on the whole window has S = every site."""
+    """A d x d matrix that is diagonal off a sorted site set S: ``diag``
+    there (``diag`` is zero on S), ``block`` on S x S, and zero between
+    the two.  Path samples and declared path ends take this form.  A
+    dense matrix is the sample with S = every site (``whole``); the
+    identity is the one with S empty (``identity``)."""
 
     diag: np.ndarray
     sites: np.ndarray
@@ -655,14 +670,24 @@ class BlockSample:
         d = entries.shape[0]
         return cls(np.zeros(d), np.arange(d), entries)
 
-    def outside(self) -> np.ndarray:
-        """The diagonal entries off S."""
+    @classmethod
+    def identity(cls, d: int) -> "BlockSample":
+        return cls(np.ones(d), _NO_SITES, np.zeros((0, 0), dtype=np.complex128))
+
+    def is_whole(self) -> bool:
+        return self.sites.size == self.diag.size
+
+    def _off(self) -> np.ndarray:
         off = np.ones(self.diag.size, dtype=bool)
         off[self.sites] = False
-        return self.diag[off]
+        return off
+
+    def outside(self) -> np.ndarray:
+        """The diagonal entries off S."""
+        return self.diag[self._off()]
 
     def dense(self) -> np.ndarray:
-        if self.sites.size == self.diag.size:
+        if self.is_whole():
             return self.block
         every = np.arange(self.diag.size)
         return self.cut(every, every)
@@ -678,37 +703,80 @@ class BlockSample:
         return out
 
 
+def _fold(out: np.ndarray, sample: BlockSample, op) -> None:
+    """out = op(out, sample) in place for a dense ``out``, on the entries
+    where the sample may be nonzero: its block on S x S and its diagonal
+    off S."""
+    ix = np.ix_(sample.sites, sample.sites)
+    out[ix] = op(out[ix], sample.block)
+    off = np.flatnonzero(sample._off())
+    out[off, off] = op(out[off, off], sample.diag[off])
+
+
+def _difference(a: BlockSample, b: BlockSample, spare: bool = False) -> tuple:
+    """a - b as (its block on U x U, its diagonal off U, or None when U is
+    the whole window), U the union of the two samples' site sets: both
+    are diagonal off U, and so is their difference.
+
+    A whole-window side enters as its own block, with the other side
+    folded into a copy of it (``_fold``), so a difference on the whole
+    window is the dense one entry for entry and no side is cut.  With
+    ``spare`` the caller gives up a, a sample it formed for this check:
+    a whole-window a's block then becomes the difference, unless it is
+    read-only, and no d x d array is formed."""
+    if a.is_whole():
+        own = a.block if spare and a.block.flags.writeable else None
+        if b.is_whole():
+            return np.subtract(a.block, b.block, out=own), None
+        diff = a.block.copy() if own is None else own
+        _fold(diff, b, np.subtract)
+        return diff, None
+    if b.is_whole():
+        diff = np.negative(b.block)
+        _fold(diff, a, np.add)
+        return diff, None
+    union = np.union1d(a.sites, b.sites)
+    diff = a.cut(union, union) - b.cut(union, union)
+    if union.size == a.diag.size:
+        return diff, None
+    off = np.ones(a.diag.size, dtype=bool)
+    off[union] = False
+    return diff, a.diag[off] - b.diag[off]
+
+
+def _frobenius_gap(a: BlockSample, b: BlockSample, spare: bool = False) -> float:
+    """||a - b||_F, from ``_difference``."""
+    diff, outside = _difference(a, b, spare)
+    return _fro(diff) if outside is None else math.hypot(_fro(diff), _fro(outside))
+
+
+def _spectral_gap(a: BlockSample, b: BlockSample, spare: bool = False) -> float:
+    """||a - b||, per component of the difference's pattern (``_split_norm``)."""
+    return _split_norm(*_difference(a, b, spare))
+
+
 @dataclass(frozen=True)
 class ConjugationSegment(PathSegment):
     """X(t) = U_t* Q U_t, with U_t sampled from the inner path ``upath``.
 
-    Let S hold the sites where a factor of ``upath`` differs from the
-    identity (``moving_sites`` of each inner segment) and every site
-    where Q has an off-diagonal entry.  Off S, U_t is the identity and Q
-    is diagonal, so X(t) is exactly diag(Q) there, W_t* Q_SS W_t on
-    S x S with W_t = U_t[S, S], and zero between: each sample is built
-    from that block alone.  When S is the whole window this is the
-    dense product.
+    Q is kept as a block sample ``q`` on a site set S that holds the
+    sites where a factor of ``upath`` differs from the identity
+    (``moving_sites`` of each inner segment) and every site where Q has
+    an off-diagonal entry; ``conjugation_path`` builds it.  Off S, U_t
+    is the identity and Q is diagonal, so X(t) is exactly diag(Q) there,
+    W_t* Q_SS W_t on S x S with W_t = U_t[S, S], and zero between: each
+    sample is built from that block alone.  When S is the whole window
+    this is the dense product.
     """
 
-    q: np.ndarray
+    q: BlockSample
     upath: "HomotopyPath"
-
-    @cached_property
-    def _frame(self) -> tuple:
-        """(S, diag(Q) with zeros on S, Q[S, S])."""
-        q = self.q
-        moving = _support(q - np.diag(np.diag(q)))
-        for seg in self.upath.segments:
-            moving |= seg.moving_sites()
-        sites = np.flatnonzero(moving)
-        return sites, np.where(moving, 0.0, np.diag(q)), q[np.ix_(sites, sites)]
 
     def _sample(self, t: float) -> BlockSample:
         """The sample at t, as diag(Q) off S and its block on S."""
-        sites, diag, q_block = self._frame
-        w = self.upath.block(t, sites, sites)
-        return BlockSample(diag, sites, w.conj().T @ q_block @ w)
+        q = self.q
+        w = self.upath.block(t, q.sites, q.sites)
+        return BlockSample(q.diag, q.sites, w.conj().T @ q.block @ w)
 
     def _at(self, t: float) -> np.ndarray:
         return self._sample(t).dense()
@@ -722,7 +790,7 @@ class ConjugationSegment(PathSegment):
             block = block_gram_eigenvalues((sample.block[None],))
             return np.concatenate((block, squared_moduli(sample.outside())))
 
-        return spectrum, self._frame[0].size
+        return spectrum, self.q.sites.size
 
 
 # ---------------------------------------------------------------------------
@@ -733,14 +801,20 @@ class ConjugationSegment(PathSegment):
 class HomotopyPath:
     """Equal-weight concatenation of segments with declared endpoints.
 
-    Construction verifies that adjacent segments agree at their joint
-    and that the sampled endpoints match the declared ones, both within
-    1e-9 in the Frobenius norm (which dominates the operator norm).
+    The declared ends are block samples (:class:`BlockSample`); a dense
+    end is ``BlockSample.whole(x)``.  Construction verifies that
+    adjacent segments agree at their joint and that the sampled
+    endpoints match the declared ones, both within 1e-9 in the
+    Frobenius norm (which dominates the operator norm).  Each check
+    compares two block samples on the union of their site sets, plus
+    the diagonal off it (``_difference``): a conjugation path is
+    checked on its moving block, and two whole-window samples as dense
+    arrays.
     """
 
     segments: tuple
-    declared_start: np.ndarray
-    declared_end: np.ndarray
+    declared_start: BlockSample
+    declared_end: BlockSample
 
     def __post_init__(self) -> None:
         if not self.segments:
@@ -749,16 +823,18 @@ class HomotopyPath:
         for seg in self.segments:
             if seg.window != window:
                 raise WindowMismatchError("segments live on different windows")
+        # each sample is formed for its check alone, spared to it and
+        # released with it
         for i in range(len(self.segments) - 1):
-            joint = self.segments[i].at(1.0)
-            joint -= self.segments[i + 1].at(0.0)
-            gap = _fro(joint)
+            gap = _frobenius_gap(
+                self.segments[i].sample(1.0), self.segments[i + 1].sample(0.0), spare=True
+            )
             if gap > TOL_JOINT:
                 raise PreconditionError(
                     f"segments {i} and {i + 1} disagree at their joint: {gap:.3e}"
                 )
-        start_err = _fro(self.segments[0].at(0.0) - self.declared_start)
-        end_err = _fro(self.segments[-1].at(1.0) - self.declared_end)
+        start_err = _frobenius_gap(self.segments[0].sample(0.0), self.declared_start, spare=True)
+        end_err = _frobenius_gap(self.segments[-1].sample(1.0), self.declared_end, spare=True)
         if start_err > TOL_JOINT or end_err > TOL_JOINT:
             raise PreconditionError(
                 f"declared endpoints off by ({start_err:.3e}, {end_err:.3e})"
@@ -809,7 +885,7 @@ def straight_line(a0: Operator, a1: Operator, label: str = "") -> HomotopyPath:
     if a0.window != a1.window:
         raise WindowMismatchError("straight line endpoints on different windows")
     seg = AffineSegment.between("straight_line", a0.window, a0.entries, a1.entries, label=label)
-    return HomotopyPath((seg,), a0.entries, a1.entries)
+    return HomotopyPath((seg,), BlockSample.whole(a0.entries), BlockSample.whole(a1.entries))
 
 
 def _polar_segment(g: Operator, tol: float) -> SpectralSegment:
@@ -842,7 +918,7 @@ def _polar_segment(g: Operator, tol: float) -> SpectralSegment:
 def polar_path(g: Operator, tol: float = 1e-8) -> HomotopyPath:
     """t -> U |G|^(1-t) from G to its unitary polar factor U."""
     seg = _polar_segment(g, tol)
-    return HomotopyPath((seg,), g.entries, seg.at(1.0))
+    return HomotopyPath((seg,), BlockSample.whole(g.entries), seg.sample(1.0))
 
 
 def _log_segment(window: Window, entries, blocks, right=None, flip=False) -> SpectralSegment:
@@ -973,7 +1049,9 @@ def log_path(u: Operator) -> HomotopyPath:
     moved to +pi and the count is recorded in the segment label.  The
     unitarity check and the Schur decomposition run per connected
     component of U's nonzero pattern, so a U that moves two sites
-    decomposes a 2 x 2 block.
+    decomposes a 2 x 2 block.  The path declares U (dense) as its start
+    and the identity as a block sample with no sites as its end, so no
+    identity matrix is formed.
     """
     defect = u.unitarity_defect()
     if defect > TOL_BLOCK_FORM:
@@ -981,8 +1059,9 @@ def log_path(u: Operator) -> HomotopyPath:
             f"log path needs a unitary: defect {defect:.3e} > {TOL_BLOCK_FORM:.1e}"
         )
     seg = _log_segment(u.window, u.entries, [range(u.window.dimension)])
-    eye = np.eye(u.window.dimension, dtype=np.complex128)
-    return HomotopyPath((seg,), u.entries, eye)
+    return HomotopyPath(
+        (seg,), BlockSample.whole(u.entries), BlockSample.identity(u.window.dimension)
+    )
 
 
 def block_peel(m: Operator, p: Projection) -> tuple:
@@ -998,7 +1077,8 @@ def block_peel(m: Operator, p: Projection) -> tuple:
     # f1 is the identity on P's rows, so 1 + N and f1 + N share them
     second = np.eye(m.window.dimension, dtype=np.complex128)
     second[seg.rows] = seg.row_entries
-    return (f1, Operator(m.window, second)), HomotopyPath((seg,), f1.entries, seg.dense_end())
+    path = HomotopyPath((seg,), BlockSample.whole(f1.entries), BlockSample.whole(seg.dense_end()))
+    return (f1, Operator(m.window, second)), path
 
 
 def _mask_sites(p: Projection, move: str) -> tuple:
@@ -1043,19 +1123,41 @@ def _block_peel(m: Operator, p: Projection) -> tuple:
 
 
 def conjugation_path(q: Projection | Operator, upath: HomotopyPath) -> HomotopyPath:
-    """t -> U_t* Q U_t along a unitary path starting at the identity."""
-    q_entries = q.entries
+    """t -> U_t* Q U_t along a unitary path starting at the identity.
+
+    Q is read as a block sample on the site set S of the segment (see
+    :class:`ConjugationSegment`): the sites where a factor of the inner
+    path moves, plus every site where Q has an off-diagonal entry.  A
+    projection with a 0/1 site mask is read from its mask, so no d x d
+    array is formed; any other Q from its entries.  The inner path's
+    start is checked on S x S alone, since off S each of its segments is
+    the identity by its own data (``moving_sites``).  The path declares
+    Q and the segment's sample at t = 1 as its ends.
+    """
     window = q.window
     if window != upath.window:
         raise WindowMismatchError("projection and unitary path on different windows")
-    start = upath.at(0.0) - np.eye(window.dimension, dtype=np.complex128)
+    moving = np.zeros(window.dimension, dtype=bool)
+    for seg in upath.segments:
+        moving |= seg.moving_sites()
+    mask = q.diagonal_mask() if isinstance(q, Projection) else None
+    if mask is None:
+        entries = q.entries
+        diag = np.diag(entries)
+        moving |= _support(entries - np.diag(diag))
+    else:
+        diag = mask.astype(np.complex128)
+    sites = np.flatnonzero(moving)
+    block = np.diag(diag[sites]) if mask is not None else entries[np.ix_(sites, sites)]
+    q_sample = BlockSample(np.where(moving, 0.0, diag), sites, block)
+    start = upath.block(0.0, sites, sites) - np.eye(sites.size)
     if not norm_at_most(start, TOL_BLOCK_FORM):
         raise PreconditionError(
             f"conjugation needs a unitary path from the identity; "
             f"start is {spectral_norm(start):.3e} away"
         )
-    seg = ConjugationSegment("conjugation", window, q_entries, upath)
-    return HomotopyPath((seg,), q_entries, seg.at(1.0))
+    seg = ConjugationSegment("conjugation", window, q_sample, upath)
+    return HomotopyPath((seg,), q_sample, seg.sample(1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -1104,7 +1206,9 @@ def block_unitary_homotopy(u: Operator, p: Projection, v_iso: GreedyIsometry) ->
     window, which is what the move builds: no stacked array is formed.
     """
     seg = _stacked_segment(u, p, v_iso)
-    return HomotopyPath((seg,), np.eye(p.window.dimension, dtype=np.complex128), u.entries)
+    return HomotopyPath(
+        (seg,), BlockSample.identity(p.window.dimension), BlockSample.whole(u.entries)
+    )
 
 
 def _stacked_segment(u: Operator, p: Projection, v_iso: GreedyIsometry) -> SpectralSegment:
@@ -1247,20 +1351,36 @@ def _locality(block, pair_indices) -> float:
     )
 
 
-def _is_projection(x: np.ndarray, tol: float) -> bool:
-    """Hermitian and idempotent within tol; a skew part over tol settles
-    "no" before the product is formed."""
-    return norm_at_most(x - x.conj().T, tol) and norm_at_most(x @ x - x, tol)
+def _skew_parts(sample: BlockSample) -> tuple:
+    """X - X* of a sample, which is block diagonal over S and the sites
+    off it, in two parts: the largest modulus off S, 2 max |Im p_i|
+    (p - p̄ is 2i Im p exactly), and B - B* on S."""
+    out, blk = sample.outside(), sample.block
+    return 2.0 * float(np.max(np.abs(out.imag), initial=0.0)), blk - blk.conj().T
+
+
+def _idempotency_parts(sample: BlockSample) -> tuple:
+    """X^2 - X of a sample in the same two parts: max |p_i^2 - p_i| off S,
+    and B^2 - B on S."""
+    out, blk = sample.outside(), sample.block
+    return float(np.max(np.abs(out * out - out), initial=0.0)), blk @ blk - blk
+
+
+def _is_projection(sample: BlockSample, tol: float) -> bool:
+    """Hermitian and idempotent within tol, decided on the sample's two
+    parts: each defect's norm is the larger of its parts' norms.  A skew
+    part over tol settles "no" before the square is formed."""
+    for parts in (_skew_parts, _idempotency_parts):
+        outside, block = parts(sample)
+        if outside > tol or not norm_at_most(block, tol):
+            return False
+    return True
 
 
 def _idempotency_defect(sample: BlockSample) -> float:
-    """||P^2 - P|| of a sample: max |p^2 - p| over its diagonal off the
-    block, and the norm of the block's own defect."""
-    out, blk = sample.outside(), sample.block
-    return max(
-        float(np.max(np.abs(out * out - out), initial=0.0)),
-        spectral_norm(blk @ blk - blk),
-    )
+    """||P^2 - P|| of a sample: the larger of its parts' norms."""
+    outside, block = _idempotency_parts(sample)
+    return max(outside, spectral_norm(block))
 
 
 def certify_path(path: HomotopyPath, config: CertifyConfig | None = None) -> CertificateReport:
@@ -1289,7 +1409,8 @@ def certify_path(path: HomotopyPath, config: CertifyConfig | None = None) -> Cer
     from the sample formed at t (``BlockSample.cut``) on a projection
     path.  Projection paths add the idempotency defect and, with
     ``index_base``, the index of P B P + 1 - P at every sample.  B is read
-    once per path into its nonzero list, and each sample's T is built as
+    once per path into its nonzero list, and the index's window masks
+    are computed once per path (``_masks``); each sample's T is built as
     a nonzero list from the sample's diagonal, sites and block
     (``_compressed``), with no d x d array unless the block is the whole
     window.  ``index_base`` on a path that does not start at a
@@ -1297,11 +1418,17 @@ def certify_path(path: HomotopyPath, config: CertifyConfig | None = None) -> Cer
 
     The first sample, ``sample(0.0)`` of the first segment, is formed for
     the projection test and the start error, and the last for the end
-    error (both errors are spectral norms per component of the
-    difference's pattern, which is exact).  A unitary path releases the
-    first and forms no other: two samples in all.  A projection path
-    keeps it as its t = 0 sample and forms one per t after it (a block
-    sample on a conjugation segment): ``samples`` in all.
+    error.  The projection test is decided on the block sample: X is
+    block diagonal over S and the sites off it, so ||X - X*|| and
+    ||X^2 - X|| are each the larger of a diagonal part off S and a
+    block part on S.  Both errors compare the sample with the path's
+    declared end on the union of their site sets (``_difference``), as
+    spectral norms per component of the difference's pattern, which is
+    exact.  A unitary path releases the first sample and forms no other:
+    two samples in all.  A projection path keeps it as its t = 0 sample
+    and forms one per t after it (a block sample on a conjugation
+    segment): ``samples`` in all.  On a conjugation path every check is
+    made on the moving block, with no d x d array.
     """
     config = config or CertifyConfig()
     window = path.window
@@ -1321,19 +1448,22 @@ def certify_path(path: HomotopyPath, config: CertifyConfig | None = None) -> Cer
         pair_indices = []
 
     sample = path.segments[0].sample(0.0)
-    is_projection = _is_projection(sample.dense(), config.projection_tol)
+    is_projection = _is_projection(sample, config.projection_tol)
     if config.index_base is not None and not is_projection:
         raise PreconditionError(
             "an index trace needs a projection path, but the path does not start "
             f"at a projection (tolerance {config.projection_tol:.1e})"
         )
-    start_error = _split_norm(sample.dense() - path.declared_start)
+    start_error = _spectral_gap(sample, path.declared_start)
     if not is_projection:
         sample = None  # a unitary path is measured from its forms
 
-    base = None if config.index_base is None else _nonzero(config.index_base.entries)
     index_config = config.index_config or IndexConfig()
     index_method = "kernel_count" if index_config.cut_sites else "trace_formula"
+    base = masks = None
+    if config.index_base is not None:  # read once per path
+        base = _nonzero(config.index_base.entries)
+        masks = _masks(window, index_config)
 
     ts = [float(t) for t in np.linspace(0.0, 1.0, config.samples)]
     owners = [path.segment_of(t) for t in ts]
@@ -1368,7 +1498,9 @@ def certify_path(path: HomotopyPath, config: CertifyConfig | None = None) -> Cer
             if is_projection:
                 idem_defect = _idempotency_defect(sample)
                 if base is not None:
-                    compressed = _compressed(window, sample.diag, sample.sites, sample.block, base)
+                    compressed = _compressed(
+                        window, sample.diag, sample.sites, sample.block, base, masks
+                    )
                     sample_index = fredholm_index(compressed, index_method, index_config).value
                     index_trace.append(sample_index)
             rows.append((t, unit, sv, loc, idem_defect, sample_index, measure))
@@ -1391,7 +1523,7 @@ def certify_path(path: HomotopyPath, config: CertifyConfig | None = None) -> Cer
 
     if not is_projection:
         sample = path.segments[-1].sample(1.0)
-    endpoint_errors = (start_error, _split_norm(sample.dense() - path.declared_end))
+    endpoint_errors = (start_error, _spectral_gap(sample, path.declared_end, spare=True))
     return CertificateReport(
         samples=config.samples,
         max_unitarity_defect=max(row[1] for row in series),
@@ -1514,8 +1646,8 @@ def theorem1_pipeline(
         "path",
         lambda: HomotopyPath(
             (line, correct, normalize, peel.reversed(), polar, absorbed.reversed()),
-            u.entries,
-            np.eye(dim, dtype=np.complex128),
+            BlockSample.whole(u.entries),
+            BlockSample.identity(dim),
         ),
     )
     report = stage("certify", lambda: certify_path(path, config.certify or CertifyConfig()))

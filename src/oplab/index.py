@@ -171,6 +171,20 @@ def _cut_neighborhood_mask(
     return mask
 
 
+def _masks(window, config: IndexConfig) -> tuple:
+    """(interior, cut neighborhood): the site masks the estimators read,
+    which depend only on the window and the config, so a caller reading
+    many operators on one window computes them once."""
+    if not isinstance(window, TruncationWindow):
+        raise PreconditionError("index estimation needs a plain truncation window")
+    return (
+        interior_mask(window, config.buffer),
+        _cut_neighborhood_mask(
+            window, tuple(config.cut_sites), config.resolved_cut_radius(window)
+        ),
+    )
+
+
 def cut_interface(p: Projection) -> tuple:
     """Sites on either side of the projection's 0/1 boundary.
 
@@ -259,18 +273,21 @@ def _split(nonzero: tuple, d: int) -> _Split:
 @dataclass(frozen=True)
 class _Sparse:
     """A d x d matrix on its window given by its nonzero list (rows,
-    cols, values) in row-major order, as ``_compressed`` builds T."""
+    cols, values) in row-major order, as ``_compressed`` builds T, with
+    the window's ``masks`` (``_masks``) for the config it is read under."""
 
     window: TruncationWindow
     nonzero: tuple
+    masks: tuple
 
 
 def _compressed(
-    window, diag: np.ndarray, sites: np.ndarray, block: np.ndarray, base: tuple
+    window, diag: np.ndarray, sites: np.ndarray, block: np.ndarray, base: tuple, masks: tuple
 ) -> _Sparse:
     """T = P B P + 1 - P as its nonzero list, with no d x d array unless
     S is the whole window.  P is ``diag`` off the sorted site set S =
     ``sites`` and ``block`` on S x S; B is its nonzero list ``base``.
+    ``masks`` are carried on T for the estimators.
 
     A row or column of P off S is p_i e_i, so B is only scaled there and
     the products run through the block, in the dense product's order:
@@ -321,7 +338,7 @@ def _compressed(
     keep = np.flatnonzero(t_values != 0)
     # each part is row-major already, so the stable sort merges four runs
     order = keep[np.argsort(t_rows[keep] * d + t_cols[keep], kind="stable")]
-    return _Sparse(window, (t_rows[order], t_cols[order], t_values[order]))
+    return _Sparse(window, (t_rows[order], t_cols[order], t_values[order]), masks)
 
 
 def _pair_defects(split: _Split) -> np.ndarray:
@@ -367,10 +384,10 @@ def _fill_defect(out: np.ndarray, sites: np.ndarray, grams: np.ndarray) -> None:
     out[sites[:, :, None], sites[:, None, :]] = np.eye(sites.shape[1]) - grams
 
 
-def _defect_diagnostics(split: _Split, window, config: IndexConfig) -> dict:
-    """Where the isometry defects of T sit.  The diagonals of 1 - T*T
-    and 1 - TT* are 1 minus the squared column and row norms of T."""
-    inside = interior_mask(window, config.buffer)
+def _defect_diagnostics(split: _Split, window, inside: np.ndarray) -> dict:
+    """Where the isometry defects of T sit, against the interior mask
+    ``inside``.  The diagonals of 1 - T*T and 1 - TT* are 1 minus the
+    squared column and row norms of T."""
     rows, cols, values = split.nonzero
     squares = squared_moduli(values)
     mass = np.abs(1.0 - np.bincount(cols, squares, window.dimension))
@@ -407,8 +424,11 @@ def _count_localized(vectors: np.ndarray, cut_mask: np.ndarray) -> tuple:
     return count, tuple(fractions)
 
 
-def _kernel_index(split: _Split, window, cut_sites, config: IndexConfig) -> IndexResult:
-    """Count near-kernel vectors of T and T* pinned to the cut.
+def _kernel_index(
+    split: _Split, window, cut_sites, config: IndexConfig, cut_mask: np.ndarray
+) -> IndexResult:
+    """Count near-kernel vectors of T and T* pinned to the cut, the
+    sites of ``cut_mask``.
 
     A lone pair T_ij is a 1 x 1 block of T, so |T_ij| is a singular
     value with right vector e_j and left vector e_i.  Only the square
@@ -442,8 +462,6 @@ def _kernel_index(split: _Split, window, cut_sites, config: IndexConfig) -> Inde
         else:
             right[n, pair_cols[k - s_core.size]] = 1.0
             left[n, pair_rows[k - s_core.size]] = 1.0
-    radius = config.resolved_cut_radius(window)
-    cut_mask = _cut_neighborhood_mask(window, tuple(cut_sites), radius)
     kernel_count, kernel_fracs = _count_localized(right, cut_mask)
     coker_count, coker_fracs = _count_localized(left, cut_mask)
     value = kernel_count - coker_count
@@ -474,13 +492,12 @@ def _power_diagonal(d: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-def _trace_index(split: _Split, window, config: IndexConfig) -> IndexResult:
-    """tr(1 - T*T)^m - tr(1 - TT*)^m over the interior sites.  Each
+def _trace_index(split: _Split, window, config: IndexConfig, inside: np.ndarray) -> IndexResult:
+    """tr(1 - T*T)^m - tr(1 - TT*)^m over the interior sites ``inside``.  Each
     power is block diagonal like its defect, so its diagonal is the
     pairs' (1 - |v|^2)^m at their columns (rows) and the core's at the
     core's columns (rows)."""
     m = config.trace_power
-    inside = interior_mask(window, config.buffer)
     pair_rows, pair_cols, _ = split.pairs
     # the pairs' powers as 1 x 1 matrix powers, rounded as the core's are
     pair_powers = np.linalg.matrix_power(_pair_defects(split)[:, None, None], m)[:, 0, 0]
@@ -523,7 +540,9 @@ def fredholm_index(
     the trace formula; a mismatch raises rather than guessing.
 
     T is an ``Operator``, whose entries are scanned once for their
-    nonzero list, or that list itself as ``_compressed`` builds it.
+    nonzero list and whose window masks (``_masks``) are computed here,
+    or that list itself as ``_compressed`` builds it, which carries the
+    masks.
     The list is split once, by ``_split``, into its lone pairs and a
     square core, and every reading takes that split: the kernel count
     runs its SVD on the core alone, the trace formula reads the pairs'
@@ -534,20 +553,22 @@ def fredholm_index(
     """
     config = config or DEFAULT_INDEX_CONFIG
     window = t.window
-    if not isinstance(window, TruncationWindow):
-        raise PreconditionError("index estimation needs a plain truncation window")
-    nonzero = t.nonzero if isinstance(t, _Sparse) else _nonzero(t.entries)
+    if isinstance(t, _Sparse):
+        nonzero, (inside, cut_mask) = t.nonzero, t.masks
+    else:
+        inside, cut_mask = _masks(window, config)
+        nonzero = _nonzero(t.entries)
     split = _split(nonzero, window.dimension)
     cut_sites = tuple(config.cut_sites)
 
     if method in ("auto", "kernel_count"):
-        result = _kernel_index(split, window, cut_sites, config)
+        result = _kernel_index(split, window, cut_sites, config, cut_mask)
     elif method == "trace_formula":
-        result = _trace_index(split, window, config)
+        result = _trace_index(split, window, config, inside)
     else:
         raise PreconditionError(f"unknown index method {method!r}")
     if method == "auto":
-        check = _trace_index(split, window, config)
+        check = _trace_index(split, window, config, inside)
         if check.value != result.value:
             raise MethodDisagreementError(
                 f"{result.method} gives {result.value} but trace_formula "
@@ -559,7 +580,7 @@ def fredholm_index(
             "trace_raw": check.diagnostics["trace_raw"],
         }
 
-    result.diagnostics.update(_defect_diagnostics(split, window, config))
+    result.diagnostics.update(_defect_diagnostics(split, window, inside))
     return result
 
 
@@ -593,19 +614,25 @@ def projection_index(
     |1 - |v|^2| and the core's.  T is built from B's nonzero list as a
     nonzero list (``_compressed``): a 0/1 mask P is a diagonal with no
     block, any other P one block on every site.  With a mask the
-    commutator is taken from B's entries that cross it.
+    commutator is taken from B's entries that cross it.  The window
+    masks are computed once, for the config that holds P's cut, and
+    carried on T.
     """
     config = config or DEFAULT_INDEX_CONFIG
     if p.window != base.window:
         raise PreconditionError("projection and base live on different windows")
+    d = p.window.dimension
+    mask = p.diagonal_mask()
+    if mask is not None and not config.cut_sites:
+        config = dataclasses.replace(config, cut_sites=cut_interface(p))
+    masks = _masks(p.window, config)
     # the open-boundary shift is unitary-like in the only sense available
     # at finite scale: its isometry defect is confined to the window edge
-    d = p.window.dimension
     b = _split(_nonzero(base.entries), d)
     pair_rows, pair_cols, _ = b.pairs
     pair_defects = np.abs(_pair_defects(b))
     core_right, core_left = _defects(b.core)
-    inside = interior_mask(p.window, config.buffer)
+    inside = masks[0]
     in_rows, in_cols = inside[b.core_rows], inside[b.core_cols]
     defect = max(
         float(pair_defects[inside[pair_cols] | inside[pair_rows]].max(initial=0.0)),
@@ -617,14 +644,11 @@ def projection_index(
             f"base operator is not unitary-like away from the edge: "
             f"interior defect {defect:.3e}"
         )
-    mask = p.diagonal_mask()
     if mask is None:
         diag, sites, block = np.zeros(d), np.arange(d), p.entries
         be, pe = base.entries, p.entries
         commutator = spectral_norm(pe @ be - be @ pe)
     else:
-        if not config.cut_sites:
-            config = dataclasses.replace(config, cut_sites=cut_interface(p))
         diag, sites, block = mask.astype(float), np.arange(0), np.zeros((0, 0))
         rows, cols, _ = b.nonzero
         row_on, col_on = mask[rows], mask[cols]
@@ -634,7 +658,7 @@ def projection_index(
             spectral_norm(_gathered(b, row_on & ~col_on)),
             spectral_norm(_gathered(b, ~row_on & col_on)),
         )
-    compressed = _compressed(p.window, diag, sites, block, b.nonzero)
+    compressed = _compressed(p.window, diag, sites, block, b.nonzero, masks)
     result = fredholm_index(compressed, method, config)
     result.diagnostics["base_interior_defect"] = defect
     # 1 - B*B is Hermitian, so its norm is max |lambda - 1| over B*B
@@ -678,12 +702,15 @@ class NontrivialityReport:
 
     A side whose far-probe minimum falls below the compact floor behaves
     like a compact operator there, so the projection is flagged as a
-    triviality suspect for that function.
+    triviality suspect for that function.  A side that no probe lands
+    on has no minimum (None) and is listed in ``unreached`` as (fn,
+    side): it carries no evidence either way, and is not a pass.
     """
 
     records: tuple
     minima: tuple
     trivial_suspect: tuple
+    unreached: tuple
     degenerate: tuple
     sup_norms: tuple
     compact_floor: float
@@ -709,7 +736,7 @@ class NontrivialityReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "format": "nontrivialityreport v1",
+            "format": "nontrivialityreport v2",
             "records": [
                 {
                     "fn": r.fn,
@@ -725,6 +752,7 @@ class NontrivialityReport:
                 for fn, side, value in self.minima
             ],
             "trivial_suspect": [list(pair) for pair in self.trivial_suspect],
+            "unreached": [list(pair) for pair in self.unreached],
             "degenerate": list(self.degenerate),
             "sup_norms": list(self.sup_norms),
             "compact_floor": self.compact_floor,
@@ -766,6 +794,7 @@ def nontriviality_probe(
     records = []
     minima = []
     suspects = []
+    unreached = []
     degenerate = []
     sup_norms = tuple(f.sup_norm() for f in fns)
     for fi, f in enumerate(fns):
@@ -785,18 +814,18 @@ def nontriviality_probe(
             (p_values if in_region else q_values).append(
                 p_side if in_region else perp_side
             )
-        p_min = min(p_values) if p_values else None
-        q_min = min(q_values) if q_values else None
-        minima.append((fi, "P", p_min))
-        minima.append((fi, "Pperp", q_min))
-        if p_min is not None and p_min < config.compact_floor:
-            suspects.append((fi, "P"))
-        if q_min is not None and q_min < config.compact_floor:
-            suspects.append((fi, "Pperp"))
+        for side, values in (("P", p_values), ("Pperp", q_values)):
+            low = min(values) if values else None
+            minima.append((fi, side, low))
+            if low is None:
+                unreached.append((fi, side))
+            elif low < config.compact_floor:
+                suspects.append((fi, side))
     return NontrivialityReport(
         records=tuple(records),
         minima=tuple(minima),
         trivial_suspect=tuple(suspects),
+        unreached=tuple(unreached),
         degenerate=tuple(degenerate),
         sup_norms=sup_norms,
         compact_floor=config.compact_floor,

@@ -329,7 +329,7 @@ def _run_theorem1(config: ExperimentConfig, out: Path, add_stage) -> list:
     with add_stage("emit"):
         files = emit_plots(report, out)
         files.append(save_operator(u, out / "start.opmat", name="start"))
-        end = Operator(window, path.declared_end)
+        end = Operator(window, path.declared_end.dense())
         files.append(save_operator(end, out / "end.opmat", name="end"))
         files.append(
             _write_json(

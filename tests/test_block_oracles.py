@@ -28,6 +28,7 @@ import oplab.locality
 from oplab.homotopy import (
     BOUND_SLACK,
     AffineSegment,
+    BlockSample,
     CertifyConfig,
     SpectralSegment,
     _block_peel,
@@ -49,6 +50,7 @@ from oplab.index import (
     _cut_neighborhood_mask,
     _defects,
     _kernel_index,
+    _masks,
     _nonzero,
     _split,
     cut_interface,
@@ -598,7 +600,7 @@ def full_svd_kernel_index(entries, window, cut_sites, config):
 
 def assert_kernel_index_matches_full_svd(entries, window, config):
     split = _split(_nonzero(entries), window.dimension)
-    result = _kernel_index(split, window, config.cut_sites, config)
+    result = _kernel_index(split, window, config.cut_sites, config, _masks(window, config)[1])
     value, near, kernel_fracs, coker_fracs = full_svd_kernel_index(
         entries, window, config.cut_sites, config
     )
@@ -635,7 +637,7 @@ def dense_conjugation(path, t):
     """U_t* Q U_t as one dense product: the reference for the block route."""
     seg = path.segments[0]
     ut = seg.upath.at(1.0 - t if seg.flip else t)
-    return ut.conj().T @ seg.q @ ut
+    return ut.conj().T @ seg.q.dense() @ ut
 
 
 @pytest.mark.parametrize("site", [42, 0])  # inside the range of Q, across the cut
@@ -716,7 +718,7 @@ def test_kernel_index_rejects_a_lone_pair_inside_the_gap():
         full_svd_kernel_index(entries, window, config.cut_sites, config)
     with pytest.raises(BoundaryContaminationError):
         split = _split(_nonzero(entries), window.dimension)
-        _kernel_index(split, window, config.cut_sites, config)
+        _kernel_index(split, window, config.cut_sites, config, _masks(window, config)[1])
 
 
 def split_case(window, core, core_kind, empties, small, gap, weights, edge, seed):
@@ -934,7 +936,7 @@ def test_conjugation_samples_match_the_dense_product(case):
             assert abs(idem - dense_idem) <= 1e-14
             oracle = block_compression_oracle(sample.diag, sample.sites, sample.block, base)
             assert np.max(np.abs(oracle - compressed)) <= 1e-14
-            t = _compressed(window, sample.diag, sample.sites, sample.block, _nonzero(base))
+            t = _compressed(window, sample.diag, sample.sites, sample.block, _nonzero(base), ())
             assert_same_nonzero(t.nonzero, _nonzero(oracle))
 
 
@@ -975,8 +977,8 @@ def test_compression_list_is_the_dense_compression_bit_for_bit(
     if dense_rows:
         base[sites] = sparse_complex(rng, sites.size, d, 1.0)
     oracle = block_compression_oracle(diag, sites, blk, base)
-    # the window only travels with the list
-    got = _compressed(None, diag, sites, blk, _nonzero(base)).nonzero
+    # the window and the masks only travel with the list
+    got = _compressed(None, diag, sites, blk, _nonzero(base), ()).nonzero
     assert_same_nonzero(got, _nonzero(oracle))
 
 
@@ -1728,8 +1730,8 @@ def test_hand_built_segment_matches_the_whole_window_route(case):
 def test_endpoint_errors_match_the_whole_window_norm(pipeline_case):
     _, (path, report) = pipeline_case
     diffs = (
-        path.segments[0].at(0.0) - path.declared_start,
-        path.segments[-1].at(1.0) - path.declared_end,
+        path.segments[0].at(0.0) - path.declared_start.dense(),
+        path.segments[-1].at(1.0) - path.declared_end.dense(),
     )
     for got, diff in zip(report.endpoint_errors, diffs):
         want = spectral_norm(diff)
@@ -1746,7 +1748,9 @@ def test_hand_built_endpoint_error_matches_the_whole_window_norm(case):
     end = seg.at(1.0)
     end[6, 1] += 4e-10  # between two components
     end[0, 0] += 3e-10
-    path = oplab.homotopy.HomotopyPath((seg,), seg.at(0.0), end)
+    path = oplab.homotopy.HomotopyPath(
+        (seg,), BlockSample.whole(seg.at(0.0)), BlockSample.whole(end)
+    )
     report = certify_path(path, CertifyConfig(samples=3))
     assert abs(report.endpoint_errors[1] - spectral_norm(seg.at(1.0) - end)) <= 1e-12
     assert report.endpoint_errors[1] >= 4e-10
@@ -1759,6 +1763,127 @@ def test_split_norm_matches_the_whole_window_norm():
         assert abs(oplab.homotopy._split_norm(x) - spectral_norm(x)) <= 1e-12
     dense = rng.standard_normal((7, 7))
     assert oplab.homotopy._split_norm(dense) == spectral_norm(dense)  # one component
+
+
+def block_sample(rng, d, sites):
+    """A random complex block sample on the sorted ``sites``: a random
+    complex diagonal off them and a random complex block on them."""
+    diag = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    diag[sites] = 0.0
+    n = sites.size
+    block = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return BlockSample(diag, sites, block)
+
+
+def site_sets(rng, d, a_kind, b_kind):
+    """Two sorted site sets: a's empty, some or every site; b's empty,
+    disjoint from a's, overlapping it, equal to it or every site."""
+    every = np.arange(d)
+    some = np.sort(rng.choice(d, int(rng.integers(1, d)), replace=False))
+    a = {"empty": every[:0], "some": some, "whole": every}[a_kind]
+    rest = np.setdiff1d(every, a)
+    if b_kind == "disjoint":
+        b = rest[rng.random(rest.size) < 0.5]
+    elif b_kind == "overlapping":
+        b = np.union1d(a[: max(a.size // 2, 1)], rest[rng.random(rest.size) < 0.5])
+    else:
+        b = {"empty": every[:0], "same": a, "whole": every}[b_kind]
+    return a, b
+
+
+@given(
+    d=st.integers(2, 12),
+    a_kind=st.sampled_from(["empty", "some", "whole"]),
+    b_kind=st.sampled_from(["empty", "disjoint", "overlapping", "same", "whole"]),
+    near=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(d=6, a_kind="whole", b_kind="empty", near=True, seed=3)  # a dense end and the identity
+@example(d=6, a_kind="some", b_kind="same", near=True, seed=4)  # a conjugation joint
+def test_block_comparisons_match_the_dense_difference(d, a_kind, b_kind, near, seed):
+    """Joint and end comparisons of two block samples equal the norms of
+    the dense difference: the Frobenius norm within 1e-14 relative, the
+    spectral norm per component within 1e-12 relative, either way round.
+    ``near`` makes b a small perturbation of a on their common sites."""
+    rng = np.random.default_rng(seed)
+    a_sites, b_sites = site_sets(rng, d, a_kind, b_kind)
+    a = block_sample(rng, d, a_sites)
+    b = block_sample(rng, d, b_sites)
+    if near:
+        diag = a.dense().diagonal() + 1e-9 * rng.standard_normal(d)
+        diag[b_sites] = 0.0
+        shift = 1e-9 * rng.standard_normal((b_sites.size,) * 2)
+        b = BlockSample(diag, b_sites, a.cut(b_sites, b_sites) + shift)
+    for x, y in ((a, b), (b, a)):
+        diff = x.dense() - y.dense()
+        want = np.linalg.norm(diff)
+        assert abs(oplab.homotopy._frobenius_gap(x, y) - want) <= 1e-14 * want
+        want = spectral_norm(diff)
+        assert abs(oplab.homotopy._spectral_gap(x, y) - want) <= 1e-12 * want
+
+
+def dense_is_projection(x, tol):
+    """The dense projection test the block test replaced: hermitian and
+    idempotent within tol, as norms of the whole-window defects."""
+    return norm_at_most(x - x.conj().T, tol) and norm_at_most(x @ x - x, tol)
+
+
+@given(
+    d=st.integers(2, 10),
+    sites_kind=st.sampled_from(["empty", "some", "whole"]),
+    block_kind=st.sampled_from(["projection", "skew", "scaled"]),
+    diag_kind=st.sampled_from(["mask", "imaginary", "half"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(d=8, sites_kind="some", block_kind="projection", diag_kind="imaginary", seed=1)
+@example(d=8, sites_kind="some", block_kind="projection", diag_kind="mask", seed=2)
+def test_block_projection_test_matches_the_dense_test(d, sites_kind, block_kind, diag_kind, seed):
+    """The projection test decided on the block sample gives the dense
+    test's answer: a projection block with a 0/1 diagonal off S passes;
+    a non-hermitian or non-idempotent block, a diagonal entry off S with
+    an imaginary part, or one of 1/2 fails."""
+    rng = np.random.default_rng(seed)
+    sites, _ = site_sets(rng, d, sites_kind, "empty")
+    n = sites.size
+    u = random_unitary(n, rng) if n else np.zeros((0, 0))
+    rank = rng.random(n) < 0.5
+    block = (u * rank) @ u.conj().T
+    if block_kind == "skew" and n:
+        block[0, -1] += 0.25j
+    if block_kind == "scaled":
+        block = 0.5 * block
+    diag = (rng.random(d) < 0.5).astype(np.complex128)
+    off = np.setdiff1d(np.arange(d), sites)
+    if off.size and diag_kind == "imaginary":
+        diag[off[0]] = 1.0 + 1e-3j
+    if off.size and diag_kind == "half":
+        diag[off[-1]] = 0.5
+    diag[sites] = 0.0
+    sample = BlockSample(diag, sites, block)
+    tol = 1e-6
+    got = oplab.homotopy._is_projection(sample, tol)
+    assert got == dense_is_projection(sample.dense(), tol)
+    moved = (block_kind == "skew" and n > 0) or (block_kind == "scaled" and rank.any())
+    assert got == (not moved and (off.size == 0 or diag_kind == "mask"))
+
+
+@pytest.mark.parametrize("where", ["moving", "diagonal"])
+def test_conjugation_path_rejects_a_nudged_end(where):
+    """A declared end 1e-8 off the segment's sample at t = 1, ten times
+    the joint tolerance, is rejected whether the nudge sits on a moving
+    site or on a diagonal site off the block."""
+    _, _, path = theorem2_path(32, 5, 0.7)
+    end = path.declared_end
+    diag, block = end.diag.copy(), end.block.copy()
+    if where == "moving":
+        block[0, 1] += 1e-8
+    else:
+        diag[np.setdiff1d(np.arange(diag.size), end.sites)[0]] += 1e-8
+    nudged = BlockSample(diag, end.sites, block)
+    with pytest.raises(PreconditionError, match="declared endpoints off"):
+        oplab.homotopy.HomotopyPath(path.segments, path.declared_start, nudged)
+    # the unnudged end passes
+    oplab.homotopy.HomotopyPath(path.segments, path.declared_start, end)
 
 
 # ---------------------------------------------------------------------------
@@ -1999,7 +2124,7 @@ def test_block_peel_on_index_blocks_matches_the_dense_factor_product(case, monke
         )
         ((m, p),) = calls
     (f1, f2), path = block_peel(m, p)
-    seg, product = path.segments[0], path.declared_end
+    seg, product = path.segments[0], path.declared_end.dense()
     dense_f1, dense_nil, peelable = dense_block_peel(m, p)
     nil = f2.entries - np.eye(m.window.dimension)
     assert np.array_equal(f1.entries, dense_f1)

@@ -548,7 +548,8 @@ def test_cli_certify_linalg_failure_is_a_stage_failure(tmp_path, capsys, monkeyp
 def test_cli_probe_verb(capsys):
     assert main(["probe", "--radius", "10", "--mode", "half-line"]) == 0
     blob = json.loads(capsys.readouterr().out)
-    assert blob["format"] == "nontrivialityreport v1"
+    assert blob["format"] == "nontrivialityreport v2"
+    assert blob["unreached"] == []
     assert main(["probe", "--radius", "10", "--mode", "cone"]) == 0
     blob = json.loads(capsys.readouterr().out)
     assert blob["trivial_suspect"]

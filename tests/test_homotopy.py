@@ -16,6 +16,7 @@ from oplab.errors import (
 from oplab.geometry import Arc, Direction, Explicit
 from oplab.homotopy import (
     AffineSegment,
+    BlockSample,
     CertifyConfig,
     HomotopyPath,
     PipelineConfig,
@@ -432,8 +433,9 @@ def test_path_reverse_and_concat():
     forward = straight_line(a, b)
     backward = forward.reverse()
     assert np.allclose(backward.at(0.25), forward.at(0.75))
-    assert np.array_equal(backward.declared_start, forward.declared_end)
-    joined = HomotopyPath(forward.segments + backward.segments, a.entries, a.entries)
+    assert backward.declared_start is forward.declared_end
+    ends = BlockSample.whole(a.entries)
+    joined = HomotopyPath(forward.segments + backward.segments, ends, ends)
     assert tuple(s.kind for s in joined.segments) == ("straight_line", "straight_line")
     assert np.allclose(joined.at(0.5), b.entries, atol=1e-12)
     assert np.allclose(joined.at(1.0), a.entries, atol=1e-12)
@@ -445,7 +447,9 @@ def test_concat_rejects_gap():
     b = laughlin_operator(window)
     with pytest.raises(PreconditionError, match="joint"):
         HomotopyPath(
-            straight_line(a, a).segments + straight_line(b, b).segments, a.entries, b.entries
+            straight_line(a, a).segments + straight_line(b, b).segments,
+            BlockSample.whole(a.entries),
+            BlockSample.whole(b.entries),
         )
 
 
@@ -453,15 +457,16 @@ def test_path_validates_on_assembly_only(monkeypatch):
     window = TruncationWindow.plane(2)
     a = Operator.identity(window)
     b = laughlin_operator(window)
+    start = BlockSample.whole(a.entries)
     with pytest.raises(PreconditionError, match="declared endpoints"):
-        HomotopyPath(straight_line(a, b).segments, a.entries, a.entries)
+        HomotopyPath(straight_line(a, b).segments, start, start)
     checks = []
     check = HomotopyPath.__post_init__
     monkeypatch.setattr(
         HomotopyPath, "__post_init__", lambda path: checks.append(1) or check(path)
     )
     line, polar = straight_line(a, b), polar_path(b)
-    forward = HomotopyPath(line.segments + polar.segments, a.entries, polar.declared_end)
+    forward = HomotopyPath(line.segments + polar.segments, start, polar.declared_end)
     assert len(checks) == 3
     backward = forward.reverse()  # mirrors checked closed forms: no re-check
     assert len(checks) == 3
@@ -712,3 +717,27 @@ def test_pipeline_peaks_below_sixteen_dense_arrays():
     (_, report), peak = traced_peak(lambda: theorem1_pipeline(u, 0.5))
     assert max(report.endpoint_errors) <= 1e-8
     assert peak < 16 * (16 * d * d)  # sixteen d x d complex arrays
+
+
+def test_theorem2_path_peaks_below_two_dense_arrays():
+    """Building and certifying a theorem2 path with a given dense mover
+    keeps every sample and check on the moving block: what remains is
+    one whole-window sample of the log path at each of its two end
+    checks, into which the check writes its difference (at radius 256,
+    about one d x d complex array; six before the checks moved to
+    blocks)."""
+    window = TruncationWindow.line(256)
+    d = window.dimension
+    q = Projection.from_region(Explicit(frozenset(x for x in window.sites if x >= 1)), window)
+    mover = local_rotation(window, 85, 86, 0.7)
+    config = CertifyConfig(
+        samples=50,
+        index_base=shift_operator(window, 1),
+        index_config=IndexConfig(cut_sites=cut_interface(q)),
+    )
+    report, peak = traced_peak(
+        lambda: certify_path(conjugation_path(q, log_path(mover).reverse()), config)
+    )
+    assert report.index_trace == (-1,) * 50
+    assert max(report.endpoint_errors) <= 1e-12
+    assert peak < 2 * 16 * d * d

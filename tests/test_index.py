@@ -376,6 +376,21 @@ def test_probe_single_side_minimum_is_none():
     report = nontriviality_probe(p, base, [CircleFunction.monomial(1)], [5, 6])
     assert report.minimum(0, "Pperp") is None
     assert report.minimum(0, "P") == pytest.approx(1.0)
+    assert report.unreached == ((0, "Pperp"),)
+    assert not report.trivial_suspect
+
+
+def test_probe_reports_a_side_no_probe_reaches():
+    # a finite-rank projection onto sites 0..5, probed only outside it:
+    # its own side carries no evidence, which is reported, not passed
+    window = TruncationWindow.line(16)
+    p = Projection.from_region(Explicit(frozenset(range(6))), window)
+    base = shift_operator(window, 1)
+    report = nontriviality_probe(p, base, [CircleFunction.monomial(1)], [-4, 8, 10])
+    assert report.minimum(0, "P") is None
+    assert report.unreached == ((0, "P"),)
+    assert not report.is_trivial_suspect(0, "P")
+    assert report.to_json_dict()["unreached"] == [[0, "P"]]
 
 
 def test_probe_validation():
@@ -398,8 +413,9 @@ def test_probe_report_serialization():
         p, shift_operator(window, 1), [CircleFunction.monomial(1)], [5, -5]
     )
     blob = report.to_json_dict()
-    assert blob["format"] == "nontrivialityreport v1"
+    assert blob["format"] == "nontrivialityreport v2"
     assert len(blob["records"]) == 2
+    assert blob["unreached"] == []
     assert blob["compact_floor"] == DEFAULT_INDEX_CONFIG.compact_floor
 
 
