@@ -43,7 +43,6 @@ from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     OplabError,
@@ -81,6 +80,8 @@ from .windows import AmplifiedWindow, TruncationWindow, Window
 
 TOL_JOINT = 1e-9
 TOL_BLOCK_FORM = 1e-8
+TOL_POLAR = 1e-8  # smallest singular value a polar climb accepts
+TOL_PROJECTION = 1e-6  # hermitian and idempotent defects of a projection path's start
 BRANCH_TIE = 1e-12
 BOUND_SLACK = 1e-10
 
@@ -145,6 +146,11 @@ class PathSegment:
     only names the move for reports and must be one of
     ``SEGMENT_KINDS``.  ``flip`` runs the leg backwards (t -> 1 - t), so
     paths reverse without recomputing anything.
+
+    A form gives, in its own time, ``_sample`` (X(t) as a
+    :class:`BlockSample`, its one full evaluator), ``_gram`` and, if it
+    cuts blocks from its factors, ``_block``; ``at``, ``block`` and
+    ``sample`` derive from these.
     """
 
     kind: str
@@ -161,23 +167,20 @@ class PathSegment:
         return 1.0 - t if self.flip else t
 
     def at(self, t: float) -> np.ndarray:
-        return self._at(self._time(t))
+        return self.sample(t).dense()
 
     def block(self, t: float, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """X(t)[rows, cols]; forms that can cut it from their factors do."""
         return self._block(self._time(t), rows, cols)
 
     def _block(self, t: float, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        return self._at(t)[np.ix_(rows, cols)]
+        return self._sample(t).cut(rows, cols)
 
     def sample(self, t: float) -> "BlockSample":
         """X(t) formed, as a block sample (of the whole window unless the
         form narrows it).  Its block is a new array, the caller's to
         overwrite, or a read-only view of the segment's own data."""
         return self._sample(self._time(t))
-
-    def _sample(self, t: float) -> "BlockSample":
-        return BlockSample.whole(self._at(t))
 
     def gram(self) -> tuple:
         """(spectrum, largest block measured): spectrum(t, sample) is the
@@ -242,14 +245,6 @@ class AffineSegment(PathSegment):
             return cls(kind, window, a, rows, entries, _NO_SITES, a[:, :0], **kw)
         return cls(kind, window, a, _NO_SITES, a[:0], cols, b[:, cols], **kw)
 
-    def _at(self, t: float) -> np.ndarray:
-        a, rows, cols = self.start, self.rows, self.cols
-        out = (1.0 - t) * a
-        out += t * a  # B is A off its rows and columns
-        out[rows] = (1.0 - t) * a[rows] + t * self.row_entries
-        out[:, cols] = (1.0 - t) * a[:, cols] + t * self.col_entries
-        return out
-
     def _end(self, ri: np.ndarray, ci: np.ndarray) -> np.ndarray:
         """B[ri, ci] for broadcastable index arrays: A's entries,
         overwritten on B's rows and columns."""
@@ -269,13 +264,6 @@ class AffineSegment(PathSegment):
         ix = np.ix_(rows, cols)
         return (1.0 - t) * self.start[ix] + t * self._end(*ix)
 
-    def dense_end(self) -> np.ndarray:
-        """B as a d x d array: A overwritten on B's rows and columns."""
-        b = self.start.copy()
-        b[self.rows] = self.row_entries
-        b[:, self.cols] = self.col_entries
-        return b
-
     def is_constant(self) -> bool:
         """Whether B = A."""
         return np.array_equal(self.start[self.rows], self.row_entries) and np.array_equal(
@@ -283,13 +271,18 @@ class AffineSegment(PathSegment):
         )
 
     def _sample(self, t: float) -> "BlockSample":
-        """X(t) formed; every sample of a constant segment is A itself, as
-        a read-only view."""
-        if not self.is_constant():
-            return super()._sample(t)
-        start = self.start.view()
-        start.flags.writeable = False
-        return BlockSample.whole(start)
+        """X(t) formed on the whole window; every sample of a constant
+        segment is A itself, as a read-only view."""
+        if self.is_constant():
+            start = self.start.view()
+            start.flags.writeable = False
+            return BlockSample.whole(start)
+        a, rows, cols = self.start, self.rows, self.cols
+        out = (1.0 - t) * a
+        out += t * a  # B is A off its rows and columns
+        out[rows] = (1.0 - t) * a[rows] + t * self.row_entries
+        out[:, cols] = (1.0 - t) * a[:, cols] + t * self.col_entries
+        return BlockSample.whole(out)
 
     def moving_sites(self) -> np.ndarray:
         """Sites whose row or column of A or B differs from the identity."""
@@ -434,18 +427,19 @@ class SpectralSegment(PathSegment):
             lw = st.left * wave[st.modes][:, None, :]
             yield st.sites, lw @ st.right + (0.0 if st.const is None else st.const)
 
-    def _at(self, t: float) -> np.ndarray:
+    def _sample(self, t: float) -> "BlockSample":
+        """X(t) on the whole window: the identity or g, under the stacks' blocks."""
         d = self.window.dimension
         blocks = list(self._blocks(t))
         if len(blocks) == 1 and blocks[0][0].shape == (1, d):
-            return blocks[0][1][0]  # one component: the whole-window product
+            return BlockSample.whole(blocks[0][1][0])  # one component: the whole-window product
         if self.factor is None:
             out = np.eye(d, dtype=np.complex128)
         else:
             out = self.factor.astype(np.complex128)
         for sites, x in blocks:
             out[sites[:, :, None], sites[:, None, :]] = x
-        return out
+        return BlockSample.whole(out)
 
     def _block(self, t: float, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """X(t)[rows, cols], cut one stack at a time: the identity's
@@ -657,9 +651,10 @@ class SpectrumBound:
 class BlockSample:
     """A d x d matrix that is diagonal off a sorted site set S: ``diag``
     there (``diag`` is zero on S), ``block`` on S x S, and zero between
-    the two.  Path samples and declared path ends take this form.  A
-    dense matrix is the sample with S = every site (``whole``); the
-    identity is the one with S empty (``identity``)."""
+    the two.  Every path sample (a form's ``_sample``, which ``at`` reads
+    dense) and declared path end takes this form.  A dense matrix is the
+    sample with S = every site (``whole``); the identity is the one with
+    S empty (``identity``)."""
 
     diag: np.ndarray
     sites: np.ndarray
@@ -714,9 +709,11 @@ def _fold(out: np.ndarray, sample: BlockSample, op) -> None:
 
 
 def _difference(a: BlockSample, b: BlockSample, spare: bool = False) -> tuple:
-    """a - b as (its block on U x U, its diagonal off U, or None when U is
-    the whole window), U the union of the two samples' site sets: both
-    are diagonal off U, and so is their difference.
+    """a - b, or b - a when only b is whole, as (its block on U x U, its
+    diagonal off U, or None when U is the whole window), U the union of
+    the two samples' site sets: both are diagonal off U, and so is their
+    difference.  The two are each other's negation entry for entry, so
+    their norms agree bit for bit.
 
     A whole-window side enters as its own block, with the other side
     folded into a copy of it (``_fold``), so a difference on the whole
@@ -724,16 +721,14 @@ def _difference(a: BlockSample, b: BlockSample, spare: bool = False) -> tuple:
     ``spare`` the caller gives up a, a sample it formed for this check:
     a whole-window a's block then becomes the difference, unless it is
     read-only, and no d x d array is formed."""
+    if b.is_whole() and not a.is_whole():
+        a, b, spare = b, a, False
     if a.is_whole():
         own = a.block if spare and a.block.flags.writeable else None
         if b.is_whole():
             return np.subtract(a.block, b.block, out=own), None
         diff = a.block.copy() if own is None else own
         _fold(diff, b, np.subtract)
-        return diff, None
-    if b.is_whole():
-        diff = np.negative(b.block)
-        _fold(diff, a, np.add)
         return diff, None
     union = np.union1d(a.sites, b.sites)
     diff = a.cut(union, union) - b.cut(union, union)
@@ -777,9 +772,6 @@ class ConjugationSegment(PathSegment):
         q = self.q
         w = self.upath.block(t, q.sites, q.sites)
         return BlockSample(q.diag, q.sites, w.conj().T @ q.block @ w)
-
-    def _at(self, t: float) -> np.ndarray:
-        return self._sample(t).dense()
 
     def _gram(self) -> tuple:
         """The block sample's Gram spectrum: its block's, with |q_ii|^2 off
@@ -888,7 +880,7 @@ def straight_line(a0: Operator, a1: Operator, label: str = "") -> HomotopyPath:
     return HomotopyPath((seg,), BlockSample.whole(a0.entries), BlockSample.whole(a1.entries))
 
 
-def _polar_segment(g: Operator, tol: float) -> SpectralSegment:
+def _polar_segment(g: Operator) -> SpectralSegment:
     """The polar climb t -> U |G|^(1-t) for G = U S V*.
 
     The SVD is taken per connected component of G's nonzero pattern
@@ -907,17 +899,17 @@ def _polar_segment(g: Operator, tol: float) -> SpectralSegment:
         sing[stack] = s
         stacks.append(Stack(stack, stack, u, vh, None))
     smin = float(sing.min())
-    if smin <= tol:
+    if smin <= TOL_POLAR:
         raise SingularOperatorError(
-            f"smallest singular value {smin:.3e} <= {tol:.1e}; "
+            f"smallest singular value {smin:.3e} <= {TOL_POLAR:.1e}; "
             "the polar path would leave the invertibles"
         )
     return SpectralSegment("polar", g.window, np.log(sing), tuple(stacks))
 
 
-def polar_path(g: Operator, tol: float = 1e-8) -> HomotopyPath:
+def polar_path(g: Operator) -> HomotopyPath:
     """t -> U |G|^(1-t) from G to its unitary polar factor U."""
-    seg = _polar_segment(g, tol)
+    seg = _polar_segment(g)
     return HomotopyPath((seg,), BlockSample.whole(g.entries), seg.sample(1.0))
 
 
@@ -957,6 +949,7 @@ def _log_segment(window: Window, entries, blocks, right=None, flip=False) -> Spe
     moving = [phases[phases != 0.0]]
     rotations = []  # (sites, modes, moving Schur columns, fixed part) per component
     for part in (part for part in parts if part.size > 1):
+        import scipy.linalg  # loaded on first use: ``import oplab`` leaves scipy out
         schur_t, q = scipy.linalg.schur(entries[np.ix_(part, part)], output="complex")
         phases, tied = _eigenphases(np.diag(schur_t))
         ties += tied
@@ -1077,7 +1070,7 @@ def block_peel(m: Operator, p: Projection) -> tuple:
     # f1 is the identity on P's rows, so 1 + N and f1 + N share them
     second = np.eye(m.window.dimension, dtype=np.complex128)
     second[seg.rows] = seg.row_entries
-    path = HomotopyPath((seg,), BlockSample.whole(f1.entries), BlockSample.whole(seg.dense_end()))
+    path = HomotopyPath((seg,), BlockSample.whole(f1.entries), seg.sample(1.0))
     return (f1, Operator(m.window, second)), path
 
 
@@ -1244,7 +1237,8 @@ class CertifyConfig:
     ``arc_pairs`` lists disjoint cone pairs for the locality defect; the
     block norm is taken outside a ball of ``allowance_radius`` (default
     half the window radius) so a fixed finite-rank part is exempt.
-    ``index_base`` enables the integer index trace on projection paths.
+    ``index_base`` enables the integer index trace on projection paths
+    (a first sample hermitian and idempotent within ``TOL_PROJECTION``).
     """
 
     samples: int = 50
@@ -1252,7 +1246,6 @@ class CertifyConfig:
     allowance_radius: object = None
     index_base: Operator | None = None
     index_config: IndexConfig | None = None
-    projection_tol: float = 1e-6
 
     def __post_init__(self) -> None:
         if self.samples < 2:
@@ -1448,11 +1441,11 @@ def certify_path(path: HomotopyPath, config: CertifyConfig | None = None) -> Cer
         pair_indices = []
 
     sample = path.segments[0].sample(0.0)
-    is_projection = _is_projection(sample, config.projection_tol)
+    is_projection = _is_projection(sample, TOL_PROJECTION)
     if config.index_base is not None and not is_projection:
         raise PreconditionError(
             "an index trace needs a projection path, but the path does not start "
-            f"at a projection (tolerance {config.projection_tol:.1e})"
+            f"at a projection (tolerance {TOL_PROJECTION:.1e})"
         )
     start_error = _spectral_gap(sample, path.declared_start)
     if not is_projection:
@@ -1542,19 +1535,19 @@ def certify_path(path: HomotopyPath, config: CertifyConfig | None = None) -> Cer
 # the full pipeline
 
 
+CENTER_DIRECTIONS = (Direction(1, 0), Direction(0, 1))
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Choices for the unitary-to-identity pipeline.  ``copies`` is how
-    many stacked copies the greedy matching may use: it changes the
-    matching and its cover check, not the certified path."""
+    """The unitary-to-identity pipeline localizes its centers along
+    ``CENTER_DIRECTIONS``.  ``copies`` is how many stacked copies its
+    greedy matching may use: it changes the matching, not the path."""
 
-    thetas: tuple = (Direction(1, 0), Direction(0, 1))
     copies: int = 1
     certify: CertifyConfig | None = None
 
     def __post_init__(self) -> None:
-        if not self.thetas:
-            raise PreconditionError("the pipeline needs at least one direction")
         if self.copies < 1:
             raise PreconditionError("the stacked move needs at least one extra copy")
 
@@ -1592,7 +1585,7 @@ def theorem1_pipeline(
         except (OplabError, np.linalg.LinAlgError) as exc:
             raise StageError(name, f"{type(exc).__name__}: {exc}") from exc
 
-    g, plan = stage("localized-centers", lambda: localized_centers(u, config.thetas, eps))
+    g, plan = stage("localized-centers", lambda: localized_centers(u, CENTER_DIRECTIONS, eps))
     # ‖U - G‖ < 1 is ‖U - G‖ <= the double below 1
     if not norm_at_most(u.entries - g.entries, np.nextafter(1.0, 0.0)):
         raise StageError(
@@ -1627,9 +1620,10 @@ def theorem1_pipeline(
     )
 
     f1, peel = stage(
-        "block-peel", lambda: _block_peel(Operator(window, normalize.dense_end()), p_centers)
+        "block-peel",
+        lambda: _block_peel(Operator(window, normalize.sample(1.0).dense()), p_centers),
     )
-    polar = stage("polar", lambda: _polar_segment(f1, 1e-8))
+    polar = stage("polar", lambda: _polar_segment(f1))
 
     v_iso = stage(
         "greedy-isometry",

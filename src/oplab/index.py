@@ -52,6 +52,8 @@ from .operators import (
 from .windows import TruncationWindow
 
 STRUCTURAL_TOL = 1e-12
+GAP_FACTOR = 1e3  # no singular value may lie in [sv_threshold, GAP_FACTOR sv_threshold)
+COMPACT_FLOOR = 1e-3  # a probe's far minimum below it flags its side as compact
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +62,8 @@ STRUCTURAL_TOL = 1e-12
 
 @dataclass(frozen=True)
 class IndexConfig:
-    """Knobs for the estimators; every value is echoed into diagnostics.
+    """Knobs for the estimators; every value is echoed into diagnostics,
+    with the fixed ``COMPACT_FLOOR`` and ``GAP_FACTOR``.
 
     ``cut_sites`` names the structural cut locus when the caller knows it
     (mid-path projections no longer carry a region).  When empty it is
@@ -69,10 +72,8 @@ class IndexConfig:
 
     sv_threshold: float = 1e-6
     trace_power: int = 4
-    compact_floor: float = 1e-3
     buffer: float = 0.25
     cut_radius: float | None = None
-    gap_factor: float = 1e3
     cut_sites: tuple = ()
 
     def __post_init__(self) -> None:
@@ -82,8 +83,6 @@ class IndexConfig:
             raise PreconditionError("trace_power must be a positive integer")
         if not 0.0 <= self.buffer < 1.0:
             raise PreconditionError("buffer must lie in [0, 1)")
-        if self.gap_factor <= 1.0:
-            raise PreconditionError("gap_factor must exceed 1")
 
     def resolved_cut_radius(self, window: TruncationWindow) -> float:
         if self.cut_radius is not None:
@@ -94,10 +93,10 @@ class IndexConfig:
         return {
             "sv_threshold": self.sv_threshold,
             "trace_power": self.trace_power,
-            "compact_floor": self.compact_floor,
+            "compact_floor": COMPACT_FLOOR,
             "buffer": self.buffer,
             "cut_radius": self.cut_radius,
-            "gap_factor": self.gap_factor,
+            "gap_factor": GAP_FACTOR,
         }
 
 
@@ -442,11 +441,11 @@ def _kernel_index(
     u, s_core, vh = np.linalg.svd(split.core)
     s = np.concatenate((s_core, np.abs(values)))
     thr = config.sv_threshold
-    in_gap = s[(s >= thr) & (s < thr * config.gap_factor)]
+    in_gap = s[(s >= thr) & (s < thr * GAP_FACTOR)]
     if in_gap.size:
         raise BoundaryContaminationError(
             f"{in_gap.size} singular value(s) inside the threshold gap "
-            f"[{thr:.1e}, {thr * config.gap_factor:.1e}), smallest "
+            f"[{thr:.1e}, {thr * GAP_FACTOR:.1e}), smallest "
             f"{float(in_gap.min()):.3e}; enlarge the window"
         )
     order = np.argsort(-s, kind="stable")
@@ -819,7 +818,7 @@ def nontriviality_probe(
             minima.append((fi, side, low))
             if low is None:
                 unreached.append((fi, side))
-            elif low < config.compact_floor:
+            elif low < COMPACT_FLOOR:
                 suspects.append((fi, side))
     return NontrivialityReport(
         records=tuple(records),
@@ -828,5 +827,5 @@ def nontriviality_probe(
         unreached=tuple(unreached),
         degenerate=tuple(degenerate),
         sup_norms=sup_norms,
-        compact_floor=config.compact_floor,
+        compact_floor=COMPACT_FLOOR,
     )

@@ -21,6 +21,7 @@ import numpy as np
 from .errors import ConfigError, StageError
 from .geometry import Arc, Direction, Explicit
 from .homotopy import (
+    CENTER_DIRECTIONS,
     CertifyConfig,
     PipelineConfig,
     certify_path,
@@ -154,6 +155,11 @@ class ExperimentConfig:
             problems.append(
                 f"field 'radius': the window would hold more than "
                 f"{MAX_WINDOW_DIMENSION} sites, the cap on window dimension"
+            )
+        if not problems and self.experiment == "theorem2" and self.radius < 4:
+            problems.append(  # _run_theorem2 rotates sites max(3, r // 3) and the next
+                "field 'radius': experiment 'theorem2' rotates sites 3 and 4, so the "
+                "radius must be at least 4"
             )
         if problems:
             raise ConfigError(problems)
@@ -355,7 +361,7 @@ def _run_theorem2(config: ExperimentConfig, out: Path, add_stage) -> list:
         q = Projection.from_region(
             Explicit(frozenset(x for x in window.sites if x >= 1)), window
         )
-        lo = max(3, config.radius // 3)
+        lo = max(3, config.radius // 3)  # ExperimentConfig keeps lo + 1 in the window
         angle = 0.4 + 0.5 * rng.random()
         mover = np.eye(window.dimension, dtype=np.complex128)
         i, j = window.index_of(lo), window.index_of(lo + 1)
@@ -391,21 +397,17 @@ def _run_theorem2(config: ExperimentConfig, out: Path, add_stage) -> list:
 
 def _run_surgery(config: ExperimentConfig, out: Path, add_stage) -> list:
     window = TruncationWindow.plane(config.radius)
-    thetas = (Direction(1, 0), Direction(0, 1))
     with add_stage("build-unitary"):
         u = seeded_local_unitary(window, config.seed)
     with add_stage("localize"):
-        b, plan = localized_centers(u, thetas, config.eps)
+        b, plan = localized_centers(u, CENTER_DIRECTIONS, config.eps)
         delta = spectral_norm(u.entries - b.entries)
     with add_stage("corrective"):
         v = corrective_unitary(b, plan)
         centers_idx = [window.index_of(c) for c in plan.centers]
         vb = v.entries @ b.entries
         norms = [float(np.linalg.norm(b.entries[:, i])) for i in centers_idx]
-        block = np.zeros((len(centers_idx),) * 2, dtype=np.complex128)
-        for a, ia in enumerate(centers_idx):
-            for bb, ib in enumerate(centers_idx):
-                block[a, bb] = vb[ia, ib]
+        block = vb[np.ix_(centers_idx, centers_idx)]
         diag_residual = float(spectral_norm(block - np.diag(norms)))
     with add_stage("emit"):
         files = [

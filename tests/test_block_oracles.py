@@ -44,6 +44,7 @@ from oplab.homotopy import (
 )
 from oplab.index import (
     DEFAULT_INDEX_CONFIG,
+    GAP_FACTOR,
     IndexConfig,
     _compressed,
     _count_localized,
@@ -587,7 +588,7 @@ def full_svd_kernel_index(entries, window, cut_sites, config):
     values, kernel fractions, cokernel fractions)."""
     u, s, vh = np.linalg.svd(entries)
     thr = config.sv_threshold
-    if np.any((s >= thr) & (s < thr * config.gap_factor)):
+    if np.any((s >= thr) & (s < thr * GAP_FACTOR)):
         raise BoundaryContaminationError("singular value inside the gap")
     near = np.nonzero(s < thr)[0]
     cut_mask = _cut_neighborhood_mask(
@@ -1594,6 +1595,21 @@ def test_spectral_blocks_match_the_all_mode_product(pipeline_case):
         assert set(vars(seg)) <= fields | cached
 
 
+def record_formed(mp, form, formed, entry=lambda seg, t: t) -> None:
+    """Patch ``form._sample`` to append ``entry(seg, t)`` to ``formed``
+    for each sample it forms: a new array, not a read-only view of the
+    segment's own data (a constant affine segment's A)."""
+    sample = form._sample
+
+    def recorded(seg, t):
+        out = sample(seg, t)
+        if out.block.flags.writeable:
+            formed.append(entry(seg, t))
+        return out
+
+    mp.setattr(form, "_sample", recorded)
+
+
 def certify_forming_every_affine_sample(path, config, monkeypatch):
     """certify_path with every affine sample formed by ``seg.at(t)`` and
     its locality blocks cut from it with numpy, and the Gram defects of
@@ -1616,8 +1632,7 @@ def test_affine_samples_are_measured_without_being_formed(tailed_pipeline, monke
     u, path, report, certify = tailed_pipeline
     line = straight_line(u, Operator.identity(u.window))
     formed = []
-    at = AffineSegment._at
-    monkeypatch.setattr(AffineSegment, "_at", lambda seg, t: formed.append(t) or at(seg, t))
+    record_formed(monkeypatch, AffineSegment, formed)
     for p in (line, path):
         formed.clear()
         got = certify_path(p, certify)
@@ -1652,17 +1667,14 @@ def test_certify_path_forms_only_the_first_and_last_samples(case, tailed_pipelin
         )
     formed = []
     for form in (AffineSegment, SpectralSegment, oplab.homotopy.ConjugationSegment):
-        at = form._at
-        monkeypatch.setattr(
-            form, "_at", lambda seg, t, at=at: formed.append((seg, t)) or at(seg, t)
-        )
+        record_formed(monkeypatch, form, formed, lambda seg, t: (seg, t))
     report = certify_path(path, certify)
     # a finite-range input leaves surgery nothing to do
     constant = path.segments[0].is_constant()
     assert constant == (case == "seed1")
     assert report.samples == 50 and len(formed) == (1 if constant else 2)
     if not constant:
-        first, t0 = formed[0]  # _at takes the unflipped time
+        first, t0 = formed[0]  # _sample takes the unflipped time
         assert first is path.segments[0] and t0 == (1.0 if first.flip else 0.0)
     last, t1 = formed[-1]
     assert last is path.segments[-1] and t1 == (0.0 if last.flip else 1.0)
@@ -1685,14 +1697,10 @@ def test_certify_path_forms_one_sample_per_t_on_projection_paths(monkeypatch):
         for row, col in blocks.arc_pairs
     ]
     worst = 0.0
-    for path, form, method in (
-        (conj, oplab.homotopy.ConjugationSegment, "_sample"),
-        (upath, SpectralSegment, "_at"),
-    ):
+    for path, form in ((conj, oplab.homotopy.ConjugationSegment), (upath, SpectralSegment)):
         formed = []
         with monkeypatch.context() as mp:
-            at = getattr(form, method)
-            mp.setattr(form, method, lambda seg, t, at=at: formed.append(t) or at(seg, t))
+            record_formed(mp, form, formed)
             report = certify_path(path, certify)
         assert report.is_projection_path and len(formed) == 10
         for t, _, _, loc, *_ in certify_path(path, blocks).series:
@@ -1800,11 +1808,15 @@ def site_sets(rng, d, a_kind, b_kind):
 )
 @example(d=6, a_kind="whole", b_kind="empty", near=True, seed=3)  # a dense end and the identity
 @example(d=6, a_kind="some", b_kind="same", near=True, seed=4)  # a conjugation joint
+@example(d=6, a_kind="some", b_kind="whole", near=False, seed=5)  # a block against a dense end
 def test_block_comparisons_match_the_dense_difference(d, a_kind, b_kind, near, seed):
     """Joint and end comparisons of two block samples equal the norms of
     the dense difference: the Frobenius norm within 1e-14 relative, the
-    spectral norm per component within 1e-12 relative, either way round.
-    ``near`` makes b a small perturbation of a on their common sites."""
+    spectral norm per component within 1e-12 relative, either way round,
+    and the two ways round agree bit for bit.  A read-only side given up
+    with ``spare`` is measured the same and left as it was, and so is
+    the other side.  ``near`` makes b a small perturbation of a on their
+    common sites."""
     rng = np.random.default_rng(seed)
     a_sites, b_sites = site_sets(rng, d, a_kind, b_kind)
     a = block_sample(rng, d, a_sites)
@@ -1814,12 +1826,20 @@ def test_block_comparisons_match_the_dense_difference(d, a_kind, b_kind, near, s
         diag[b_sites] = 0.0
         shift = 1e-9 * rng.standard_normal((b_sites.size,) * 2)
         b = BlockSample(diag, b_sites, a.cut(b_sites, b_sites) + shift)
+    frobenius, spectral = oplab.homotopy._frobenius_gap, oplab.homotopy._spectral_gap
     for x, y in ((a, b), (b, a)):
         diff = x.dense() - y.dense()
         want = np.linalg.norm(diff)
-        assert abs(oplab.homotopy._frobenius_gap(x, y) - want) <= 1e-14 * want
+        assert abs(frobenius(x, y) - want) <= 1e-14 * want
         want = spectral_norm(diff)
-        assert abs(oplab.homotopy._spectral_gap(x, y) - want) <= 1e-12 * want
+        assert abs(spectral(x, y) - want) <= 1e-12 * want
+        assert frobenius(x, y) == frobenius(y, x) and spectral(x, y) == spectral(y, x)
+        frozen = BlockSample(x.diag, x.sites, x.block.copy())
+        frozen.block.flags.writeable = False
+        other = y.block.copy()
+        assert frobenius(frozen, y, spare=True) == frobenius(x, y)
+        assert spectral(frozen, y, spare=True) == spectral(x, y)
+        assert np.array_equal(frozen.block, x.block) and np.array_equal(y.block, other)
 
 
 def dense_is_projection(x, tol):

@@ -167,6 +167,8 @@ def test_config_value_checks():
         ExperimentConfig("mystery", "Z", 8, 1, "x")
     with pytest.raises(ConfigError, match="runs on Z2"):
         ExperimentConfig("theorem1", "Z", 8, 1, "x")
+    with pytest.raises(ConfigError, match="'radius': experiment 'theorem2' rotates sites 3 and 4"):
+        ExperimentConfig("theorem2", "Z", 3, 1, "x")
     with pytest.raises(ConfigError, match="'eps': must be a positive number"):
         ExperimentConfig("theorem1", "Z2", 8, 1, "x", eps="abc")
     with pytest.raises(ConfigError, match="'k_min': must be an integer"):
@@ -481,6 +483,8 @@ def test_cli_validation_exit_codes(tmp_path, capsys):
         ("theorem2", "Z", {"seed": -1}),
         ("surgery", "Z2", {"seed": -1}),
         ("locality-scan", "Z2", {"seed": -1}),
+        ("theorem2", "Z", {"radius": 1}),
+        ("theorem2", "Z", {"radius": 3}),
     ):
         path = write_config(
             tmp_path, experiment=experiment, representation=representation, **override

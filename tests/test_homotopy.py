@@ -1,6 +1,10 @@
 """Operator paths: segments, certification, and the full pipeline."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,6 +50,7 @@ from oplab.windows import TruncationWindow
 
 from conftest import dense_factors, traced_peak
 
+ROOT = Path(__file__).resolve().parents[1]
 RIGHT = Arc(Direction(1, -1), Direction(1, 1))
 LEFT = Arc(Direction(-1, 1), Direction(-1, -1))
 
@@ -543,8 +548,15 @@ def test_certify_evaluates_each_sample_once(monkeypatch):
     line = straight_line(u, Operator(window, u.entries @ u.entries))
     constant = straight_line(u, u)
     calls = []
-    at = AffineSegment._at
-    monkeypatch.setattr(AffineSegment, "_at", lambda seg, t: calls.append(t) or at(seg, t))
+    sample = AffineSegment._sample
+
+    def formed(seg, t):
+        out = sample(seg, t)
+        if out.block.flags.writeable:  # a read-only view of A is not formed
+            calls.append(t)
+        return out
+
+    monkeypatch.setattr(AffineSegment, "_sample", formed)
     report = certify_path(line, CertifyConfig(samples=10))
     # the Gram spectrum comes from the segment's terms, so only the first
     # sample (the projection test) and the last (the endpoint error) are formed
@@ -701,7 +713,7 @@ def test_segments_hold_no_dense_factor():
     u = paired_unitary(window, (0, 0), 6)
     g = Operator(window, u.entries * (1.0 + 0.5 * np.arange(d) / d)[None, :])
     segments = {
-        "polar": _polar_segment(g, 1e-8),
+        "polar": _polar_segment(g),
         "log": _log_segment(window, u.entries, [range(d)]),
         "log-right": _log_segment(window, u.entries, [range(d)], right=g.entries),
     }
@@ -741,3 +753,54 @@ def test_theorem2_path_peaks_below_two_dense_arrays():
     assert report.index_trace == (-1,) * 50
     assert max(report.endpoint_errors) <= 1e-12
     assert peak < 2 * 16 * d * d
+
+
+def test_conjugation_block_is_cut_from_the_block_sample():
+    """A conjugation path's block is cut from its block sample on the
+    moving sites, entry for entry the dense sample's, with no d x d
+    array formed (a cut from the dense sample peaks at 1.12 d x d
+    complex arrays at radius 256)."""
+    window = TruncationWindow.line(256)
+    d = window.dimension
+    q = Projection.from_region(Explicit(frozenset(x for x in window.sites if x >= 1)), window)
+    path = conjugation_path(q, log_path(local_rotation(window, 85, 86, 0.7)).reverse())
+    moving = path.segments[0].q.sites
+    rng = np.random.default_rng(6)
+    rest = np.setdiff1d(np.arange(d), moving)
+    rows, cols = (np.union1d(moving, rng.choice(rest, 58, replace=False)) for _ in range(2))
+    assert rows.size == cols.size == 60
+    block, peak = traced_peak(lambda: path.block(0.4, rows, cols))
+    assert np.array_equal(block, path.segments[0].sample(0.4).dense()[np.ix_(rows, cols)])
+    assert np.any(block[np.ix_(np.isin(rows, moving), np.isin(cols, moving))] != 0)
+    assert peak < 0.1 * 16 * d * d
+
+
+def test_import_leaves_scipy_unloaded(tmp_path):
+    """``import oplab`` loads no scipy; the one Schur decomposition, of a
+    rotation that turns two sites together, loads it when first used."""
+    code = """
+import sys
+import numpy as np
+import oplab
+from oplab.homotopy import log_path
+from oplab.operators import Operator
+from oplab.windows import TruncationWindow
+
+assert "scipy" not in sys.modules, sorted(name for name in sys.modules if "scipy" in name)
+window = TruncationWindow.line(4)
+u = np.eye(window.dimension, dtype=np.complex128)
+c, s = np.cos(0.7), np.sin(0.7)
+u[np.ix_([5, 6], [5, 6])] = [[c, -s], [s, c]]
+path = log_path(Operator(window, u))
+assert np.abs(path.at(0.0) - u).max() <= 1e-12
+assert np.abs(path.at(1.0) - np.eye(window.dimension)).max() <= 1e-12
+assert "scipy.linalg" in sys.modules
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr[-2000:]

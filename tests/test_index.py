@@ -12,7 +12,7 @@ from oplab.errors import (
 )
 from oplab.geometry import Arc, Cone, Direction, Explicit
 from oplab.index import (
-    DEFAULT_INDEX_CONFIG,
+    COMPACT_FLOOR,
     IndexConfig,
     IndexResult,
     cut_interface,
@@ -416,7 +416,7 @@ def test_probe_report_serialization():
     assert blob["format"] == "nontrivialityreport v2"
     assert len(blob["records"]) == 2
     assert blob["unreached"] == []
-    assert blob["compact_floor"] == DEFAULT_INDEX_CONFIG.compact_floor
+    assert blob["compact_floor"] == COMPACT_FLOOR
 
 
 # ---------------------------------------------------------------------------
