@@ -20,7 +20,7 @@ from .index import (
     projection_index,
 )
 from .operators import CircleFunction, Projection, laughlin_operator
-from .opmat import load_operator
+from .opmat import load_operator, loads_operator
 from .runner import MAX_WINDOW_DIMENSION, OUT_DIR_ENV, _window_too_large, load_config, run
 from .windows import TruncationWindow
 
@@ -165,8 +165,8 @@ def _cmd_convert(args) -> int:
             raise ConfigError(f"input is not an opmat-json v1 document: {exc!r}") from exc
         if not text.isascii():
             raise ConfigError("input entries_b64 is not ASCII")
+        op = loads_operator(text)
         dst.write_text(text, encoding="ascii")
-        op = load_operator(dst)
         print(f"wrote {dst} ({op.window.dimension} x {op.window.dimension})")
         return 0
     raise ConfigError("convert maps .opmat to .json or .json to .opmat")

@@ -132,6 +132,7 @@ def _split_norm(entries: np.ndarray, outside: np.ndarray | None = None) -> float
 
 
 _NO_SITES = np.empty(0, dtype=np.intp)
+_SAMPLE_CHUNKS = 32  # row chunks an affine sample is formed in
 
 
 # ---------------------------------------------------------------------------
@@ -271,17 +272,27 @@ class AffineSegment(PathSegment):
         )
 
     def _sample(self, t: float) -> "BlockSample":
-        """X(t) formed on the whole window; every sample of a constant
-        segment is A itself, as a read-only view."""
+        """X(t) formed on the whole window, a chunk of rows at a time so
+        that only one d x d is made; every sample of a constant segment
+        is A itself, as a read-only view."""
         if self.is_constant():
             start = self.start.view()
             start.flags.writeable = False
             return BlockSample.whole(start)
-        a, rows, cols = self.start, self.rows, self.cols
-        out = (1.0 - t) * a
-        out += t * a  # B is A off its rows and columns
-        out[rows] = (1.0 - t) * a[rows] + t * self.row_entries
-        out[:, cols] = (1.0 - t) * a[:, cols] + t * self.col_entries
+        a = self.start
+        d = a.shape[0]
+        where = _positions(d, self.rows)
+        out = np.empty_like(a)
+        step = -(-d // _SAMPLE_CHUNKS)
+        for first in range(0, d, step):
+            chunk = slice(first, first + step)
+            end = a[chunk].copy()  # B on these rows: A, overwritten on B's rows and columns
+            at = where[chunk]
+            hit = at >= 0
+            end[hit] = self.row_entries[at[hit]]
+            end[:, self.cols] = self.col_entries[chunk]
+            out[chunk] = (1.0 - t) * a[chunk]
+            out[chunk] += t * end
         return BlockSample.whole(out)
 
     def moving_sites(self) -> np.ndarray:

@@ -65,19 +65,20 @@ TOL_BLOCK_FORM = 1e-10
 
 @dataclass(frozen=True)
 class ProjectionPair:
-    """A row projection, a column projection, and the block norm they cut."""
+    """A row projection, a column projection, and the measured norm of
+    the block they cut from the operator at hand (None: not measured)."""
 
     p: Projection
     q: Projection
-    bound: float = 0.0
+    bound: float | None = None
 
     def __post_init__(self) -> None:
-        if self.bound < 0:
+        if self.bound is not None and self.bound < 0:
             raise ValueError("bound must be non-negative")
 
     @classmethod
     def for_operator(cls, p: Projection, q: Projection, a: Operator) -> "ProjectionPair":
-        return cls(p, q, _masked_norm(p, q, a.entries))
+        return cls(p, q, spectral_norm(_masked_block(p, q, a.entries)))
 
 
 def _block_of(p: Projection, q: Projection) -> tuple | None:
@@ -98,17 +99,14 @@ def _masked_block(p: Projection, q: Projection, m: np.ndarray) -> np.ndarray:
     return p.entries @ m @ q.entries if block is None else m[block]
 
 
-def _masked_norm(p: Projection, q: Projection, m: np.ndarray) -> float:
-    """‖P M Q‖, taken on the index block when there is one."""
-    return spectral_norm(_masked_block(p, q, m))
-
-
 def deletion_series(a: Operator, pairs: Sequence[ProjectionPair], eps: float) -> Operator:
     """Remove the masked blocks P_k A Q_k by the inclusion-exclusion
     recursion S_{k+1} = S_k + P A Q - P S_k Q, returning B = A - S_n.
 
-    Requires ‖P_k A Q_k‖ <= eps / 2^(2k-1) for each k (rechecked here,
-    never trusted from the caller).  Afterwards every masked block of B
+    Requires ‖P_k A Q_k‖ <= eps / 2^(2k-1) for each k (rechecked here
+    as a ``norm_at_most`` decision, never trusted from the caller).  The
+    series cap sums the pairs' measured norms, taken here for a pair
+    that carries none.  Afterwards every masked block of B
     vanishes; blocks cut by diagonal projections are snapped to exact
     zeros once verified small, so later containment arguments can rely
     on structural zeros rather than tolerances.
@@ -128,13 +126,13 @@ def deletion_series(a: Operator, pairs: Sequence[ProjectionPair], eps: float) ->
     norms = []
     for k, pair in enumerate(pairs, start=1):
         budget = eps / 2.0 ** (2 * k - 1)
-        norm_k = _masked_norm(pair.p, pair.q, a.entries)
-        if norm_k > budget + TOL_RESIDUAL:
+        block = _masked_block(pair.p, pair.q, a.entries)
+        if not norm_at_most(block, budget + TOL_RESIDUAL):
             raise PreconditionError(
-                f"pair {k}: masked block norm {norm_k:.3e} exceeds budget "
+                f"pair {k}: masked block norm {spectral_norm(block):.3e} exceeds budget "
                 f"{budget:.3e} = eps/2^{2 * k - 1}"
             )
-        norms.append(norm_k)
+        norms.append(spectral_norm(block) if pair.bound is None else pair.bound)
 
     s = np.zeros_like(a.entries)
     for pair, block in zip(pairs, blocks):

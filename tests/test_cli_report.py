@@ -1,5 +1,6 @@
 """Runner configs, manifests, plots, and the command line surface."""
 
+import base64
 import json
 import re
 import time
@@ -18,7 +19,7 @@ from oplab.errors import ConfigError, PreconditionError, StageError
 from oplab.homotopy import CertifyConfig, certify_path, straight_line
 from oplab.locality import DecayProfile
 from oplab.operators import Operator, laughlin_operator
-from oplab.opmat import load_operator, save_operator
+from oplab.opmat import _header_for, load_operator, save_operator
 from oplab.reports import bar_chart_svg, emit_plots, line_plot_svg, write_csv
 from oplab.runner import (
     MAX_WINDOW_DIMENSION,
@@ -385,6 +386,13 @@ def test_theorem1_run(tmp_path):
     end = load_operator(out / "end.opmat")
     assert np.array_equal(end.entries, np.eye(end.window.dimension))
     assert start.window.dimension == end.window.dimension
+    u = seeded_local_unitary(start.window, 7)
+    assert np.array_equal(start.entries.view(np.uint8), u.entries.view(np.uint8))
+    for name, op in (("start.opmat", start), ("end.opmat", end)):
+        # the nonzero list: at most 64 bytes of text per nonzero past the header
+        header = (out / name).read_text(encoding="ascii").partition("\n")[0]
+        size = (out / name).stat().st_size
+        assert size <= len(header) + 2 + 64 * np.count_nonzero(op.entries)
     assert blob["certificate"]["endpoint_errors"][0] <= 1e-8
     assert "start.opmat" in {f["path"] for f in manifest.files}
 
@@ -576,17 +584,28 @@ def test_cli_index_and_probe_check_the_radius(capsys, monkeypatch):
         assert f"more than {MAX_WINDOW_DIMENSION} sites" in capsys.readouterr().err
 
 
+def _v1_text(op, name):
+    """``op`` in the opmat v1 form, the whole matrix, which loads still read."""
+    head = {**_header_for(op, name), "format": "opmat v1"}
+    payload = base64.b64encode(np.ascontiguousarray(op.entries, dtype="<c16").tobytes()).decode("ascii")
+    return json.dumps(head, sort_keys=True) + "\n" + payload + "\n"
+
+
 def test_cli_convert_roundtrip(tmp_path, capsys):
     window = TruncationWindow.line(4)
     rng = np.random.default_rng(5)
     op = Operator(window, rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9)))
     first = tmp_path / "op.opmat"
     save_operator(op, first, name="demo")
-    mid = tmp_path / "op.json"
-    back = tmp_path / "op2.opmat"
-    assert main(["convert", "--in", str(first), "--out", str(mid)]) == 0
-    assert main(["convert", "--in", str(mid), "--out", str(back)]) == 0
-    assert np.array_equal(load_operator(back).entries, op.entries)
+    old = tmp_path / "old.opmat"
+    old.write_text(_v1_text(op, "demo"), encoding="ascii")
+    for src in (first, old):  # v2 and v1 both copy through verbatim
+        mid = tmp_path / "op.json"
+        back = tmp_path / "op2.opmat"
+        assert main(["convert", "--in", str(src), "--out", str(mid)]) == 0
+        assert main(["convert", "--in", str(mid), "--out", str(back)]) == 0
+        assert back.read_bytes() == src.read_bytes()
+        assert np.array_equal(load_operator(back).entries, op.entries)
     capsys.readouterr()
     assert main(["convert", "--in", str(first), "--out", str(tmp_path / "x.txt")]) == 2
 
@@ -594,6 +613,11 @@ def test_cli_convert_roundtrip(tmp_path, capsys):
 def _header_with(path, **fields):
     head, body = path.read_text(encoding="ascii").splitlines()
     return json.dumps({**json.loads(head), **fields}) + "\n" + body + "\n"
+
+
+def _json_with_payload(path, entries_b64):
+    head = json.loads(path.read_text(encoding="ascii").splitlines()[0])
+    return json.dumps({"format": "opmat-json v1", "header": head, "entries_b64": entries_b64})
 
 
 @pytest.mark.parametrize(
@@ -609,6 +633,7 @@ def _header_with(path, **fields):
         ("not-json.json", lambda good: "{"),
         ("deeply-nested.json", lambda good: "[" * 100_000 + "]" * 100_000),
         ("non-ascii.json", lambda good: '{"format": "opmat-json v1", "header": {}, "entries_b64": "é"}'),
+        ("bad-payload.json", lambda good: _json_with_payload(good, "AAAA")),
     ],
 )
 def test_cli_convert_rejects_bad_input_with_exit_2(tmp_path, capsys, name, content):

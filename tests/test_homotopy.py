@@ -112,6 +112,30 @@ def test_straight_line_constant_when_endpoints_equal():
         assert np.array_equal(path.at(t), a.entries)
 
 
+@pytest.mark.parametrize("moved", ["every-entry", "some-rows", "some-columns"])
+def test_affine_sample_forms_one_matrix(moved):
+    """An affine sample is formed a chunk of rows at a time: its traced
+    peak stays near one d x d, and its entries are (1 - t) A + t B bit
+    for bit."""
+    window = TruncationWindow.plane(10)
+    d = window.dimension
+    rng = np.random.default_rng(13)
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    fresh = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    b = fresh if moved == "every-entry" else a.copy()
+    if moved == "some-rows":
+        rows = rng.random(d) < 0.7
+        b[rows] = fresh[rows]
+    elif moved == "some-columns":
+        cols = rng.random(d) < 0.3
+        b[:, cols] = fresh[:, cols]
+    seg = straight_line(Operator(window, a), Operator(window, b)).segments[0]
+    for t in (0.3, 1.0):
+        sample, peak = traced_peak(lambda: seg._sample(t))
+        assert peak < 1.25 * 16 * d * d
+        assert np.array_equal(sample.dense(), (1.0 - t) * a + t * b)
+
+
 def test_straight_line_window_mismatch():
     with pytest.raises(WindowMismatchError):
         straight_line(

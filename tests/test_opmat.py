@@ -1,4 +1,5 @@
-"""Round-trip and failure behavior of the opmat v1 file format."""
+"""Round-trip and failure behavior of the opmat file format: v2, the
+nonzero list that is written, and v1, the whole matrix, still read."""
 
 import base64
 import json
@@ -23,29 +24,83 @@ def _random_op(window, seed=0):
     return Operator(window, rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
 
 
+RECORD = np.dtype([("at", "<u8"), ("value", "<c16")])
+
+
 def one_shot_text(op, name):
-    """The two-line text form encoded in one piece: the header line, then
-    base64 of the whole payload."""
-    header = _header_for(op, name)
+    """The opmat v1 text form encoded in one piece: the header line, then
+    base64 of the whole matrix."""
+    header = {**_header_for(op, name), "format": "opmat v1"}
     payload = np.ascontiguousarray(op.entries, dtype="<c16").tobytes(order="C")
     return json.dumps(header, sort_keys=True) + "\n" + base64.b64encode(payload).decode("ascii") + "\n"
+
+
+def one_shot_v2_text(op, name):
+    """The opmat v2 text form encoded in one piece: the header line with
+    the record count, then base64 of every record, one per entry whose
+    bytes are not all zero, in row-major order."""
+    flat = np.ascontiguousarray(op.entries, dtype="<c16").reshape(-1)
+    at = np.flatnonzero(flat.view("<u8").reshape(-1, 2).any(axis=1))
+    records = np.empty(at.size, dtype=RECORD)
+    records["at"] = at
+    records["value"] = flat[at]
+    header = {**_header_for(op, name), "entries": int(at.size)}
+    return json.dumps(header, sort_keys=True) + "\n" + base64.b64encode(records.tobytes()).decode("ascii") + "\n"
+
+
+def _sparse_op(window, seed=0):
+    """A random operator with most entries zero, some -0.0, and whole
+    rows of zeros."""
+    rng = np.random.default_rng(seed)
+    d = window.dimension
+    entries = _random_op(window, seed).entries.copy()
+    entries[rng.random((d, d)) < 0.9] = 0.0
+    entries[rng.random((d, d)) < 0.02] = complex(-0.0, 0.0)
+    entries[rng.random(d) < 0.5] = 0.0
+    return Operator(window, entries)
 
 
 @pytest.mark.parametrize(
     "window",
     [
-        TruncationWindow.line(1),  # 144 payload bytes, a multiple of 3
-        TruncationWindow.line(2),  # 400 bytes: one left over
-        TruncationWindow.plane(6),  # 204304 bytes: more than one piece, one left over
-        TruncationWindow.line(200),  # 2572816 bytes: many pieces, one left over
+        TruncationWindow.line(1),  # one row chunk
+        TruncationWindow.line(2),
+        TruncationWindow.plane(6),  # two row chunks
+        TruncationWindow.line(200),  # many row chunks
     ],
 )
 def test_streamed_text_is_the_one_shot_text(tmp_path, window):
-    op = _random_op(window, seed=window.dimension)
-    want = one_shot_text(op, "probe")
-    assert dumps_operator(op, "probe") == want
-    path = save_operator(op, tmp_path / "a.opmat", name="probe")
-    assert path.read_bytes() == want.encode("ascii")
+    for op in (_random_op(window, seed=window.dimension), _sparse_op(window, seed=window.dimension)):
+        want = one_shot_v2_text(op, "probe")
+        assert dumps_operator(op, "probe") == want
+        path = save_operator(op, tmp_path / "a.opmat", name="probe")
+        assert path.read_bytes() == want.encode("ascii")
+        assert np.array_equal(load_operator(path).entries.view(np.uint8), op.entries.view(np.uint8))
+
+
+def test_v1_file_loads_bit_for_bit(tmp_path):
+    w = TruncationWindow.plane("3/2")
+    d = w.dimension
+    op = Operator(w, _special_floats(np.random.default_rng(8), 2 * d * d).view("<c16").reshape(d, d))
+    path = tmp_path / "v1.opmat"
+    path.write_text(one_shot_text(op, "old"), encoding="ascii")
+    back = load_operator(path)
+    assert back.window == w
+    assert back.tags["name"] == "old"
+    assert np.array_equal(back.entries.view(np.uint8), op.entries.view(np.uint8))
+    assert dumps_operator(back, "old") == one_shot_v2_text(op, "old")
+
+
+@pytest.mark.parametrize("window", [TruncationWindow.plane(3), TruncationWindow.line(4)])
+def test_zero_and_identity_round_trip(window):
+    for op, count in ((Operator.zero(window), 0), (Operator.identity(window), window.dimension)):
+        text = dumps_operator(op, "z")
+        head, _, body = text.partition("\n")
+        assert json.loads(head)["entries"] == count
+        assert len(body.strip()) == 32 * count  # 24 bytes a record, 4 characters per 3 bytes
+        back = loads_operator(text)
+        assert back.window == window
+        assert np.array_equal(back.entries.view(np.uint8), op.entries.view(np.uint8))
 
 
 def test_save_operator_holds_less_than_the_matrix(tmp_path):
@@ -122,7 +177,8 @@ def test_header_fields():
     op = laughlin_operator(TruncationWindow.plane("5/2"))
     head = json.loads(dumps_operator(op, name="u").splitlines()[0])
     assert head == {
-        "format": "opmat v1",
+        "format": "opmat v2",
+        "entries": op.window.dimension,  # a diagonal with no zero
         "representation": "Z2",
         "radius": "5/2",
         "basis": "radial-angular-lex/v1",
@@ -190,6 +246,36 @@ def test_rejects_headerless_text():
         loads_operator("just one line no newline")
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(lambda h, r: (dict(h, entries=True), r), id="bool-count"),
+        pytest.param(lambda h, r: (dict(h, entries=2.0), r), id="float-count"),
+        pytest.param(lambda h, r: (dict(h, entries=-1), r[:0]), id="negative-count"),
+        pytest.param(lambda h, r: (dict(h, entries=26), r), id="count-past-d2"),
+        pytest.param(lambda h, r: (dict(h, entries=4), r), id="count-short"),
+        pytest.param(lambda h, r: (h, np.concatenate([r, r[-1:]])), id="extra-record"),
+        pytest.param(lambda h, r: (h, r.tobytes()[:-1]), id="cut-record"),
+        pytest.param(lambda h, r: (h, _set_at(r, 4, 25)), id="position-d2"),
+        pytest.param(lambda h, r: (h, _set_at(r, 4, 2**64 - 1)), id="position-max"),
+        pytest.param(lambda h, r: (h, _set_at(r, [1, 2], [12, 6])), id="swapped"),
+        pytest.param(lambda h, r: (h, _set_at(r, 2, 6)), id="duplicate"),
+    ],
+)
+def test_rejects_mangled_v2_records(edit):
+    head, body = _identity_text(TruncationWindow.plane(1))  # positions 0, 6, 12, 18, 24
+    records = np.frombuffer(base64.b64decode(body), dtype=RECORD).copy()
+    head, records = edit(head, records)
+    payload = records if isinstance(records, bytes) else records.tobytes()
+    with pytest.raises(OpmatPayloadError):
+        loads_operator(json.dumps(head) + "\n" + base64.b64encode(payload).decode("ascii") + "\n")
+
+
+def _set_at(records, i, value):
+    records["at"][i] = value
+    return records
+
+
 def _identity_text(window):
     head, body = dumps_operator(Operator.identity(window), name="id").splitlines()
     return json.loads(head), body
@@ -240,7 +326,8 @@ def test_site_count_matches_the_enumeration(representation, radius):
     ],
 )
 def test_huge_radius_is_rejected_without_listing_sites(monkeypatch, representation, radius, dimension, error):
-    head, body = _identity_text(TruncationWindow.plane(1))
+    head, body = one_shot_text(Operator.identity(TruncationWindow.plane(1)), "id").splitlines()
+    head = json.loads(head)
 
     def listed(window):
         raise AssertionError("the window's sites were listed")
@@ -249,6 +336,32 @@ def test_huge_radius_is_rejected_without_listing_sites(monkeypatch, representati
     head.update(representation=representation, radius=radius, dimension=dimension)
     with pytest.raises(error):
         loads_operator(json.dumps(head) + "\n" + body + "\n")
+
+
+@pytest.mark.parametrize(
+    "representation, radius, dimension, entries, error",
+    [
+        ("Z2", "1000000000000", 5, 5, OpmatDimensionError),  # below the inscribed square
+        ("Z2", "1000000000000", 10**30, 5, OpmatPayloadError),  # past what a position addresses
+        ("Z2", "1000000", 3 * 10**12, 5, OpmatPayloadError),  # plausible, but not addressable
+        ("Z2", "1000000", 3 * 10**12, 0, OpmatPayloadError),  # the same claim with no records
+        ("Z", "1000000000000000", 7, 5, OpmatDimensionError),
+        ("Z", "1000000000000000", 2 * 10**15 + 1, 0, OpmatPayloadError),  # the count, not addressable
+        ("Z", "1000000000", 2 * 10**9 + 1, 0, OpmatPayloadError),  # addressable, too large to form
+    ],
+)
+def test_huge_radius_v2_is_rejected_without_listing_sites(
+    monkeypatch, representation, radius, dimension, entries, error
+):
+    head, body = _identity_text(TruncationWindow.plane(1))
+
+    def listed(window):
+        raise AssertionError("the window's sites were listed")
+
+    monkeypatch.setattr(TruncationWindow, "sites", property(listed))
+    head.update(representation=representation, radius=radius, dimension=dimension, entries=entries)
+    with pytest.raises(error):
+        loads_operator(json.dumps(head) + "\n" + (body if entries else "") + "\n")
 
 
 @pytest.mark.parametrize("where", ["header", "payload"])
@@ -280,15 +393,47 @@ _FIELD_VALUES = {
     "basis": st.sampled_from(["radial-angular-lex/v1", "lex"]),
     "name": st.sampled_from(["", "u", "é"]),
     "dimension": st.sampled_from([1, 3, 5, 9, 13, 0, -5, True, 10**40]) | st.integers(),
+    "entries": st.sampled_from([0, 1, 3, 4, 6, 25, 26, -1, True, 2.5, "5", 10**40]) | st.integers(),
 }
+
+
+def _mangle_records(draw, raw, count, d):
+    """A v2 payload with one record cut short, a position out of range,
+    two positions swapped, a position duplicated, or the count off by one:
+    (the payload bytes, the count to write in the header)."""
+    records = np.frombuffer(raw, dtype=RECORD).copy()
+    edit = draw(st.sampled_from(["cut", "range", "swap", "duplicate", "count"]))
+    i = draw(st.integers(0, count - 1))
+    if edit == "cut":
+        return raw[: len(raw) - draw(st.integers(1, RECORD.itemsize))], count
+    if edit == "range":
+        records["at"][i] = draw(st.sampled_from([d * d, d * d + 1, 2**63, 2**64 - 1]))
+    elif edit == "swap":
+        j = draw(st.integers(0, count - 1))
+        records["at"][[i, j]] = records["at"][[j, i]]
+    elif edit == "duplicate":
+        records["at"][i] = records["at"][draw(st.integers(0, count - 1))]
+    else:
+        return raw, count + draw(st.sampled_from([-1, 1]))
+    return records.tobytes(), count
 
 
 @st.composite
 def mutated_files(draw):
-    """The text of a small saved operator with some header fields
-    replaced, dropped or mangled and the payload cut, edited or padded."""
+    """The text of a small saved operator, in v2 or v1, with some header
+    fields replaced, dropped or mangled, v2 records mangled, and the
+    payload cut, edited or padded."""
     window = draw(st.sampled_from([TruncationWindow.line(1), TruncationWindow.plane(1)]))
-    head, body = _identity_text(window)
+    if draw(st.booleans()):
+        head, body = _identity_text(window)
+        if draw(st.booleans()):
+            raw, head["entries"] = _mangle_records(
+                draw, base64.b64decode(body), head["entries"], window.dimension
+            )
+            body = base64.b64encode(raw).decode("ascii")
+    else:
+        head, body = one_shot_text(Operator.identity(window), "id").splitlines()
+        head = json.loads(head)
     for name in draw(st.lists(st.sampled_from(sorted(head)), max_size=2, unique=True)):
         action = draw(st.sampled_from(["field", "field", "any", "drop"]))
         if action == "field":
