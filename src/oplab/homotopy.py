@@ -53,7 +53,7 @@ from .errors import (
     WindowMismatchError,
 )
 from .geometry import Arc, Ball, Cone, Direction, Explicit, arcs_disjoint, region_mask
-from .index import IndexConfig, _compressed, _masks, _nonzero, fredholm_index
+from .index import IndexConfig, _compressed, _masks, fredholm_index
 from .operators import (
     Operator,
     Projection,
@@ -218,6 +218,16 @@ def _positions(d: int, idx: np.ndarray) -> np.ndarray:
     return where
 
 
+def _rows_equal(a: np.ndarray, idx: np.ndarray, entries: np.ndarray) -> bool:
+    """Whether a[idx] equals ``entries``, compared a chunk of rows at a
+    time, so that no whole copy of a[idx] is formed."""
+    step = -(-a.shape[0] // _SAMPLE_CHUNKS)
+    return all(
+        np.array_equal(a[idx[i : i + step]], entries[i : i + step])
+        for i in range(0, idx.size, step)
+    )
+
+
 @dataclass(frozen=True)
 class AffineSegment(PathSegment):
     """X(t) = (1 - t) A + t B, with A = ``start``.
@@ -226,6 +236,7 @@ class AffineSegment(PathSegment):
     columns ``cols`` (``col_entries``) where it differs from A; elsewhere
     it is A.  B and every sample are A overwritten there, never A plus a
     difference, so each entry is the one the dense B would give.
+    Whether B = A is decided once, when the segment is made.
     """
 
     start: np.ndarray
@@ -233,6 +244,15 @@ class AffineSegment(PathSegment):
     row_entries: np.ndarray
     cols: np.ndarray
     col_entries: np.ndarray
+    _constant: bool = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        # B's columns are the rows of B^T, compared as rows of A^T
+        constant = _rows_equal(self.start, self.rows, self.row_entries) and _rows_equal(
+            self.start.T, self.cols, self.col_entries.T
+        )
+        object.__setattr__(self, "_constant", constant)
 
     @classmethod
     def between(cls, kind: str, window: Window, a: np.ndarray, b: np.ndarray, **kw):
@@ -267,9 +287,7 @@ class AffineSegment(PathSegment):
 
     def is_constant(self) -> bool:
         """Whether B = A."""
-        return np.array_equal(self.start[self.rows], self.row_entries) and np.array_equal(
-            self.start[:, self.cols], self.col_entries
-        )
+        return self._constant
 
     def _sample(self, t: float) -> "BlockSample":
         """X(t) formed on the whole window, a chunk of rows at a time so
@@ -1413,12 +1431,12 @@ def certify_path(path: HomotopyPath, config: CertifyConfig | None = None) -> Cer
     from the sample formed at t (``BlockSample.cut``) on a projection
     path.  Projection paths add the idempotency defect and, with
     ``index_base``, the index of P B P + 1 - P at every sample.  B is read
-    once per path into its nonzero list, and the index's window masks
-    are computed once per path (``_masks``); each sample's T is built as
-    a nonzero list from the sample's diagonal, sites and block
-    (``_compressed``), with no d x d array unless the block is the whole
-    window.  ``index_base`` on a path that does not start at a
-    projection raises PreconditionError.
+    once per path, as its nonzero list (``Operator.nonzero``), and the
+    index's window masks are computed once per path (``_masks``); each
+    sample's T is built as a nonzero list from the sample's diagonal,
+    sites and block (``_compressed``), with no d x d array unless the
+    block is the whole window.  ``index_base`` on a path that does not
+    start at a projection raises PreconditionError.
 
     The first sample, ``sample(0.0)`` of the first segment, is formed for
     the projection test and the start error, and the last for the end
@@ -1466,7 +1484,7 @@ def certify_path(path: HomotopyPath, config: CertifyConfig | None = None) -> Cer
     index_method = "kernel_count" if index_config.cut_sites else "trace_formula"
     base = masks = None
     if config.index_base is not None:  # read once per path
-        base = _nonzero(config.index_base.entries)
+        base = config.index_base.nonzero()
         masks = _masks(window, index_config)
 
     ts = [float(t) for t in np.linspace(0.0, 1.0, config.samples)]

@@ -14,13 +14,14 @@ the window's interior.  ``auto`` cross-checks the first with the second.
 The compression is built in one place, ``_compressed``, as its nonzero
 list: from P as a diagonal off a site set S plus a block on S x S, and
 from B's nonzero list, with no d x d array unless S is the whole
-window.  Every operator is read once, from that list or from a given
-matrix's nonzero entries, into its lone pairs (entries alone in their
-row and their column, which are 1 x 1 blocks of their own) plus the
-square core left on the other rows and columns.  That one split feeds
-the kernel count, the trace formula, the defect diagnostics and the
-projection index's base check, so each costs a pass over the nonzero
-entries and dense work on the core alone.
+window.  Every operator is read once, through its nonzero list
+(``Operator.nonzero``: the list an operator such as the shift is built
+as, or one scan of a dense operator's entries), into its lone pairs
+(entries alone in their row and their column, which are 1 x 1 blocks of
+their own) plus the square core left on the other rows and columns.
+That one split feeds the kernel count, the trace formula, the defect
+diagnostics and the projection index's base check, so each costs a
+pass over the nonzero entries and dense work on the core alone.
 """
 
 from __future__ import annotations
@@ -238,13 +239,6 @@ class _Split:
     core: np.ndarray
 
 
-def _nonzero(entries: np.ndarray) -> tuple:
-    """(rows, cols, values) of a matrix's nonzero entries, row-major."""
-    # flat positions of a boolean pattern: faster than the 2-d nonzero
-    rows, cols = np.divmod(np.flatnonzero(entries != 0), entries.shape[1])
-    return rows, cols, entries[rows, cols]
-
-
 def _split(nonzero: tuple, d: int) -> _Split:
     """Split a d x d matrix given by its nonzero list; an entry is a lone
     pair when the nonzero counts of its row and its column are both 1.
@@ -270,19 +264,18 @@ def _split(nonzero: tuple, d: int) -> _Split:
 
 
 @dataclass(frozen=True)
-class _Sparse:
-    """A d x d matrix on its window given by its nonzero list (rows,
-    cols, values) in row-major order, as ``_compressed`` builds T, with
-    the window's ``masks`` (``_masks``) for the config it is read under."""
+class _Masked:
+    """T as ``_compressed`` builds it, an operator held as its nonzero
+    list, with the window's ``masks`` (``_masks``) for the config it is
+    read under."""
 
-    window: TruncationWindow
-    nonzero: tuple
+    operator: Operator
     masks: tuple
 
 
 def _compressed(
     window, diag: np.ndarray, sites: np.ndarray, block: np.ndarray, base: tuple, masks: tuple
-) -> _Sparse:
+) -> _Masked:
     """T = P B P + 1 - P as its nonzero list, with no d x d array unless
     S is the whole window.  P is ``diag`` off the sorted site set S =
     ``sites`` and ``block`` on S x S; B is its nonzero list ``base``.
@@ -337,7 +330,8 @@ def _compressed(
     keep = np.flatnonzero(t_values != 0)
     # each part is row-major already, so the stable sort merges four runs
     order = keep[np.argsort(t_rows[keep] * d + t_cols[keep], kind="stable")]
-    return _Sparse(window, (t_rows[order], t_cols[order], t_values[order]), masks)
+    t = Operator._of_nonzero(window, t_rows[order], t_cols[order], t_values[order], {})
+    return _Masked(t, masks)
 
 
 def _pair_defects(split: _Split) -> np.ndarray:
@@ -529,7 +523,7 @@ def _trace_index(split: _Split, window, config: IndexConfig, inside: np.ndarray)
 
 
 def fredholm_index(
-    t: Operator | _Sparse, method: str = "auto", config: IndexConfig | None = None
+    t: Operator | _Masked, method: str = "auto", config: IndexConfig | None = None
 ) -> IndexResult:
     """Index of an essentially-unitary-like operator on its window.
 
@@ -538,10 +532,9 @@ def fredholm_index(
     the interior mask.  ``auto`` counts kernels and cross-checks with
     the trace formula; a mismatch raises rather than guessing.
 
-    T is an ``Operator``, whose entries are scanned once for their
-    nonzero list and whose window masks (``_masks``) are computed here,
-    or that list itself as ``_compressed`` builds it, which carries the
-    masks.
+    T is an ``Operator``, read through its nonzero list
+    (``Operator.nonzero``), whose window masks (``_masks``) are computed
+    here, or T as ``_compressed`` builds it, which carries the masks.
     The list is split once, by ``_split``, into its lone pairs and a
     square core, and every reading takes that split: the kernel count
     runs its SVD on the core alone, the trace formula reads the pairs'
@@ -551,13 +544,12 @@ def fredholm_index(
     core; an irreducible T is one whole-window core.
     """
     config = config or DEFAULT_INDEX_CONFIG
-    window = t.window
-    if isinstance(t, _Sparse):
-        nonzero, (inside, cut_mask) = t.nonzero, t.masks
+    if isinstance(t, _Masked):
+        t, (inside, cut_mask) = t.operator, t.masks
     else:
-        inside, cut_mask = _masks(window, config)
-        nonzero = _nonzero(t.entries)
-    split = _split(nonzero, window.dimension)
+        inside, cut_mask = _masks(t.window, config)
+    window = t.window
+    split = _split(t.nonzero(), window.dimension)
     cut_sites = tuple(config.cut_sites)
 
     if method in ("auto", "kernel_count"):
@@ -607,7 +599,9 @@ def projection_index(
 ) -> IndexResult:
     """Index of P * base * P + P⊥ with the cut locus derived from P.
 
-    The base is read once, into its nonzero list and its ``_split``.
+    The base is read once, through its nonzero list
+    (``Operator.nonzero``), into its ``_split``; the shift is built as
+    that list, so no d x d base is formed or scanned.
     Its defects 1 - B*B and 1 - BB* are the pairs' 1 x 1 blocks plus
     the core's, so each norm below is the larger of the pairs'
     |1 - |v|^2| and the core's.  T is built from B's nonzero list as a
@@ -627,7 +621,7 @@ def projection_index(
     masks = _masks(p.window, config)
     # the open-boundary shift is unitary-like in the only sense available
     # at finite scale: its isometry defect is confined to the window edge
-    b = _split(_nonzero(base.entries), d)
+    b = _split(base.nonzero(), d)
     pair_rows, pair_cols, _ = b.pairs
     pair_defects = np.abs(_pair_defects(b))
     core_right, core_left = _defects(b.core)

@@ -1,15 +1,18 @@
-"""Dense operators on truncation windows, and the model operators.
+"""Operators on truncation windows, and the model operators.
 
-The laboratory works with plain dense complex128 matrices wrapped in an
-``Operator`` that remembers its window.  The two model operators are the
-diagonal angular-phase unitary on the planar window and the bilateral
-shift on the line window (exact unitary with periodic boundary, partial
-isometry with open boundary).
+The laboratory wraps complex128 matrices in an ``Operator`` that
+remembers its window.  An operator holds its dense entries, or its
+row-major nonzero list (``Operator.from_nonzero``) and forms the dense
+entries only when they are read; either way ``nonzero`` gives the list.
+The two model operators are the diagonal angular-phase unitary on the
+planar window and the bilateral shift on the line window (exact unitary
+with periodic boundary, partial isometry with open boundary), which is
+built as its nonzero list.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
 
@@ -37,23 +40,78 @@ def _freeze(entries: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
 class Operator:
-    """A square matrix bound to its window.  Entries are immutable."""
+    """A square matrix bound to its window.  Entries are immutable.
 
-    window: Window
-    entries: np.ndarray
-    tags: Mapping[str, str] = field(default_factory=dict, compare=False)
+    An operator holds either its entries or, built ``from_nonzero``, its
+    row-major nonzero list, from which it forms the entries the first
+    time they are read.  ``nonzero`` returns the list; an operator built
+    from its entries scans them for it once.
+    """
 
-    def __post_init__(self) -> None:
-        entries = _freeze(self.entries)
-        d = self.window.dimension
+    def __init__(self, window: Window, entries: np.ndarray, tags: Mapping[str, str] | None = None):
+        entries = _freeze(entries)
+        d = window.dimension
         if entries.shape != (d, d):
             raise ValueError(f"entries shape {entries.shape} != window dimension {d}")
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "tags", MappingProxyType(dict(self.tags)))
+        self.window = window
+        self.tags = MappingProxyType(dict(tags or {}))
+        self._entries, self._nonzero = entries, None
 
     # -- constructors -------------------------------------------------------
+
+    @classmethod
+    def from_nonzero(cls, window: Window, rows, cols, values, **tags: str) -> "Operator":
+        """The operator whose nonzero entries are ``values`` at (``rows``,
+        ``cols``), listed in strictly increasing row-major order.
+
+        Positions must be integers inside the window, the three arrays
+        one-dimensional and of one length, and every value nonzero;
+        anything else raises ``PreconditionError``.
+        """
+        d = window.dimension
+        rows, cols, values = (np.asarray(part) for part in (rows, cols, values))
+        if not rows.ndim == cols.ndim == values.ndim == 1 or not (
+            rows.size == cols.size == values.size
+        ):
+            raise PreconditionError(
+                f"a nonzero list needs three flat arrays of one length, got shapes "
+                f"{rows.shape}, {cols.shape} and {values.shape}"
+            )
+        if rows.size and not (
+            np.issubdtype(rows.dtype, np.integer) and np.issubdtype(cols.dtype, np.integer)
+        ):
+            raise PreconditionError("nonzero positions must be integers")
+        rows, cols = rows.astype(np.intp), cols.astype(np.intp)
+        outside = (rows < 0) | (rows >= d) | (cols < 0) | (cols >= d)
+        if np.any(outside):
+            at = int(np.argmax(outside))
+            raise PreconditionError(
+                f"nonzero position ({rows[at]}, {cols[at]}) lies outside the "
+                f"{d} x {d} window"
+            )
+        flat = rows * d + cols
+        if np.any(flat[1:] <= flat[:-1]):
+            raise PreconditionError("nonzero positions must be strictly increasing, row-major")
+        if values.size and not np.issubdtype(values.dtype, np.number):
+            raise PreconditionError("nonzero values must be numbers")
+        values = values.astype(np.complex128)
+        if np.any(values == 0):
+            raise PreconditionError("a nonzero list holds no zero value")
+        return cls._of_nonzero(window, rows, cols, values, tags)
+
+    @classmethod
+    def _of_nonzero(
+        cls, window: Window, rows: np.ndarray, cols: np.ndarray, values: np.ndarray, tags
+    ) -> "Operator":
+        """An operator of a nonzero list already in ``from_nonzero``'s
+        form (intp positions, complex128 values), made read-only."""
+        for part in (rows, cols, values):
+            part.setflags(write=False)
+        out = cls.__new__(cls)
+        out.window, out.tags = window, MappingProxyType(dict(tags))
+        out._entries, out._nonzero = None, (rows, cols, values)
+        return out
 
     @classmethod
     def identity(cls, window: Window, **tags: str) -> "Operator":
@@ -66,6 +124,37 @@ class Operator:
     @classmethod
     def diagonal(cls, window: Window, diag: np.ndarray, **tags: str) -> "Operator":
         return cls(window, np.diag(np.asarray(diag, dtype=np.complex128)), tags)
+
+    # -- the two forms ------------------------------------------------------
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The d x d complex128 entries, read-only and C-contiguous."""
+        if self._entries is None:
+            rows, cols, values = self._nonzero
+            d = self.window.dimension
+            entries = np.zeros((d, d), dtype=np.complex128)
+            entries[rows, cols] = values
+            self._entries = _freeze(entries)
+        return self._entries
+
+    def nonzero(self) -> tuple:
+        """(rows, cols, values) of the nonzero entries, row-major, read-only.
+
+        Read off the entries, the list holds the entries that compare
+        unequal to 0, so -0.0 is dropped and NaN is kept.  ``.opmat v2``
+        deliberately keeps every non-zero bit pattern instead, -0.0
+        among them, so that a file reads back bit for bit.
+        """
+        if self._nonzero is None:
+            entries = self._entries
+            # flat positions of a boolean pattern: faster than the 2-d nonzero
+            rows, cols = np.divmod(np.flatnonzero(entries != 0), entries.shape[1])
+            values = entries[rows, cols]
+            for part in (rows, cols, values):
+                part.setflags(write=False)
+            self._nonzero = rows, cols, values
+        return self._nonzero
 
     # -- algebra ------------------------------------------------------------
 
@@ -493,24 +582,31 @@ def laughlin_operator(window: TruncationWindow) -> Operator:
 
 
 def shift_operator(window: TruncationWindow, k: int = 1, boundary: str = "open") -> Operator:
-    """Bilateral shift by k on the line window.
+    """Bilateral shift by k on the line window, built as its nonzero list.
 
     ``open`` drops amplitudes shifted past the edge (a partial isometry);
     ``periodic`` wraps them (an exact unitary).  Periodic boundaries are
     for translation-invariance checks only: the wraparound cancels any
     index content, so index computations must use open boundaries.
+
+    Row y holds a 1 in the column of y - k (wrapped, if periodic) when
+    that site is in the window, so the list is row-major as built, takes
+    O(d) work, and forms no d x d array until ``entries`` is read.
     """
     if window.representation != "Z":
         raise RepresentationError("shifts live on the line window")
     if boundary not in ("open", "periodic"):
         raise ValueError(f"unknown boundary {boundary!r}")
-    d = window.dimension
+    sites = window.coordinates[:, 0]
+    d = sites.size
     n = (d - 1) // 2
-    entries = np.zeros((d, d), dtype=np.complex128)
-    for x in range(-n, n + 1):
-        y = x + k
-        if boundary == "periodic":
-            y = (y + n) % d - n
-        if -n <= y <= n:
-            entries[window.index_of(y), window.index_of(x)] = 1.0
-    return Operator(window, entries, {"name": f"shift[{k},{boundary}]"})
+    at = np.empty(d, dtype=np.intp)
+    at[sites + n] = np.arange(d)  # the basis index of site x, at x + n
+    if boundary == "periodic":
+        source = (sites - k % d + n) % d - n
+    else:  # a shift by d or more leaves nothing in the window
+        source = sites - max(-d, min(d, k))
+    rows = np.flatnonzero(np.abs(source) <= n)
+    cols = at[source[rows] + n]
+    values = np.ones(rows.size, dtype=np.complex128)
+    return Operator._of_nonzero(window, rows, cols, values, {"name": f"shift[{k},{boundary}]"})

@@ -52,7 +52,6 @@ from oplab.index import (
     _defects,
     _kernel_index,
     _masks,
-    _nonzero,
     _split,
     cut_interface,
     fredholm_index,
@@ -355,10 +354,17 @@ def block_compression_oracle(diag, sites, blk, base):
     return out
 
 
+def dense_nonzero(entries):
+    """(rows, cols, values) of a matrix's entries that compare unequal to
+    0, row-major: the scan ``Operator.nonzero`` makes of dense entries."""
+    rows, cols = np.divmod(np.flatnonzero(entries != 0), entries.shape[1])
+    return rows, cols, entries[rows, cols]
+
+
 def assert_same_nonzero(got, want):
-    for part, expected in zip(got, want):
+    for part, expected in zip(got, want, strict=True):
         assert part.dtype == expected.dtype
-        assert np.array_equal(part, expected)
+        assert np.array_equal(part, expected, equal_nan=True)
 
 
 def dense_defects_of(t):
@@ -600,7 +606,7 @@ def full_svd_kernel_index(entries, window, cut_sites, config):
 
 
 def assert_kernel_index_matches_full_svd(entries, window, config):
-    split = _split(_nonzero(entries), window.dimension)
+    split = _split(dense_nonzero(entries), window.dimension)
     result = _kernel_index(split, window, config.cut_sites, config, _masks(window, config)[1])
     value, near, kernel_fracs, coker_fracs = full_svd_kernel_index(
         entries, window, config.cut_sites, config
@@ -718,7 +724,7 @@ def test_kernel_index_rejects_a_lone_pair_inside_the_gap():
     with pytest.raises(BoundaryContaminationError):
         full_svd_kernel_index(entries, window, config.cut_sites, config)
     with pytest.raises(BoundaryContaminationError):
-        split = _split(_nonzero(entries), window.dimension)
+        split = _split(dense_nonzero(entries), window.dimension)
         _kernel_index(split, window, config.cut_sites, config, _masks(window, config)[1])
 
 
@@ -937,8 +943,9 @@ def test_conjugation_samples_match_the_dense_product(case):
             assert abs(idem - dense_idem) <= 1e-14
             oracle = block_compression_oracle(sample.diag, sample.sites, sample.block, base)
             assert np.max(np.abs(oracle - compressed)) <= 1e-14
-            t = _compressed(window, sample.diag, sample.sites, sample.block, _nonzero(base), ())
-            assert_same_nonzero(t.nonzero, _nonzero(oracle))
+            listed = dense_nonzero(base)
+            t = _compressed(window, sample.diag, sample.sites, sample.block, listed, ())
+            assert_same_nonzero(t.operator.nonzero(), dense_nonzero(oracle))
 
 
 @given(
@@ -979,8 +986,8 @@ def test_compression_list_is_the_dense_compression_bit_for_bit(
         base[sites] = sparse_complex(rng, sites.size, d, 1.0)
     oracle = block_compression_oracle(diag, sites, blk, base)
     # the window and the masks only travel with the list
-    got = _compressed(None, diag, sites, blk, _nonzero(base), ()).nonzero
-    assert_same_nonzero(got, _nonzero(oracle))
+    got = _compressed(None, diag, sites, blk, dense_nonzero(base), ()).operator.nonzero()
+    assert_same_nonzero(got, dense_nonzero(oracle))
 
 
 @st.composite

@@ -461,6 +461,11 @@ def test_cli_index_verb(capsys):
     assert "invalid choice" in capsys.readouterr().err
 
 
+def test_cli_index_verb_at_the_largest_line_window(capsys):
+    assert main(["index", "--radius", "4095", "--k", "3"]) == 0
+    assert "index = 3" in capsys.readouterr().out
+
+
 def test_cli_run_verb(tmp_path, capsys):
     config_path = write_config(tmp_path)
     assert main(["run", "--config", str(config_path)]) == 0

@@ -151,8 +151,8 @@ def test_index_k_sweep_matches_oracle(radius, k):
 def test_index_peak_memory_is_the_compression_alone(k):
     # T = PBP + P⊥ has at most one nonzero per row, so the split holds
     # O(d) entries: the estimators allocate well under one d x d array,
-    # and projection_index builds T as its nonzero list, so its peak is
-    # the boolean scan of B (1/16 of a complex d x d array) and no more
+    # and projection_index builds T as its nonzero list from the shift's
+    # own list, so its peak is a few O(d) arrays
     window = TruncationWindow.line(1024)
     base, p = index_k_projection(k, window)
     mask = p.diagonal_mask()
@@ -164,7 +164,19 @@ def test_index_peak_memory_is_the_compression_alone(k):
     assert peak <= 0.25 * one_array
     result, peak = traced_peak(lambda: projection_index(p, base))
     assert result.value == k
-    assert peak <= 0.25 * one_array
+    assert peak <= 0.01 * one_array
+
+
+@pytest.mark.parametrize("k", [-3, 0, 3])
+def test_projection_index_on_the_shift_forms_no_dense_array(k):
+    """The shift is built as its nonzero list and read through it, so an
+    index reading at radius 4095 (d = 8191) peaks far below one d x d."""
+    window = TruncationWindow.line(4095)
+    p = half_line(window)
+    one_array = window.dimension**2 * np.dtype(np.complex128).itemsize
+    result, peak = traced_peak(lambda: projection_index(p, shift_operator(window, k)))
+    assert result.value == -k
+    assert peak <= 0.01 * one_array
 
 
 def test_index_k_needs_room():

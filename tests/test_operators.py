@@ -28,6 +28,7 @@ from oplab.operators import (
 from oplab.windows import TruncationWindow
 
 from conftest import traced_peak
+from test_block_oracles import assert_same_nonzero, dense_nonzero
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +171,132 @@ def test_periodic_shift_is_unitary_and_cyclic():
 def test_shift_needs_line_window():
     with pytest.raises(RepresentationError):
         shift_operator(TruncationWindow.plane(2))
+
+
+def dense_shift(window, k, boundary):
+    """The shift as a dense loop over the sites: column x holds a 1 in
+    the row of x + k (wrapped, if periodic) when that site is in the
+    window."""
+    d = window.dimension
+    n = (d - 1) // 2
+    entries = np.zeros((d, d), dtype=np.complex128)
+    for x in range(-n, n + 1):
+        y = x + k
+        if boundary == "periodic":
+            y = (y + n) % d - n
+        if -n <= y <= n:
+            entries[window.index_of(y), window.index_of(x)] = 1.0
+    return entries
+
+
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+@pytest.mark.parametrize("radius", [1, 2, 16, 256])
+def test_shift_list_and_entries_are_the_dense_loop(radius, boundary):
+    w = TruncationWindow.line(radius)
+    d = w.dimension
+    for k in (0, 1, -1, 3, -3, d - 1, 1 - d, d, -d, d + 1, -d - 1):
+        s = shift_operator(w, k, boundary)
+        oracle = dense_shift(w, k, boundary)
+        assert_same_nonzero(s.nonzero(), dense_nonzero(oracle))
+        entries = s.entries
+        assert entries.dtype == np.complex128
+        assert entries.flags.c_contiguous and not entries.flags.writeable
+        assert np.array_equal(entries, oracle)
+        assert s.entries is entries  # formed once
+        if boundary == "open" and abs(k) >= d:
+            assert s.nonzero()[0].size == 0 and not np.any(entries)
+
+
+def test_shift_forms_no_dense_array_until_entries_are_read():
+    w = TruncationWindow.line(4095)
+    d = w.dimension
+    shift_operator(w, 1)  # fills the window's cached sites
+    s, peak = traced_peak(lambda: shift_operator(w, 3))
+    assert peak < 16 * d * d / 1000
+    rows, cols, values = s.nonzero()
+    assert rows.size == d - 3 and np.all(values == 1.0)
+    for part in s.nonzero():
+        assert not part.flags.writeable
+
+
+def test_dense_nonzero_list_is_the_value_based_scan():
+    """An operator built from its entries lists the entries that compare
+    unequal to 0: -0.0 is dropped and NaN kept."""
+    w = TruncationWindow.line(3)
+    rng = np.random.default_rng(5)
+    entries = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
+    entries[rng.random((7, 7)) < 0.6] = 0.0
+    entries[0, 1] = complex(-0.0, -0.0)
+    entries[2, 3] = complex(0.0, -0.0)
+    entries[4, 5] = complex(np.nan, 0.0)
+    entries[6, 0] = complex(0.0, np.inf)
+    op = Operator(w, entries)
+    got = op.nonzero()
+    assert_same_nonzero(got, dense_nonzero(op.entries))
+    listed = set(zip(got[0].tolist(), got[1].tolist()))
+    assert (0, 1) not in listed and (2, 3) not in listed
+    assert {(4, 5), (6, 0)} <= listed
+    assert op.nonzero() is got  # scanned once
+    for part in got:
+        assert not part.flags.writeable
+
+
+def test_from_nonzero_is_the_operator_of_its_list():
+    w = TruncationWindow.plane(3)
+    d = w.dimension
+    rng = np.random.default_rng(11)
+    entries = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    entries[rng.random((d, d)) < 0.8] = 0.0
+    rows, cols, values = dense_nonzero(entries)
+    op = Operator.from_nonzero(w, rows.tolist(), cols.astype(np.int32), values, name="sparse")
+    assert op.tags["name"] == "sparse"
+    assert_same_nonzero(op.nonzero(), (rows, cols, values))
+    assert np.array_equal(op.entries, entries)
+    assert op.entries.flags.c_contiguous and not op.entries.flags.writeable
+    assert np.array_equal((op @ op).entries, entries @ entries)
+    empty = Operator.from_nonzero(w, [], [], [])
+    assert empty.nonzero()[0].size == 0
+    assert np.array_equal(empty.entries, np.zeros((d, d)))
+
+
+def test_from_nonzero_rejects_positions_outside_the_window():
+    w = TruncationWindow.line(2)
+    for rows, cols in (([0, 5], [1, 0]), ([0, 1], [1, -1])):
+        with pytest.raises(PreconditionError, match="outside"):
+            Operator.from_nonzero(w, rows, cols, [1.0, 2.0])
+
+
+def test_from_nonzero_rejects_positions_out_of_row_major_order():
+    w = TruncationWindow.line(2)
+    for rows, cols in (([1, 0], [0, 1]), ([0, 0], [3, 1]), ([2, 2], [1, 1])):
+        with pytest.raises(PreconditionError, match="row-major"):
+            Operator.from_nonzero(w, rows, cols, [1.0, 2.0])
+
+
+def test_from_nonzero_rejects_explicit_zeros():
+    w = TruncationWindow.line(2)
+    for zero in (0.0, -0.0, complex(0.0, -0.0)):
+        with pytest.raises(PreconditionError, match="zero"):
+            Operator.from_nonzero(w, [0, 1], [0, 1], [1.0, zero])
+
+
+def test_from_nonzero_rejects_mismatched_lengths():
+    w = TruncationWindow.line(2)
+    for rows, cols, values in (
+        ([0, 1], [0, 1], [1.0]),
+        ([0], [0, 1], [1.0, 1.0]),
+        ([[0, 1]], [[0, 1]], [[1.0, 1.0]]),
+    ):
+        with pytest.raises(PreconditionError, match="one length"):
+            Operator.from_nonzero(w, rows, cols, values)
+
+
+def test_from_nonzero_rejects_positions_and_values_of_the_wrong_kind():
+    w = TruncationWindow.line(2)
+    with pytest.raises(PreconditionError, match="integers"):
+        Operator.from_nonzero(w, [0.0, 1.0], [0, 1], [1.0, 1.0])
+    with pytest.raises(PreconditionError, match="numbers"):
+        Operator.from_nonzero(w, [0, 1], [0, 1], ["a", "b"])
 
 
 # ---------------------------------------------------------------------------
